@@ -8,7 +8,6 @@ synchronization variable: no limb's command ever leaves its tolerance ball,
 and all limbs advance or pause together.
 """
 
-from ._kernels import BACKEND, BACKEND_ENV_VAR, HAS_NUMBA
 from .controller import (
     ControllerState,
     Mode,
@@ -68,9 +67,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "BACKEND_ENV_VAR",
-    "HAS_NUMBA",
     "Box",
     "ClampConfig",
     "ClampOutcome",

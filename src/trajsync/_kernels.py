@@ -1,4 +1,4 @@
-"""Grid-scan kernels for stacked SE(3) segments.
+"""Grid-scan kernel for stacked SE(3) segments.
 
 The clamp's inner loop evaluates the stacked distance at every sample of a
 segment. For a LERP/SLERP segment both terms collapse to closed forms in t:
@@ -6,61 +6,21 @@ segment. For a LERP/SLERP segment both terms collapse to closed forms in t:
   translation:  |lerp(t) - y|^2 / p_e^2  is a quadratic  a t^2 + b t + c
   rotation:     slerp(t) . q_y           is  alpha cos(t w) + beta sin(t w)
 
-so the whole grid reduces to a few transcendental ops per sample. Kernels
-come in a numba flavor and a pure-numpy flavor producing identical results;
-TRAJSYNC_BACKEND=numpy|numba picks one at import time (default: numba when
-importable, else numpy).
+so the whole grid reduces to a few transcendental ops per sample.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .se3 import FLAT_ARC_ANGLE, aligned_quat
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-BACKEND_ENV_VAR = "TRAJSYNC_BACKEND"
-
 # Rotation term evaluation modes, one per end effector.
 ROT_SKIP = 0  # r_e is infinite, rotation ignored
 ROT_ARC = 1  # alpha cos(t w) + beta sin(t w)
 ROT_FLAT = 2  # arc numerically flat: alpha + beta t
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower() or "auto"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(
-                f"{BACKEND_ENV_VAR}=numba requested but numba is not importable"
-            )
-        return "numba"
-    if choice != "auto":
-        raise ValueError(
-            f"{BACKEND_ENV_VAR} must be 'numba', 'numpy' or 'auto', got {choice!r}"
-        )
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _resolve_backend()
 
 
 def segment_coefficients(vs, vf, vy, qs, qf, qy, p_e, r_e):
@@ -107,7 +67,10 @@ def segment_coefficients(vs, vf, vy, qs, qf, qy, p_e, r_e):
     return ta, tb, tc, alpha, beta, omega, inv_re, rot_mode
 
 
-def _grid_distances_numpy(ts, ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, k):
+def grid_distances(ts, coeffs, k):
+    """Stacked distance at every sample of the grid ts (norm order k)."""
+    ta, tb, tc, alpha, beta, omega, inv_re, rot_mode = coeffs
+    k = float(k)
     n = ta.shape[0]
     acc = None
     for i in range(n):
@@ -129,85 +92,3 @@ def _grid_distances_numpy(ts, ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, 
     if not math.isinf(k) and k != 1.0:
         acc **= 1.0 / k
     return acc
-
-
-@njit(cache=True)
-def _grid_distances_numba(ts, ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, k):
-    m = ts.shape[0]
-    n = ta.shape[0]
-    out = np.empty(m)
-    for j in range(m):
-        t = ts[j]
-        if math.isinf(k):
-            acc = 0.0
-            for i in range(n):
-                d2 = ta[i] * t * t + tb[i] * t + tc[i]
-                if d2 < 0.0:
-                    d2 = 0.0
-                if rot_mode[i] != ROT_SKIP:
-                    if rot_mode[i] == ROT_ARC:
-                        rd = alpha[i] * math.cos(t * omega[i]) + beta[i] * math.sin(
-                            t * omega[i]
-                        )
-                    else:
-                        rd = alpha[i] + beta[i] * t
-                    rd = abs(rd)
-                    if rd > 1.0:
-                        rd = 1.0
-                    ang = 2.0 * math.acos(rd) * inv_re[i]
-                    d2 += ang * ang
-                di = math.sqrt(d2)
-                if di > acc:
-                    acc = di
-            out[j] = acc
-        else:
-            acc = 0.0
-            for i in range(n):
-                d2 = ta[i] * t * t + tb[i] * t + tc[i]
-                if d2 < 0.0:
-                    d2 = 0.0
-                if rot_mode[i] != ROT_SKIP:
-                    if rot_mode[i] == ROT_ARC:
-                        rd = alpha[i] * math.cos(t * omega[i]) + beta[i] * math.sin(
-                            t * omega[i]
-                        )
-                    else:
-                        rd = alpha[i] + beta[i] * t
-                    rd = abs(rd)
-                    if rd > 1.0:
-                        rd = 1.0
-                    ang = 2.0 * math.acos(rd) * inv_re[i]
-                    d2 += ang * ang
-                acc += math.sqrt(d2) ** k
-            out[j] = acc ** (1.0 / k)
-    return out
-
-
-def grid_distances(ts, coeffs, k):
-    """Stacked distance at every sample of the grid, via the active backend."""
-    ta, tb, tc, alpha, beta, omega, inv_re, rot_mode = coeffs
-    if BACKEND == "numba":
-        return _grid_distances_numba(
-            ts, ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, float(k)
-        )
-    return _grid_distances_numpy(
-        ts, ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, float(k)
-    )
-
-
-def warmup():
-    """Force kernel compilation so later calls run at full speed."""
-    ts = np.array([1.0, 0.5, 0.0])
-    one = np.ones(1)
-    coeffs = segment_coefficients(
-        np.zeros((1, 3)),
-        np.ones((1, 3)),
-        np.zeros((1, 3)),
-        np.array([[1.0, 0.0, 0.0, 0.0]]),
-        np.array([[0.9, 0.1, 0.0, 0.0]]) / np.linalg.norm([0.9, 0.1, 0.0, 0.0]),
-        np.array([[1.0, 0.0, 0.0, 0.0]]),
-        one,
-        one,
-    )
-    grid_distances(ts, coeffs, math.inf)
-    grid_distances(ts, coeffs, 2.0)

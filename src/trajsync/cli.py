@@ -202,9 +202,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         suites = list(ALL_SUITES)
     else:
         suites = [args.suite]
-    from ._kernels import warmup
-
-    warmup()
     all_passed = True
     for name in suites:
         result = ALL_SUITES[name]()

@@ -205,6 +205,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append(
             f"horizon: must be >= dt, got {scenario.horizon} < {scenario.dt}"
         )
+    elif not math.isfinite(scenario.horizon):
+        errors.append(f"horizon: must be finite, got {scenario.horizon}")
     if not scenario.limbs:
         errors.append("limbs: must not be empty")
     names = [limb.name for limb in scenario.limbs]
@@ -216,10 +218,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             errors.append(f"{prefix}.max_ee_speed: must be > 0, got {limb.max_ee_speed}")
         if not limb.tracking_gain > 0:
             errors.append(f"{prefix}.tracking_gain: must be > 0, got {limb.tracking_gain}")
-        if limb.sensor_period < 0:
-            errors.append(f"{prefix}.sensor_period: must be >= 0, got {limb.sensor_period}")
-        if limb.command_latency < 0:
-            errors.append(f"{prefix}.command_latency: must be >= 0, got {limb.command_latency}")
+        if not (math.isfinite(limb.sensor_period) and limb.sensor_period >= 0):
+            errors.append(
+                f"{prefix}.sensor_period: must be finite and >= 0, got {limb.sensor_period}"
+            )
+        # the latency queue holds round(latency / dt) commands, at most one per step
+        if not 0 <= limb.command_latency <= scenario.horizon:
+            errors.append(
+                f"{prefix}.command_latency: must be in [0, horizon={scenario.horizon}], "
+                f"got {limb.command_latency}"
+            )
         if limb.name in scenario.initial.names:
             if not limb.workspace.contains(scenario.initial.pose_of(limb.name).v):
                 errors.append(f"{prefix}.workspace: initial pose outside workspace")
@@ -246,14 +254,20 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"program.schedule: last entry ends at "
                 f"{scenario.program.schedule[-1][0]} before horizon {scenario.horizon}"
             )
+        for i, (_, vel) in enumerate(scenario.program.schedule):
+            if vel.shape != (3,) or not np.isfinite(vel).all():
+                errors.append(
+                    f"program.schedule[{i}].velocity: must be a finite 3-vector, "
+                    f"got {vel.tolist()}"
+                )
     else:
         errors.append(f"program: unknown program type {type(scenario.program).__name__}")
     for i, d in enumerate(scenario.disturbances):
         prefix = f"disturbances[{i}]"
         if d.target != ALL_LIMBS and d.target not in names:
             errors.append(f"{prefix}.target: unknown limb {d.target!r}")
-        if d.start < 0:
-            errors.append(f"{prefix}.start: must be >= 0, got {d.start}")
+        if not (math.isfinite(d.start) and d.start >= 0):
+            errors.append(f"{prefix}.start: must be finite and >= 0, got {d.start}")
         if not d.duration > 0:
             errors.append(f"{prefix}.duration: must be > 0, got {d.duration}")
         if d.start + d.duration > scenario.horizon:

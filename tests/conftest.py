@@ -1,16 +1,9 @@
-"""Shared fixtures: JIT warmup and hypothesis settings for a slow CI box."""
+"""Shared hypothesis settings for a slow CI box."""
 
 import hypothesis
-import pytest
 
-from trajsync._kernels import warmup
-
-# Compilation of the cached kernels can take seconds on first use; per-example
-# deadlines would misfire on that, so profile them out globally.
+# The suite runs on a slow, shared host where one example can take far longer
+# than usual; per-example deadlines would misfire on that, so profile them out
+# globally.
 hypothesis.settings.register_profile("pkg", deadline=None)
 hypothesis.settings.load_profile("pkg")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    warmup()

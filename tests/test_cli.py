@@ -135,14 +135,54 @@ def test_invalid_config_file_exits_2(tmp_path, capsys):
     assert run_cli("run", "--scenario", str(bad)) == 2
 
 
-def test_invalid_scenario_content_exits_2(tmp_path, capsys):
+NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration": 1.0}
+
+
+@pytest.mark.parametrize(
+    "builtin,keys,value,field",
+    [
+        pytest.param("out_of_range", ("dt",), -1.0, "dt", id="dt"),
+        pytest.param("nominal_square", ("horizon",), "inf", "horizon", id="horizon_inf"),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "sensor_period"), float("nan"),
+            "limbs[0].heavy.sensor_period", id="sensor_period_nan",
+        ),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "command_latency"), 1e12,
+            "limbs[0].heavy.command_latency", id="command_latency_huge",
+        ),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "command_latency"), "inf",
+            "limbs[0].heavy.command_latency", id="command_latency_inf",
+        ),
+        pytest.param(
+            "nominal_square", ("disturbances",), [NAN_FAULT],
+            "disturbances[0].start", id="fault_start_nan",
+        ),
+        pytest.param(
+            "out_of_range", ("program", "schedule", 0, "velocity"), [1, 2],
+            "program.schedule[0].velocity", id="velocity_2_vector",
+        ),
+        pytest.param(
+            "out_of_range", ("program", "schedule", 1, "velocity"), [0, 0, "inf"],
+            "program.schedule[1].velocity", id="velocity_inf",
+        ),
+    ],
+)
+def test_invalid_scenario_content_exits_2(tmp_path, capsys, builtin, keys, value, field):
     cfg = tmp_path / "scenario.json"
-    run_cli("run", "--scenario", "out_of_range", *FAST, "--dump-config", str(cfg))
+    run_cli("run", "--scenario", builtin, *FAST, "--dump-config", str(cfg))
     data = json.loads(cfg.read_text())
-    data["dt"] = -1.0
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
     cfg.write_text(json.dumps(data))
+    capsys.readouterr()
     assert run_cli("run", "--scenario", str(cfg)) == 2
-    assert "dt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
 
 
 def test_safety_violation_exits_3(tmp_path, monkeypatch, capsys):

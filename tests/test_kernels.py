@@ -1,22 +1,11 @@
-"""Batched distance kernels: agreement with the reference math and the
-backend selection switch."""
+"""Batched distance kernel: agreement with the reference math."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from trajsync._kernels import (
-    BACKEND,
-    BACKEND_ENV_VAR,
-    HAS_NUMBA,
-    _grid_distances_numpy,
-    grid_distances,
-    segment_coefficients,
-)
+from trajsync._kernels import grid_distances, segment_coefficients
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
@@ -104,73 +93,7 @@ def test_identical_rotations_contribute_zero():
     np.testing.assert_allclose(got, expect, atol=1e-12, rtol=0)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_bit_for_bit_on_verdicts():
-    from trajsync._kernels import _grid_distances_numba
-
-    rng = np.random.default_rng(11)
-    ts = np.linspace(1.0, 0.0, 501)
-    for k in (math.inf, 2.0, 1.0):
-        for _ in range(25):
-            n = int(rng.integers(1, 7))
-            params = random_params(rng, n, k)
-            p_e = np.array([p.p_e for p in params.per_ee])
-            r_e = np.array([p.r_e for p in params.per_ee])
-            start = random_multipose(rng, n)
-            final = random_multipose(rng, n)
-            state = random_multipose(rng, n)
-            coeffs = segment_coefficients(
-                start.translations(), final.translations(), state.translations(),
-                start.quaternions(), final.quaternions(), state.quaternions(),
-                p_e, r_e,
-            )
-            a = _grid_distances_numpy(ts, *coeffs, float(k))
-            b = _grid_distances_numba(ts, *coeffs, float(k))
-            np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
-            assert np.array_equal(a <= 1.0, b <= 1.0)
-
-
-def _backend_in_subprocess(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop(BACKEND_ENV_VAR, None)
-    else:
-        env[BACKEND_ENV_VAR] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "from trajsync._kernels import BACKEND; print(BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-
-
-def test_backend_env_numpy():
-    proc = _backend_in_subprocess("numpy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backend_env_numba():
-    proc = _backend_in_subprocess("numba")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numba"
-
-
-def test_backend_env_auto_default():
-    proc = _backend_in_subprocess(None)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == ("numba" if HAS_NUMBA else "numpy")
-
-
-def test_backend_env_rejects_unknown_value():
-    proc = _backend_in_subprocess("fortran")
-    assert proc.returncode != 0
-    assert BACKEND_ENV_VAR in proc.stderr
-
-
 def test_active_backend_is_a_known_one():
-    assert BACKEND in ("numba", "numpy")
     out = grid_distances(
         np.array([1.0, 0.0]),
         segment_coefficients(
