@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -37,24 +38,6 @@ CSV_HEADER = (
 _CSV_FIELDS = CSV_HEADER.split(",")
 
 
-def _record_rows(record: TraceRecord):
-    for i, name in enumerate(record.sensed.names):
-        s = record.sensed.poses[i]
-        c = record.command.poses[i]
-        yield {
-            "time": record.time,
-            "limb": name,
-            "sx": s.v[0], "sy": s.v[1], "sz": s.v[2],
-            "sqw": s.q[0], "sqx": s.q[1], "sqy": s.q[2], "sqz": s.q[3],
-            "cx": c.v[0], "cy": c.v[1], "cz": c.v[2],
-            "cqw": c.q[0], "cqx": c.q[1], "cqy": c.q[2], "cqz": c.q[3],
-            "dist": record.distances[i],
-            "t": record.t,
-            "segment": record.segment,
-            "mode": record.mode,
-        }
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -63,23 +46,54 @@ def _fmt(value) -> str:
     return str(float(value))
 
 
+def _record_rows(record: TraceRecord):
+    """(limb, [sx, ..., cqz, dist] as Python floats) per limb of one record."""
+    rows = zip(
+        record.sensed.translations().tolist(),
+        record.sensed.quaternions().tolist(),
+        record.command.translations().tolist(),
+        record.command.quaternions().tolist(),
+        record.distances,
+    )
+    for name, (sv, sq, cv, cq, dist) in zip(record.sensed.names, rows):
+        yield name, sv + sq + cv + cq + [float(dist)]
+
+
 def write_trace_csv(trace: list[TraceRecord], path: Path) -> None:
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for record in trace:
-            for row in _record_rows(record):
-                fh.write(",".join(_fmt(row[k]) for k in _CSV_FIELDS) + "\n")
+            head = _fmt(record.time) + ","
+            tail = f",{_fmt(record.t)},{_fmt(record.segment)},{_fmt(record.mode)}\n"
+            fh.write("".join(
+                head + name + "," + ",".join(map(repr, values)) + tail
+                for name, values in _record_rows(record)
+            ))
+
+
+def _json_value(value) -> str:
+    """A trace field as ``json.dumps`` writes it, anything but a str or an
+    int as a float."""
+    if isinstance(value, (str, int)):
+        return json.dumps(value)
+    value = float(value)
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# One json-lines row, its fields in CSV column order.
+_JSON_ROW = "{{" + ", ".join(f"{json.dumps(k)}: {{}}" for k in _CSV_FIELDS) + "}}\n"
 
 
 def write_trace_jsonl(trace: list[TraceRecord], path: Path) -> None:
     with open(path, "w") as fh:
         for record in trace:
-            for row in _record_rows(record):
-                clean = {
-                    k: (v if isinstance(v, (str, int)) else float(v))
-                    for k, v in row.items()
-                }
-                fh.write(json.dumps(clean) + "\n")
+            time_s, t_s, segment_s, mode_s = map(
+                _json_value, (record.time, record.t, record.segment, record.mode)
+            )
+            for name, values in _record_rows(record):
+                fh.write(_JSON_ROW.format(
+                    time_s, _json_value(name), *map(_json_value, values), t_s, segment_s, mode_s
+                ))
 
 
 def load_scenario(ref: str) -> Scenario:

@@ -19,11 +19,11 @@ from .metric_core import ClampConfig, NoSolution, Solution, sample_count
 from .multi_ee import (
     MultiMetricParams,
     MultiPose,
+    _translated,
     clamp_stacked,
     stacked_distance,
     stacked_interp,
 )
-from .se3 import Pose
 
 
 class Mode(str, enum.Enum):
@@ -96,9 +96,8 @@ class PathSpec:
 
 
 def _same_multipose(a: MultiPose, b: MultiPose) -> bool:
-    return all(
-        np.array_equal(pa.v, pb.v) and np.array_equal(pa.q, pb.q)
-        for pa, pb in zip(a.poses, b.poses)
+    return np.array_equal(a.translations(), b.translations()) and np.array_equal(
+        a.quaternions(), b.quaternions()
     )
 
 
@@ -156,6 +155,16 @@ class ControllerState:
 # Library users driving the controller directly get monotonic t by default;
 # the raw clamp keeps it off so bare library calls stay stateless.
 _DEFAULT_CFG = ClampConfig(enforce_monotonic_t=True)
+
+
+def _expect_solution(outcome, what: str) -> None:
+    """A segment that starts at the sensed state has its t = 0 sample at
+    distance 0, so its clamp must hit; a miss is a broken invariant."""
+    if not isinstance(outcome, Solution):
+        raise RuntimeError(
+            f"{what}: clamp of a segment starting at the sensed state returned "
+            f"{type(outcome).__name__}, but its t = 0 sample is at distance 0"
+        )
 
 
 def _active_segment(state: ControllerState, path: PathSpec) -> tuple[MultiPose, MultiPose]:
@@ -273,10 +282,7 @@ def step_speed(
     if sensed.names != state.last_command.names:
         raise ValueError("state names do not match the controller's")
     start = state.last_command
-    offset = speed.linear_velocity * dt
-    final = MultiPose(
-        start.names, tuple(Pose(p.v + offset, p.q) for p in start.poses)
-    )
+    final = _translated(start, speed.linear_velocity * dt)
     n = sample_count(start, final, lambda a, b: stacked_distance(a, b, metric), cfg)
     outcome = clamp_stacked(sensed, start, final, metric, n)
     if isinstance(outcome, NoSolution):
@@ -335,7 +341,7 @@ def handle_no_solution(
         n = sample_count(sensed, final, lambda a, b: stacked_distance(a, b, metric), cfg)
         hit = clamp_stacked(sensed, sensed, final, metric, n)
         # t=0 is the sensed state itself (distance 0), so this cannot miss.
-        assert isinstance(hit, Solution)
+        _expect_solution(hit, "restart from the sensed state")
         command = hit.point
         new = replace(
             state,
@@ -378,7 +384,7 @@ def _step_recovery(
         rec_start = sensed
         n = sample_count(rec_start, rec_final, lambda a, b: stacked_distance(a, b, metric), cfg)
         outcome = clamp_stacked(sensed, rec_start, rec_final, metric, n)
-        assert isinstance(outcome, Solution)
+        _expect_solution(outcome, "recovery replan from the sensed state")
         floored = (outcome.t, outcome.point)
 
     t, command = floored

@@ -4,60 +4,113 @@ All end effectors share a single trajectory parameter t; that shared t is
 what synchronizes them. Distances are combined with a k-norm over the
 per-effector SE(3) distances; the default is the max (k = infinity), which
 makes the slowest or most disturbed limb gate everyone's progress.
+
+A MultiPose holds its poses as one (n, 3) translation array and one (n, 4)
+quaternion array, and interpolation and distances work on those arrays
+row by row. They equal the per-pose functions of ``se3`` bit for bit: the
+same elementwise operations in the same order, every dot product through the
+same BLAS call (``se3._rowdot``), and acos/atan2 per limb through ``math``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .metric_core import ClampOutcome, GridEvalFn, hypersphere_clamp
-from .se3 import Pose, Se3MetricParams, se3_distance, se3_interp
+from .se3 import (
+    FLAT_ARC_ANGLE,
+    Pose,
+    Se3MetricParams,
+    _flips_arc,
+    _rowdot,
+    _unit_rows,
+)
 
 
-@dataclass(frozen=True)
 class MultiPose:
-    """Ordered poses of n named end effectors (the stacked state)."""
+    """Ordered poses of n named end effectors (the stacked state).
 
-    names: tuple[str, ...]
-    poses: tuple[Pose, ...]
+    Stored as read-only (n, 3) translation and (n, 4) unit-quaternion arrays;
+    the ``Pose`` objects of ``poses`` are built on first use.
+    """
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        poses = tuple(self.poses)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "poses", poses)
+    __slots__ = ("names", "_v", "_q", "_poses")
+
+    def __init__(self, names: Sequence[str], poses: Sequence[Pose]):
+        names = tuple(names)
+        poses = tuple(poses)
         if len(names) == 0:
             raise ValueError("MultiPose needs at least one end effector")
         if len(names) != len(poses):
-            raise ValueError(
-                f"{len(names)} names but {len(poses)} poses"
-            )
+            raise ValueError(f"{len(names)} names but {len(poses)} poses")
         if len(set(names)) != len(names):
             raise ValueError(f"end-effector names must be unique: {names}")
+        v = np.stack([p.v for p in poses])
+        q = np.stack([p.q for p in poses])
+        self._init(names, v, q, poses)
+
+    @classmethod
+    def _of_arrays(cls, names: tuple[str, ...], v: np.ndarray, q: np.ndarray) -> "MultiPose":
+        """Wrap (n, 3) translations and (n, 4) unit quaternions as they are,
+        unchecked; the arrays become read-only and belong to the result."""
+        mp = object.__new__(cls)
+        mp._init(names, v, q, None)
+        return mp
+
+    def _init(self, names, v, q, poses) -> None:
+        v.flags.writeable = False
+        q.flags.writeable = False
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_poses", poses)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultiPose is immutable: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"MultiPose(names={self.names!r}, translations={self._v.tolist()!r}, "
+            f"quaternions={self._q.tolist()!r})"
+        )
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.names)
+
+    @property
+    def poses(self) -> tuple[Pose, ...]:
+        if self._poses is None:
+            poses = tuple(Pose._trusted(v, q) for v, q in zip(self._v, self._q))
+            object.__setattr__(self, "_poses", poses)
+        return self._poses
 
     def pose_of(self, name: str) -> Pose:
         return self.poses[self.names.index(name)]
 
     def replace_pose(self, name: str, pose: Pose) -> "MultiPose":
         i = self.names.index(name)
-        poses = self.poses[:i] + (pose,) + self.poses[i + 1 :]
-        return MultiPose(self.names, poses)
+        v = self._v.copy()
+        q = self._q.copy()
+        v[i] = pose.v
+        q[i] = pose.q
+        out = MultiPose._of_arrays(self.names, v, q)
+        if self._poses is not None:
+            object.__setattr__(out, "_poses", self._poses[:i] + (pose,) + self._poses[i + 1 :])
+        return out
 
     def translations(self) -> np.ndarray:
-        """(n, 3) array of translations."""
-        return np.stack([p.v for p in self.poses])
+        """(n, 3) read-only array of translations."""
+        return self._v
 
     def quaternions(self) -> np.ndarray:
-        """(n, 4) array of unit quaternions."""
-        return np.stack([p.q for p in self.poses])
+        """(n, 4) read-only array of unit quaternions."""
+        return self._q
 
 
 def multi_pose(pairs: Sequence[tuple[str, Pose]]) -> MultiPose:
@@ -90,10 +143,96 @@ class MultiMetricParams:
     ) -> "MultiMetricParams":
         return MultiMetricParams(tuple(Se3MetricParams(p_e, r_e) for _ in range(n)), norm_order)
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, list[int] | slice]:
+        """(n,) p_e and r_e arrays and the rows whose rotation counts: a list,
+        empty if none, or a full slice if all."""
+        p_e = np.array([p.p_e for p in self.per_ee])
+        r_e = np.array([p.r_e for p in self.per_ee])
+        rot = [i for i, p in enumerate(self.per_ee) if not math.isinf(p.r_e)]
+        return p_e, r_e, slice(None) if len(rot) == len(self.per_ee) else rot
+
+
+def _translated(mp: MultiPose, offset: np.ndarray) -> MultiPose:
+    """Every pose of ``mp`` shifted by ``offset`` (mm), as
+    ``Pose(p.v + offset, p.q)`` builds it: quaternions renormalised."""
+    return MultiPose._of_arrays(mp.names, mp._v + offset, _unit_rows(mp._q))
+
 
 def _check_names(a: MultiPose, b: MultiPose):
     if a.names != b.names:
         raise ValueError(f"end-effector mismatch: {a.names} vs {b.names}")
+
+
+def _check_params(x: MultiPose, params: MultiMetricParams):
+    if len(params.per_ee) != len(x.names):
+        raise ValueError(
+            f"{len(params.per_ee)} metric params for {len(x.names)} end effectors"
+        )
+
+
+_IDENTITY_BYTES = np.array([1.0, 0.0, 0.0, 0.0]).tobytes()
+
+
+def _slerp_rows(qs: np.ndarray, qf: np.ndarray, t) -> np.ndarray:
+    """``se3.slerp`` of every row pair, renormalised as ``Pose`` renormalises.
+
+    ``t`` is one parameter for every row, or a list with one per row.
+    """
+    # Rows that are exactly (1, 0, 0, 0), bit for bit, come out of the general
+    # path unchanged (a flat arc whose (1 - t) + t normalises back to 1), so
+    # rotation-free stacks skip it.
+    identity = _IDENTITY_BYTES * len(qs)
+    if qs.tobytes() == identity and qf.tobytes() == identity:
+        return qs
+    ts = t if isinstance(t, list) else [t] * len(qs)
+    c_s, c_f, flat = [], [], []
+    rows = zip(_rowdot(qs, qf).tolist(), qf.tolist(), ts)
+    for i, (dot, q_f, ti) in enumerate(rows):
+        # |q_s . -q_f| equals |q_s . q_f| bit for bit, so one dot serves both.
+        omega = math.acos(min(1.0, abs(dot)))
+        if omega < FLAT_ARC_ANGLE:
+            a, b = 1.0 - ti, ti
+            flat.append(i)
+        else:
+            so = math.sin(omega)
+            a, b = math.sin((1.0 - ti) * omega) / so, math.sin(ti * omega) / so
+        c_s.append(a)
+        c_f.append(-b if _flips_arc(dot, q_f) else b)
+    out = np.array(c_s)[:, None] * qs + np.array(c_f)[:, None] * qf
+    if flat:
+        out[flat] = _unit_rows(out[flat])
+    return _unit_rows(out)
+
+
+def _relative_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """``se3.relative_rotation_angle`` of every row pair."""
+    ws, vecs = [], []
+    for (w1, x1, y1, z1), (w2, x2, y2, z2) in zip(qa.tolist(), qb.tolist()):
+        x1, y1, z1 = -x1, -y1, -z1  # conj(q_a)
+        ws.append(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
+        vecs.append((
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 + y1 * w2 + z1 * x2 - x1 * z2,
+            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
+        ))
+    vec = np.array(vecs)
+    norms = np.sqrt(_rowdot(vec, vec)).tolist()
+    return np.array([2.0 * math.atan2(n, abs(w)) for n, w in zip(norms, ws)])
+
+
+def _ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> np.ndarray:
+    """``se3_distance`` of every effector pair, as an (n,) array."""
+    _check_names(x, y)
+    _check_params(x, params)
+    p_e, r_e, rot = params._columns
+    dv = (y._v - x._v) / p_e[:, None]
+    d2 = _rowdot(dv, dv)
+    # Bitwise equal quaternions are at relative angle exactly 0 and add nothing.
+    if rot and x._q.tobytes() != y._q.tobytes():
+        ang = _relative_angles(x._q[rot], y._q[rot]) / r_e[rot]
+        d2[rot] += ang * ang
+    return np.sqrt(d2)
 
 
 def stacked_interp(t: float, start: MultiPose, final: MultiPose) -> MultiPose:
@@ -105,32 +244,20 @@ def stacked_interp(t: float, start: MultiPose, final: MultiPose) -> MultiPose:
         return start
     if t == 1.0:
         return final
-    poses = tuple(
-        se3_interp(t, s, f) for s, f in zip(start.poses, final.poses)
-    )
-    return MultiPose(start.names, poses)
+    v = (1.0 - t) * start._v + t * final._v
+    return MultiPose._of_arrays(start.names, v, _slerp_rows(start._q, final._q, t))
 
 
 def stacked_distance(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> float:
     """k-norm of the per-effector SE(3) distances."""
-    _check_names(x, y)
-    if len(params.per_ee) != len(x):
-        raise ValueError(
-            f"{len(params.per_ee)} metric params for {len(x)} end effectors"
-        )
-    dists = [
-        se3_distance(a, b, p) for a, b, p in zip(x.poses, y.poses, params.per_ee)
-    ]
+    dists = _ee_distances(x, y, params)
     if math.isinf(params.norm_order):
-        return max(dists)
+        return float(dists.max())
     return float(np.linalg.norm(dists, ord=params.norm_order))
 
 
 def per_ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> tuple[float, ...]:
-    _check_names(x, y)
-    return tuple(
-        se3_distance(a, b, p) for a, b, p in zip(x.poses, y.poses, params.per_ee)
-    )
+    return tuple(_ee_distances(x, y, params).tolist())
 
 
 def stacked_grid_eval(params: MultiMetricParams) -> GridEvalFn:
@@ -140,27 +267,14 @@ def stacked_grid_eval(params: MultiMetricParams) -> GridEvalFn:
     ``_kernels``; equal to evaluating ``stacked_distance`` against
     ``stacked_interp`` sample by sample, to within ~1e-12.
     """
-    p_e = np.array([p.p_e for p in params.per_ee])
-    r_e = np.array([p.r_e for p in params.per_ee])
+    p_e, r_e, _ = params._columns
     k = float(params.norm_order)
 
     def grid_eval(Y: MultiPose, S: MultiPose, F: MultiPose, ts: np.ndarray) -> np.ndarray:
         _check_names(S, F)
         _check_names(Y, S)
-        if len(params.per_ee) != len(Y):
-            raise ValueError(
-                f"{len(params.per_ee)} metric params for {len(Y)} end effectors"
-            )
-        coeffs = _kernels.segment_coefficients(
-            S.translations(),
-            F.translations(),
-            Y.translations(),
-            S.quaternions(),
-            F.quaternions(),
-            Y.quaternions(),
-            p_e,
-            r_e,
-        )
+        _check_params(Y, params)
+        coeffs = _kernels.segment_coefficients(S._v, F._v, Y._v, S._q, F._q, Y._q, p_e, r_e)
         return _kernels.grid_distances(np.ascontiguousarray(ts), coeffs, k)
 
     return grid_eval

@@ -74,13 +74,34 @@ def aligned_quat(q_s: np.ndarray, q_f: np.ndarray) -> np.ndarray:
     short; the sign making the first non-negligible component of q_f positive
     is then chosen, so that +q_f and -q_f resolve identically.
     """
-    dot = float(np.dot(q_s, q_f))
+    return -q_f if _flips_arc(float(np.dot(q_s, q_f)), q_f) else q_f
+
+
+def _flips_arc(dot: float, q_f) -> bool:
+    """True when ``aligned_quat`` negates q_f, given dot = q_s . q_f."""
     if abs(dot) <= _ANTIPODAL_EPS:
         for c in q_f:
             if abs(c) > _ANTIPODAL_EPS:
-                return q_f if c > 0 else -q_f
-        return q_f
-    return q_f if dot >= 0 else -q_f
+                return c < 0
+        return False
+    return not dot >= 0
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two (n, d) arrays.
+
+    Every row goes through the same BLAS dot as ``np.dot`` of two vectors
+    (and so ``np.linalg.norm``), so each result equals the per-row call bit
+    for bit; a plain sum of products (``(a * b).sum(1)``, ``einsum``) rounds
+    differently.
+    """
+    return np.vecdot(a, b)
+
+
+def _unit_rows(q: np.ndarray) -> np.ndarray:
+    """Each row of an (n, 4) array scaled to unit norm, as ``quat_normalize``
+    scales it (no validation)."""
+    return q / np.sqrt(_rowdot(q, q))[:, None]
 
 
 @dataclass(frozen=True)
@@ -105,6 +126,15 @@ class Pose:
         q.flags.writeable = False
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "q", q)
+
+    @classmethod
+    def _trusted(cls, v: np.ndarray, q: np.ndarray) -> "Pose":
+        """A Pose around read-only float64 arrays that are already valid
+        (q of unit norm), taken as they are: not checked, not renormalised."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "v", v)
+        object.__setattr__(pose, "q", q)
+        return pose
 
     @staticmethod
     def identity() -> "Pose":

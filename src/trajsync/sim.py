@@ -2,20 +2,20 @@
 
 Each limb is a first-order pursuit plant with a speed cap and an axis-aligned
 workspace box standing in for reachability. Sensors are zero-order-hold with
-a per-limb period; commands pass through a per-limb latency queue. Faults
-(blockage, slowdown, sensor freeze, displacement, power cycle) are scheduled
-on a wall-clock timeline and applied to targeted limbs.
+a per-limb period; each limb acts on the command issued a per-limb latency
+earlier. Faults (blockage, slowdown, sensor freeze, displacement, power
+cycle) are scheduled on a wall-clock timeline and applied to targeted limbs.
 
 The loop per step: apply restore offsets of faults that just ended, refresh
-sensor readings, run the controller on the stacked sensed state, enqueue the
-command, step every plant against its latency-delayed command, record.
+sensor readings, run the controller on the stacked sensed state, step all
+plants at once against their latency-delayed commands, record. The state
+stays stacked throughout: (n, 3) translations and (n, 4) quaternions.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -30,8 +30,8 @@ from .controller import (
     step_tracking,
 )
 from .metric_core import ClampConfig
-from .multi_ee import MultiMetricParams, MultiPose, per_ee_distances
-from .se3 import Pose, slerp
+from .multi_ee import MultiMetricParams, MultiPose, _slerp_rows, per_ee_distances
+from .se3 import Pose, _rowdot
 
 ALL_LIMBS = "ALL"
 
@@ -254,7 +254,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"program.schedule: last entry ends at "
                 f"{scenario.program.schedule[-1][0]} before horizon {scenario.horizon}"
             )
-        for i, (_, vel) in enumerate(scenario.program.schedule):
+        for i, (until, vel) in enumerate(scenario.program.schedule):
+            if not math.isfinite(until):
+                errors.append(f"program.schedule[{i}].until: must be finite, got {until}")
             if vel.shape != (3,) or not np.isfinite(vel).all():
                 errors.append(
                     f"program.schedule[{i}].velocity: must be a finite 3-vector, "
@@ -290,36 +292,54 @@ _OFFSET_KINDS = (DisturbanceKind.DISPLACE, DisturbanceKind.POWER_CYCLE)
 
 
 def limb_step(
-    limb: LimbModel,
-    current: Pose,
-    command: Pose,
+    limbs: tuple[LimbModel, ...],
+    current: MultiPose,
+    command: MultiPose,
     active_disturbances: list[Disturbance],
     dt: float,
-) -> Pose:
-    """Advance one plant by dt toward its (already latency-delayed) command.
+) -> MultiPose:
+    """Advance every plant by dt toward its (already latency-delayed) command.
 
-    First-order pursuit: the step covers a min(1, gain*dt) fraction of the
-    remaining error, capped at max_ee_speed * dt (scaled by any active
-    slowdowns), with the translation clipped to the workspace box. Blockage,
-    freeze and power-off hold the pose exactly.
+    First-order pursuit: each limb's step covers a min(1, gain*dt) fraction
+    of its remaining error, capped at max_ee_speed * dt (scaled by the
+    slowdowns that target it), with the translation clipped to its workspace
+    box. Blockage, freeze and power-off hold a limb's pose exactly; when
+    every limb is held, ``current`` itself comes back.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    speed = limb.max_ee_speed
-    for d in active_disturbances:
-        if d.kind in _HOLD_KINDS:
-            return current
-        if d.kind is DisturbanceKind.SLOWDOWN:
-            speed *= d.factor
-    frac = min(1.0, limb.tracking_gain * dt)
-    dv = (command.v - current.v) * frac
-    step_len = float(np.linalg.norm(dv))
-    cap = speed * dt
-    if step_len > cap:
-        dv *= cap / step_len
-    new_v = limb.workspace.clip(current.v + dv)
-    new_q = slerp(current.q, command.q, frac)
-    return Pose(new_v, new_q)
+    moving, caps = [], []
+    for i, limb in enumerate(limbs):
+        speed = limb.max_ee_speed
+        for d in active_disturbances:
+            if not d.targets(limb.name):
+                continue
+            if d.kind in _HOLD_KINDS:
+                break
+            if d.kind is DisturbanceKind.SLOWDOWN:
+                speed *= d.factor
+        else:
+            moving.append(i)
+        caps.append(speed * dt)
+    if not moving:
+        return current
+    fracs = [min(1.0, limb.tracking_gain * dt) for limb in limbs]
+    dv = (command._v - current._v) * np.array(fracs)[:, None]
+    lengths = np.sqrt(_rowdot(dv, dv)).tolist()
+    # Scaling by exactly 1.0 leaves a row that is under its cap unchanged.
+    scale = [cap / length if length > cap else 1.0 for length, cap in zip(lengths, caps)]
+    new_v = np.clip(
+        current._v + dv * np.array(scale)[:, None],
+        [limb.workspace.lower for limb in limbs],
+        [limb.workspace.upper for limb in limbs],
+    )
+    new_q = _slerp_rows(current._q, command._q, fracs)
+    if len(moving) < len(limbs):
+        held = np.ones((len(limbs), 1), dtype=bool)
+        held[moving] = False
+        new_v = np.where(held, current._v, new_v)
+        new_q = np.where(held, current._q, new_q)
+    return MultiPose._of_arrays(current.names, new_v, new_q)
 
 
 def run_scenario(scenario: Scenario) -> list[TraceRecord]:
@@ -334,58 +354,71 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
 
     dt = scenario.dt
     n_steps = int(round(scenario.horizon / dt))
-    names = tuple(limb.name for limb in scenario.limbs)
-    limbs = {limb.name: limb for limb in scenario.limbs}
+    limbs = scenario.limbs
+    names = tuple(limb.name for limb in limbs)
+    n = len(names)
+    # Limb i acts on the command issued lags[i] steps ago; before the first
+    # one arrives it holds the initial pose.
+    lags = [int(round(limb.command_latency / dt)) for limb in limbs]
 
-    true_poses = {name: scenario.initial.pose_of(name) for name in names}
-    sensed_poses = dict(true_poses)
-    next_sample = {name: 0.0 for name in names}
-    queues = {}
-    for name in names:
-        lag = int(round(limbs[name].command_latency / dt))
-        queues[name] = deque([true_poses[name]] * lag)
+    true = scenario.initial
+    sensed = true
+    next_sample = [0.0] * n
+    commands: list[MultiPose] = []
 
+    faults = [(d, *_active_steps(d, dt)) for d in scenario.disturbances]
+    changes = {k for _, on, off in faults for k in (on, off)}
+    active: list[Disturbance] = []
+    frozen: set[str] = set()
+
+    tracking = isinstance(scenario.program, PathProgram)
     ctrl = ControllerState.initial(scenario.initial)
-    was_active = [False] * len(scenario.disturbances)
     records: list[TraceRecord] = []
 
     for k in range(n_steps):
         now = k * dt
 
-        # Faults that just ended: apply restore offsets, force a re-sample so
-        # the sensed pose refreshes abruptly at the restore instant.
-        for i, d in enumerate(scenario.disturbances):
-            is_active = d.active(now)
-            if was_active[i] and not is_active:
-                for name in names:
-                    if not d.targets(name):
+        if k in changes:
+            # Faults that just ended: apply restore offsets, force a re-sample
+            # so the sensed pose refreshes abruptly at the restore instant.
+            for d, on, off in faults:
+                if not on < off == k:
+                    continue
+                for j, limb in enumerate(limbs):
+                    if not d.targets(limb.name):
                         continue
                     if d.kind in _OFFSET_KINDS:
-                        p = true_poses[name]
-                        true_poses[name] = Pose(
-                            limbs[name].workspace.clip(p.v + d.offset), p.q
+                        p = true.poses[j]
+                        true = true.replace_pose(
+                            limb.name, Pose(limb.workspace.clip(p.v + d.offset), p.q)
                         )
                     if d.kind in _FREEZE_KINDS or d.kind in _OFFSET_KINDS:
-                        next_sample[name] = now
-            was_active[i] = is_active
+                        next_sample[j] = now
+            active = [d for d, on, off in faults if on <= k < off]
+            frozen = {
+                limb.name
+                for limb in limbs
+                for d in active
+                if d.kind in _FREEZE_KINDS and d.targets(limb.name)
+            }
 
-        active = [d for d in scenario.disturbances if d.active(now)]
-        frozen = {
-            name
-            for name in names
-            for d in active
-            if d.kind in _FREEZE_KINDS and d.targets(name)
-        }
-
-        for name in names:
-            if name in frozen:
+        refresh = []
+        for j, limb in enumerate(limbs):
+            if limb.name in frozen:
                 continue
-            if now >= next_sample[name] - _TIME_EPS:
-                sensed_poses[name] = true_poses[name]
-                next_sample[name] = now + limbs[name].sensor_period
-        sensed = MultiPose(names, tuple(sensed_poses[name] for name in names))
+            if now >= next_sample[j] - _TIME_EPS:
+                refresh.append(j)
+                next_sample[j] = now + limb.sensor_period
+        if len(refresh) == n:
+            sensed = true
+        elif refresh and sensed is not true:
+            v = sensed.translations().copy()
+            q = sensed.quaternions().copy()
+            v[refresh] = true.translations()[refresh]
+            q[refresh] = true.quaternions()[refresh]
+            sensed = MultiPose._of_arrays(names, v, q)
 
-        if isinstance(scenario.program, PathProgram):
+        if tracking:
             ctrl, command = step_tracking(
                 ctrl,
                 sensed,
@@ -400,12 +433,8 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
                 ctrl, sensed, SpeedInput(vel), dt, scenario.metric, scenario.clamp
             )
 
-        for name in names:
-            q = queues[name]
-            q.append(command.pose_of(name))
-            applied = q.popleft()
-            acting = [d for d in active if d.targets(name)]
-            true_poses[name] = limb_step(limbs[name], true_poses[name], applied, acting, dt)
+        commands.append(command)
+        true = limb_step(limbs, true, _delayed(commands, lags, scenario.initial), active, dt)
 
         dists = per_ee_distances(command, sensed, scenario.metric)
         records.append(
@@ -413,10 +442,41 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
                 time=now,
                 sensed=sensed,
                 command=command,
-                distances=tuple(float(x) for x in dists),
+                distances=dists,
                 t=ctrl.segment_t,
                 segment=ctrl.command_segment,
                 mode=ctrl.mode.value,
             )
         )
     return records
+
+
+def _active_steps(d: Disturbance, dt: float) -> tuple[int, int]:
+    """The steps k at which ``d.active(k * dt)`` holds, as the run [on, off);
+    one run, since k * dt only grows with k."""
+
+    def first(holds, guess: float) -> int:
+        k = max(int(guess), 0)
+        while k > 0 and holds(k - 1):
+            k -= 1
+        while not holds(k):
+            k += 1
+        return k
+
+    end = d.start + d.duration
+    on = first(lambda k: d.start <= k * dt, d.start / dt)
+    off = first(lambda k: not k * dt < end, end / dt)
+    return on, max(on, off)
+
+
+def _delayed(commands: list[MultiPose], lags: list[int], initial: MultiPose) -> MultiPose:
+    """The command each limb acts on now: row i of the command issued
+    lags[i] steps before the latest, or of ``initial`` before the first."""
+    latest = commands[-1]
+    if not any(lags):
+        return latest
+    k = len(commands) - 1
+    sources = [commands[k - lag] if lag <= k else initial for lag in lags]
+    v = np.array([src._v[i] for i, src in enumerate(sources)])
+    q = np.array([src._q[i] for i, src in enumerate(sources)])
+    return MultiPose._of_arrays(latest.names, v, q)

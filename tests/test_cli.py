@@ -167,6 +167,10 @@ NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration"
             "out_of_range", ("program", "schedule", 1, "velocity"), [0, 0, "inf"],
             "program.schedule[1].velocity", id="velocity_inf",
         ),
+        pytest.param(
+            "out_of_range", ("program", "schedule", 0, "until"), float("nan"),
+            "program.schedule[0].until", id="until_nan",
+        ),
     ],
 )
 def test_invalid_scenario_content_exits_2(tmp_path, capsys, builtin, keys, value, field):

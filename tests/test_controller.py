@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import trajsync.controller as controller
 from trajsync.controller import (
     ControllerState,
     Mode,
@@ -363,6 +364,35 @@ def test_stuck_state_makes_speed_mode_wait_and_hold():
     # once the state is feasible again, motion resumes
     state, command = step_speed(state, one(9.0), speed, 0.1, METRIC1, CFG)
     assert state.mode is Mode.TRACKING
+
+
+def _clamp_always_misses(monkeypatch):
+    def miss(state, start, final, params, n_samples):
+        return NoSolution(start, 0.0, math.inf)
+
+    monkeypatch.setattr(controller, "clamp_stacked", miss)
+
+
+def test_restart_strategy_raises_if_the_restart_clamp_misses(monkeypatch):
+    # A segment from the sensed state has its t = 0 sample at distance 0; a
+    # miss there is a broken invariant, reported even under python -O.
+    path = line_path(0.0, 100.0)
+    state, _ = advance_to(path, 50.0)
+    _clamp_always_misses(monkeypatch)
+    with pytest.raises(RuntimeError, match="restart from the sensed state"):
+        step_tracking(
+            state, one(95.0, 30.0), path, METRIC1, CFG,
+            strategy=RecoveryStrategy.RESTART_TO_F,
+        )
+
+
+def test_recovery_replan_raises_if_its_clamp_misses(monkeypatch):
+    path, state, sensed, displaced = displace_mid_path()
+    state, _ = step_tracking(state, displaced, path, METRIC1, CFG)
+    assert state.mode is Mode.RECOVERING
+    _clamp_always_misses(monkeypatch)
+    with pytest.raises(RuntimeError, match="recovery replan"):
+        step_tracking(state, one(20.0, -40.0), path, METRIC1, CFG)
 
 
 def test_speed_mode_rejects_bad_dt():

@@ -32,6 +32,11 @@ def pose(x, y=0.0, z=0.0):
     return Pose(np.array([x, y, z]), IDENTITY)
 
 
+def stack(p, name="arm"):
+    """A one-limb stacked state."""
+    return MultiPose((name,), (p,))
+
+
 def limb(name="arm", speed=100.0, gain=50.0, box=BIG_BOX, **kw):
     return LimbModel(
         name=name, max_ee_speed=speed, workspace=box, tracking_gain=gain, **kw
@@ -70,7 +75,7 @@ def test_box_validation_and_clip():
 def test_limb_at_its_command_stays_put():
     l = limb()
     p = pose(5.0, 1.0, -2.0)
-    out = limb_step(l, p, p, [], 0.02)
+    out = limb_step((l,), stack(p), stack(p), [], 0.02).poses[0]
     assert np.allclose(out.v, p.v)
 
 
@@ -78,20 +83,20 @@ def test_speed_cap_limits_the_step():
     # 100 mm of error, 10 mm/s limit, 0.1 s step, gain high enough to ask for
     # the whole error: exactly 1 mm of motion
     l = limb(speed=10.0, gain=1000.0)
-    out = limb_step(l, pose(0.0), pose(100.0), [], 0.1)
+    out = limb_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
     assert np.allclose(out.v, [1.0, 0.0, 0.0])
 
 
 def test_low_gain_takes_a_fraction_of_the_error():
     l = limb(speed=1e6, gain=2.0)
-    out = limb_step(l, pose(0.0), pose(100.0), [], 0.1)
+    out = limb_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
     assert np.allclose(out.v, [20.0, 0.0, 0.0])
 
 
 def test_workspace_clips_the_plant():
     box = Box(np.array([-10.0, -10.0, -10.0]), np.array([5.0, 10.0, 10.0]))
     l = limb(box=box, speed=1e6, gain=1e6)
-    out = limb_step(l, pose(0.0), pose(100.0), [], 0.1)
+    out = limb_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
     assert out.v[0] == 5.0
 
 
@@ -99,27 +104,27 @@ def test_blockage_holds_the_pose_exactly():
     l = limb()
     d = Disturbance(DisturbanceKind.BLOCK, "arm", start=0.0, duration=1.0)
     p = pose(3.0)
-    out = limb_step(l, p, pose(100.0), [d], 0.1)
+    out = limb_step((l,), stack(p), stack(pose(100.0)), [d], 0.1).poses[0]
     assert out is p
 
 
 def test_slowdown_scales_the_speed_cap():
     l = limb(speed=10.0, gain=1000.0)
     d = Disturbance(DisturbanceKind.SLOWDOWN, "arm", start=0.0, duration=1.0, factor=0.3)
-    out = limb_step(l, pose(0.0), pose(100.0), [d], 0.1)
+    out = limb_step((l,), stack(pose(0.0)), stack(pose(100.0)), [d], 0.1).poses[0]
     assert np.allclose(out.v, [0.3, 0.0, 0.0])
 
 
 def test_rotation_converges_with_gain_one():
     l = limb(gain=50.0)
     target = Pose(np.zeros(3), quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4))
-    out = limb_step(l, Pose.identity(), target, [], 0.02)  # frac = 1
+    out = limb_step((l,), stack(Pose.identity()), stack(target), [], 0.02).poses[0]  # frac = 1
     assert np.allclose(out.q, target.q, atol=1e-12)
 
 
 def test_limb_step_rejects_bad_dt():
     with pytest.raises(ValueError):
-        limb_step(limb(), pose(0.0), pose(1.0), [], 0.0)
+        limb_step((limb(),), stack(pose(0.0)), stack(pose(1.0)), [], 0.0)
 
 
 # --- disturbance plumbing ----------------------------------------------------
