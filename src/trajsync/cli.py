@@ -110,7 +110,7 @@ def load_scenario(ref: str) -> Scenario:
         with open(path) as fh:
             data = json.load(fh)
         return scenario_from_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioValidationError([f"config {ref}: {exc}"]) from exc
 
 

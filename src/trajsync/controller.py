@@ -173,29 +173,59 @@ def _active_segment(state: ControllerState, path: PathSpec) -> tuple[MultiPose, 
     return path.segment(state.segment_index)
 
 
-def _floored(
-    outcome: Solution,
-    state: ControllerState,
-    cfg: ClampConfig,
+def _clamp(
+    sensed: MultiPose,
     start: MultiPose,
     final: MultiPose,
-    sensed: MultiPose,
     metric: MultiMetricParams,
-) -> tuple[float, MultiPose] | None:
-    """Apply the monotonic-t floor to a clamp hit.
+    cfg: ClampConfig,
+    t_floor: float = 0.0,
+) -> Solution | NoSolution:
+    """Clamp the segment start -> final against the sensed state, then apply
+    the monotonic-t floor to a hit.
 
-    Returns None when the floored sample falls outside the unit ball around
-    the sensed state: refusing to backslide must never cost safety, so such a
-    step is treated as a miss and handed to recovery instead.
+    A hit below ``t_floor`` (when the config enforces monotonic t) moves up
+    to the floor. If the floored sample falls outside the unit ball around
+    the sensed state, the result is a miss at the floor: refusing to
+    backslide must never cost safety, so recovery takes over instead.
     """
-    t = outcome.t
-    if cfg.enforce_monotonic_t and t < state.t_floor:
-        t = state.t_floor
-        point = stacked_interp(t, start, final)
-        if stacked_distance(point, sensed, metric) > 1.0:
-            return None
-        return t, point
-    return t, outcome.point
+    n = sample_count(start, final, lambda a, b: stacked_distance(a, b, metric), cfg)
+    outcome = clamp_stacked(sensed, start, final, metric, n)
+    if isinstance(outcome, Solution) and cfg.enforce_monotonic_t and outcome.t < t_floor:
+        point = stacked_interp(t_floor, start, final)
+        dist = stacked_distance(point, sensed, metric)
+        if dist > 1.0:
+            return NoSolution(point, t_floor, dist)
+        return Solution(point, t_floor, dist)
+    return outcome
+
+
+def _tracked(
+    state: ControllerState, hit: Solution, path: PathSpec, **changes
+) -> tuple[ControllerState, MultiPose]:
+    """Emit a tracking hit. Reaching t = 1 advances to the next segment:
+    always off an override segment, otherwise unless this is the last
+    segment of a non-looping path."""
+    new = replace(
+        state,
+        mode=Mode.TRACKING,
+        t_floor=hit.t,
+        last_command=hit.point,
+        last_valid_point=hit.point,
+        segment_t=hit.t,
+        command_segment=state.segment_index,
+        **changes,
+    )
+    if hit.t == 1.0 and (
+        new.segment_override is not None or not path.is_last_segment(state.segment_index)
+    ):
+        new = replace(
+            new,
+            segment_index=state.segment_index + 1,
+            segment_override=None,
+            t_floor=0.0,
+        )
+    return new, hit.point
 
 
 def step_tracking(
@@ -219,46 +249,12 @@ def step_tracking(
         return _step_recovery(state, sensed, path, metric, cfg)
 
     start, final = _active_segment(state, path)
-    n = sample_count(start, final, lambda a, b: stacked_distance(a, b, metric), cfg)
-    outcome = clamp_stacked(sensed, start, final, metric, n)
+    outcome = _clamp(sensed, start, final, metric, cfg, state.t_floor)
     if isinstance(outcome, NoSolution):
         return handle_no_solution(
             state, sensed, strategy, metric, cfg, outcome=outcome, path=path
         )
-
-    floored = _floored(outcome, state, cfg, start, final, sensed, metric)
-    if floored is None:
-        blocked = NoSolution(
-            nearest_point=stacked_interp(state.t_floor, start, final),
-            nearest_t=state.t_floor,
-            nearest_dist=stacked_distance(
-                stacked_interp(state.t_floor, start, final), sensed, metric
-            ),
-        )
-        return handle_no_solution(
-            state, sensed, strategy, metric, cfg, outcome=blocked, path=path
-        )
-    t, command = floored
-    new = replace(
-        state,
-        mode=Mode.TRACKING,
-        t_floor=t,
-        last_command=command,
-        last_valid_point=command,
-        segment_t=t,
-        command_segment=state.segment_index,
-    )
-    if t == 1.0:
-        done_override = state.segment_override is not None
-        advance = done_override or not path.is_last_segment(state.segment_index)
-        if advance:
-            new = replace(
-                new,
-                segment_index=state.segment_index + 1,
-                segment_override=None,
-                t_floor=0.0,
-            )
-    return new, command
+    return _tracked(state, outcome, path)
 
 
 def step_speed(
@@ -283,8 +279,7 @@ def step_speed(
         raise ValueError("state names do not match the controller's")
     start = state.last_command
     final = _translated(start, speed.linear_velocity * dt)
-    n = sample_count(start, final, lambda a, b: stacked_distance(a, b, metric), cfg)
-    outcome = clamp_stacked(sensed, start, final, metric, n)
+    outcome = _clamp(sensed, start, final, metric, cfg)
     if isinstance(outcome, NoSolution):
         return replace(state, mode=Mode.WAITING), state.last_command
 
@@ -337,30 +332,9 @@ def handle_no_solution(
 
     if strategy is RecoveryStrategy.RESTART_TO_F:
         _, final = _active_segment(state, path)
-        override = (sensed, final)
-        n = sample_count(sensed, final, lambda a, b: stacked_distance(a, b, metric), cfg)
-        hit = clamp_stacked(sensed, sensed, final, metric, n)
-        # t=0 is the sensed state itself (distance 0), so this cannot miss.
+        hit = _clamp(sensed, sensed, final, metric, cfg)
         _expect_solution(hit, "restart from the sensed state")
-        command = hit.point
-        new = replace(
-            state,
-            mode=Mode.TRACKING,
-            segment_override=override,
-            t_floor=hit.t,
-            last_command=command,
-            last_valid_point=command,
-            segment_t=hit.t,
-            command_segment=state.segment_index,
-        )
-        if hit.t == 1.0:
-            new = replace(
-                new,
-                segment_index=state.segment_index + 1,
-                segment_override=None,
-                t_floor=0.0,
-            )
-        return new, command
+        return _tracked(state, hit, path, segment_override=(sensed, final))
 
     raise ValueError(f"unknown recovery strategy: {strategy}")
 
@@ -373,28 +347,21 @@ def _step_recovery(
     cfg: ClampConfig,
 ) -> tuple[ControllerState, MultiPose]:
     rec_start, rec_final = state.recovery_path
-    n = sample_count(rec_start, rec_final, lambda a, b: stacked_distance(a, b, metric), cfg)
-    outcome = clamp_stacked(sensed, rec_start, rec_final, metric, n)
-    floored = None
-    if isinstance(outcome, Solution):
-        floored = _floored(outcome, state, cfg, rec_start, rec_final, sensed, metric)
-    if floored is None:
+    hit = _clamp(sensed, rec_start, rec_final, metric, cfg, state.t_floor)
+    if isinstance(hit, NoSolution):
         # The state moved again while recovering: replan from where it is now.
         state = replace(state, recovery_path=(sensed, rec_final), t_floor=0.0)
-        rec_start = sensed
-        n = sample_count(rec_start, rec_final, lambda a, b: stacked_distance(a, b, metric), cfg)
-        outcome = clamp_stacked(sensed, rec_start, rec_final, metric, n)
-        _expect_solution(outcome, "recovery replan from the sensed state")
-        floored = (outcome.t, outcome.point)
+        hit = _clamp(sensed, sensed, rec_final, metric, cfg)
+        _expect_solution(hit, "recovery replan from the sensed state")
 
-    t, command = floored
+    command = hit.point
     new = replace(
         state,
-        t_floor=t,
+        t_floor=hit.t,
         last_command=command,
         last_valid_point=command,
     )
-    if t == 1.0:
+    if hit.t == 1.0:
         # Back at the last valid command, within the ball: resume the segment.
         new = replace(
             new,

@@ -253,12 +253,6 @@ def _real_out(x: float) -> Any:
     return float(x)
 
 
-def _real_in(x: Any) -> float:
-    if isinstance(x, str):
-        return float(x)
-    return float(x)
-
-
 def _pose_out(name: str, pose: Pose) -> dict:
     return {
         "name": name,
@@ -376,10 +370,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
     metric = MultiMetricParams(
         per_ee=tuple(
-            Se3MetricParams(p_e=float(p["p_e"]), r_e=_real_in(p["r_e"]))
+            Se3MetricParams(p_e=float(p["p_e"]), r_e=float(p["r_e"]))
             for p in data["metric"]["per_ee"]
         ),
-        norm_order=_real_in(data["metric"]["norm_order"]),
+        norm_order=float(data["metric"]["norm_order"]),
     )
     clamp_data = data.get("clamp", {})
     clamp = ClampConfig(

@@ -144,11 +144,6 @@ class Pose:
         """Same rotation, translation shifted by ``offset`` (mm)."""
         return Pose(self.v + np.asarray(offset, dtype=np.float64), self.q)
 
-    def approx_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
-        return bool(np.allclose(self.v, other.v, atol=tol)) and rotations_equal(
-            self.q, other.q, tol
-        )
-
 
 @dataclass(frozen=True)
 class Se3MetricParams:

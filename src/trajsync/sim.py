@@ -207,6 +207,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         )
     elif not math.isfinite(scenario.horizon):
         errors.append(f"horizon: must be finite, got {scenario.horizon}")
+    # ClampConfig's default: the largest grid any scenario uses, and the
+    # clamp oracle's; each clamp allocates arrays of up to this many samples
+    if scenario.clamp.max_samples > 1_000_000:
+        errors.append(
+            f"clamp.max_samples: must be <= 1000000, got {scenario.clamp.max_samples}"
+        )
     if not scenario.limbs:
         errors.append("limbs: must not be empty")
     names = [limb.name for limb in scenario.limbs]

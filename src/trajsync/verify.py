@@ -322,6 +322,21 @@ def run_clamp_oracle_suite(
     max_dt = 0.0
     failures: list[str] = []
 
+    def check(label, got, want_feasible, want_t, n):
+        nonlocal checked, max_dt
+        checked += 1
+        if isinstance(got, Solution) != want_feasible:
+            failures.append(
+                f"{label}: verdict mismatch (clamp "
+                f"{'Solution' if isinstance(got, Solution) else 'NoSolution'}, "
+                f"oracle {'feasible' if want_feasible else 'infeasible'})"
+            )
+        elif isinstance(got, Solution):
+            dt = abs(got.t - want_t)
+            max_dt = max(max_dt, dt * (n - 1))
+            if dt > 1.0 / (n - 1) + 1e-12:
+                failures.append(f"{label}: |dt|={dt:.3e} > 1/(I-1)={1/(n-1):.3e}")
+
     def lerp1(t, s, f):
         return s + t * (f - s)
 
@@ -339,19 +354,7 @@ def run_clamp_oracle_suite(
         n = sample_count(s, f, metric, cfg)
         got = hypersphere_clamp(y, s, f, lerp1, metric, n)
         want_feasible, want_t, _ = oracle_scan_1d(y, s, f, p, oracle_samples)
-        checked += 1
-        if isinstance(got, Solution) != want_feasible:
-            failures.append(
-                f"1d[{i}]: verdict mismatch (clamp "
-                f"{'Solution' if isinstance(got, Solution) else 'NoSolution'}, "
-                f"oracle {'feasible' if want_feasible else 'infeasible'})"
-            )
-            continue
-        if isinstance(got, Solution):
-            dt = abs(got.t - want_t)
-            max_dt = max(max_dt, dt * (n - 1))
-            if dt > 1.0 / (n - 1) + 1e-12:
-                failures.append(f"1d[{i}]: |dt|={dt:.3e} > 1/(I-1)={1/(n-1):.3e}")
+        check(f"1d[{i}]", got, want_feasible, want_t, n)
 
     for n_ee, count in se3_counts.items():
         for i in range(count):
@@ -380,22 +383,7 @@ def run_clamp_oracle_suite(
             want_feasible, want_t, _ = oracle_scan_stacked(
                 target, start, final, params, oracle_samples
             )
-            checked += 1
-            label = f"se3x{n_ee}[{i}]"
-            if isinstance(got, Solution) != want_feasible:
-                failures.append(
-                    f"{label}: verdict mismatch (clamp "
-                    f"{'Solution' if isinstance(got, Solution) else 'NoSolution'}, "
-                    f"oracle {'feasible' if want_feasible else 'infeasible'})"
-                )
-                continue
-            if isinstance(got, Solution):
-                dt = abs(got.t - want_t)
-                max_dt = max(max_dt, dt * (n - 1))
-                if dt > 1.0 / (n - 1) + 1e-12:
-                    failures.append(
-                        f"{label}: |dt|={dt:.3e} > 1/(I-1)={1/(n-1):.3e}"
-                    )
+            check(f"se3x{n_ee}[{i}]", got, want_feasible, want_t, n)
 
     wall = time.perf_counter() - t0
     if failures:

@@ -17,7 +17,7 @@ from trajsync.controller import (
     step_speed,
     step_tracking,
 )
-from trajsync.metric_core import ClampConfig, NoSolution
+from trajsync.metric_core import ClampConfig, NoSolution, Solution
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
@@ -310,6 +310,73 @@ def test_restart_near_the_end_converges_in_one_step():
     )
     assert command.poses[0].v[0] == 100.0
     assert state.segment_t == 1.0
+
+
+def test_floored_miss_under_nearest_sample_emits_the_floor_point():
+    # The clamp hits below the floor and the floored sample is outside the
+    # ball: a miss at the floor, whose point NEAREST_SAMPLE passes through.
+    path = line_path(0.0, 100.0)
+    state, _ = advance_to(path, 60.0)
+    back = one(5.0)
+    start, final = path.segment(0)
+    raw = controller.clamp_stacked(back, start, final, METRIC1, 101)
+    assert isinstance(raw, Solution) and raw.t < state.t_floor
+    floor_point = stacked_interp(state.t_floor, start, final)
+    assert stacked_distance(floor_point, back, METRIC1) > 1.0
+    _, command = step_tracking(
+        state, back, path, METRIC1, CFG, strategy=RecoveryStrategy.NEAREST_SAMPLE
+    )
+    assert command.translations().tobytes() == floor_point.translations().tobytes()
+    assert command.quaternions().tobytes() == floor_point.quaternions().tobytes()
+
+
+def test_restart_reaching_the_end_of_the_last_segment_advances():
+    # An override segment is left at t = 1 even on the last segment of a
+    # non-looping path, where a plain tracking hit holds its segment.
+    path = line_path(0.0, 100.0)
+    state, sensed = advance_to(path, 50.0)
+    assert state.segment_index == 0 and path.is_last_segment(0)
+    missed = NoSolution(sensed, state.t_floor, 5.0)
+    state, command = handle_no_solution(
+        state, one(97.0, 3.0), RecoveryStrategy.RESTART_TO_F, METRIC1, CFG,
+        outcome=missed, path=path,
+    )
+    assert command.poses[0].v[0] == 100.0
+    assert state.segment_t == 1.0
+    assert state.segment_index == 1
+    assert state.segment_override is None
+    assert state.t_floor == 0.0
+    assert state.command_segment == 0
+
+
+def test_floored_miss_during_recovery_replans_from_the_sensed_state(monkeypatch):
+    path, state, _, displaced = displace_mid_path()
+    pos = displaced
+    for _ in range(3):
+        state, pos = step_tracking(state, pos, path, METRIC1, CFG)
+    assert state.mode is Mode.RECOVERING and state.t_floor > 0.3
+    rec_start, rec_final = state.recovery_path
+    calls = []
+    clamp = controller.clamp_stacked
+
+    def spy(sensed, start, final, params, n_samples):
+        out = clamp(sensed, start, final, params, n_samples)
+        calls.append((start, out))
+        return out
+
+    monkeypatch.setattr(controller, "clamp_stacked", spy)
+    # near the recovery start: the clamp hits there, far below the floor
+    sensed = one(displaced.poses[0].v[0] + 1.0, 58.0)
+    new, command = step_tracking(state, sensed, path, METRIC1, CFG)
+    (first_start, first), (replan_start, replan) = calls
+    assert first_start is rec_start
+    assert isinstance(first, Solution) and first.t < state.t_floor
+    assert replan_start is sensed
+    assert new.mode is Mode.RECOVERING
+    assert new.recovery_path[0] is sensed and new.recovery_path[1] is rec_final
+    # the replanned clamp ran unfloored: its t stands even below the old floor
+    assert new.t_floor == replan.t < state.t_floor
+    assert stacked_distance(command, sensed, METRIC1) <= 1.0
 
 
 def test_handle_no_solution_requires_known_strategy():
