@@ -23,57 +23,93 @@ ROT_ARC = 1  # alpha cos(t w) + beta sin(t w)
 ROT_FLAT = 2  # arc numerically flat: alpha + beta t
 
 
-def segment_coefficients(vs, vf, vy, qs, qf, qy, p_e, r_e):
-    """Per-limb closed-form coefficients for one stacked segment.
+def segment_constants(vs, vf, qs, qf, p_e, r_e, rot):
+    """The coefficient terms of one stacked segment that do not depend on
+    the sensed state: computed once per segment, then passed to
+    ``segment_coefficients`` on every step that clamps that segment.
 
-    All pose inputs are (n, 3) / (n, 4) arrays; p_e and r_e are (n,).
-    Returns (ta, tb, tc, alpha, beta, omega, inv_re, rot_mode) where the
-    translation part of the squared distance is ta t^2 + tb t + tc and the
-    slerp dot against q_y is alpha cos(t omega) + beta sin(t omega), or
-    alpha + beta t for flat arcs. The quaternion sign alignment matches
-    ``se3.slerp`` exactly.
+    Pose inputs are (n, 3) / (n, 4) arrays; p_e and r_e are (n,). ``rot``
+    selects the rows whose rotation counts (finite r_e): a list of rows,
+    empty if none, or a full slice if all (``MultiMetricParams._columns``).
     """
     n = vs.shape[0]
     dv = vf - vs
-    sv = vs - vy
     pe2 = p_e * p_e
     ta = np.einsum("ij,ij->i", dv, dv) / pe2
-    tb = 2.0 * np.einsum("ij,ij->i", dv, sv) / pe2
-    tc = np.einsum("ij,ij->i", sv, sv) / pe2
-
-    alpha = np.zeros(n)
-    beta = np.zeros(n)
+    zeros = np.zeros(n)
     omega = np.zeros(n)
     inv_re = np.zeros(n)
     rot_mode = np.zeros(n, dtype=np.int8)
-    rot = [i for i, re in enumerate(r_e.tolist()) if not math.isinf(re)]
-    if not rot:
-        return ta, tb, tc, alpha, beta, omega, inv_re, rot_mode
-    qs, qf, qy = qs[rot], qf[rot], qy[rot]
-    rows = zip(
-        rot,
-        _rowdot(qs, qf).tolist(),
-        _rowdot(qs, qy).tolist(),
-        _rowdot(qf, qy).tolist(),
-        qf.tolist(),
-        r_e[rot].tolist(),
-    )
-    for i, d, c1, c2, q_f, re in rows:
-        # Against the aligned (negated) q_f, q_f . q_y changes sign exactly.
-        if _flips_arc(d, q_f):
-            c2 = -c2
-        dot = min(1.0, abs(d))
-        om = math.acos(dot)
-        inv_re[i] = 1.0 / re
-        alpha[i] = c1
-        if om < FLAT_ARC_ANGLE:
-            rot_mode[i] = ROT_FLAT
-            beta[i] = c2 - c1
-        else:
-            rot_mode[i] = ROT_ARC
-            beta[i] = (c2 - dot * c1) / math.sin(om)
-            omega[i] = om
-    return ta, tb, tc, alpha, beta, omega, inv_re, rot_mode
+    modes, rotation = [], None
+    if rot:
+        qs_r, qf_r = qs[rot], qf[rot]
+        signs, dots, sines = [], [], []
+        rows = zip(
+            range(n) if isinstance(rot, slice) else rot,
+            _rowdot(qs_r, qf_r).tolist(),
+            qf_r.tolist(),
+            r_e[rot].tolist(),
+        )
+        for i, d, q_f, re in rows:
+            # Against the aligned (negated) q_f, q_f . q_y changes sign exactly.
+            signs.append(-1.0 if _flips_arc(d, q_f) else 1.0)
+            dot = min(1.0, abs(d))
+            om = math.acos(dot)
+            inv_re[i] = 1.0 / re
+            if om < FLAT_ARC_ANGLE:
+                # beta = (c2 - 1 * c1) / 1 is c2 - c1 exactly
+                rot_mode[i] = ROT_FLAT
+                dots.append(1.0)
+                sines.append(1.0)
+            else:
+                rot_mode[i] = ROT_ARC
+                omega[i] = om
+                dots.append(dot)
+                sines.append(math.sin(om))
+        rotation = (rot, qs_r, qf_r, np.array(signs), np.array(dots), np.array(sines))
+        # Per rotation mode: its rows (a full slice if all) and their omega
+        # and 1/r_e as (rows, 1) columns, for every block of the grid kernel.
+        mode_of = rot_mode.tolist()
+        for mode in (ROT_ARC, ROT_FLAT):
+            sel = [i for i, m in enumerate(mode_of) if m == mode]
+            if len(sel) == n:
+                sel = slice(None)
+            if sel:
+                modes.append((mode, sel, omega[sel, None], inv_re[sel, None]))
+    # Every step's coefficients share these arrays.
+    for a in (ta, zeros, omega, inv_re, rot_mode):
+        a.flags.writeable = False
+    return vs, dv, pe2, ta, zeros, omega, inv_re, rot_mode, tuple(modes), rotation
+
+
+def segment_coefficients(segment, vy, qy):
+    """Per-limb closed-form coefficients of one stacked segment against the
+    sensed state ``(vy, qy)``, (n, 3) / (n, 4) arrays.
+
+    ``segment`` is the segment's ``segment_constants``. Returns (ta, tb, tc,
+    alpha, beta, omega, inv_re, rot_mode, modes): the translation part of
+    the squared distance is ta t^2 + tb t + tc, and the slerp dot against
+    q_y is alpha cos(t omega) + beta sin(t omega), or alpha + beta t for
+    flat arcs; ``modes`` lists the rows of each rotation mode. The
+    quaternion sign alignment matches ``se3.slerp`` exactly.
+    """
+    vs, dv, pe2, ta, zeros, omega, inv_re, rot_mode, modes, rotation = segment
+    sv = vs - vy
+    tb = 2.0 * np.einsum("ij,ij->i", dv, sv) / pe2
+    tc = np.einsum("ij,ij->i", sv, sv) / pe2
+    if rotation is None:
+        return ta, tb, tc, zeros, zeros, omega, inv_re, rot_mode, modes
+    rot, qs_r, qf_r, signs, dots, sines = rotation
+    qy_r = qy[rot]
+    c1 = _rowdot(qs_r, qy_r)
+    beta_r = (_rowdot(qf_r, qy_r) * signs - dots * c1) / sines
+    if isinstance(rot, slice):
+        return ta, tb, tc, c1, beta_r, omega, inv_re, rot_mode, modes
+    alpha = zeros.copy()
+    beta = zeros.copy()
+    alpha[rot] = c1
+    beta[rot] = beta_r
+    return ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, modes
 
 
 def grid_distances(ts, coeffs, k):
@@ -98,25 +134,19 @@ _BLOCK = 1 << 14
 
 
 def _grid_block(ts, coeffs, k):
-    ta, tb, tc, alpha, beta, omega, inv_re, rot_mode = coeffs
+    ta, tb, tc, alpha, beta, _, _, _, modes = coeffs
     d2 = np.multiply(ta[:, None], ts)
     d2 *= ts
     d2 += np.multiply(tb[:, None], ts)
     d2 += tc[:, None]
     np.maximum(d2, 0.0, out=d2)
-    modes = rot_mode.tolist()
-    for mode in (ROT_ARC, ROT_FLAT):
-        rows = [i for i, m in enumerate(modes) if m == mode]
-        if not rows:
-            continue
-        if len(rows) == len(modes):
-            rows = slice(None)
+    for mode, rows, omega, inv_re in modes:
         if mode == ROT_ARC:
-            wt = ts * omega[rows, None]
+            wt = ts * omega
             rd = alpha[rows, None] * np.cos(wt) + beta[rows, None] * np.sin(wt)
         else:
             rd = alpha[rows, None] + beta[rows, None] * ts
-        ang = 2.0 * np.arccos(np.minimum(np.abs(rd), 1.0)) * inv_re[rows, None]
+        ang = 2.0 * np.arccos(np.minimum(np.abs(rd), 1.0)) * inv_re
         d2[rows] += ang * ang
     if math.isinf(k):
         # sqrt is monotone, so the root of the largest square is the largest

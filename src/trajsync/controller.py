@@ -173,6 +173,25 @@ def _active_segment(state: ControllerState, path: PathSpec) -> tuple[MultiPose, 
     return path.segment(state.segment_index)
 
 
+# The last segment's sample count, as one (start, final, metric, cfg, n)
+# tuple.
+_last_count: tuple = (None, None, None, None, 0)
+
+
+def _samples(
+    start: MultiPose, final: MultiPose, metric: MultiMetricParams, cfg: ClampConfig
+) -> int:
+    """``sample_count`` of the segment, computed once while the same
+    segment, metric and config come in (all four are immutable)."""
+    global _last_count
+    s, f, m, c, n = _last_count
+    if s is start and f is final and m is metric and c is cfg:
+        return n
+    n = sample_count(start, final, metric._clamp_fns[0], cfg)
+    _last_count = (start, final, metric, cfg, n)
+    return n
+
+
 def _clamp(
     sensed: MultiPose,
     start: MultiPose,
@@ -189,8 +208,7 @@ def _clamp(
     the sensed state, the result is a miss at the floor: refusing to
     backslide must never cost safety, so recovery takes over instead.
     """
-    n = sample_count(start, final, lambda a, b: stacked_distance(a, b, metric), cfg)
-    outcome = clamp_stacked(sensed, start, final, metric, n)
+    outcome = clamp_stacked(sensed, start, final, metric, _samples(start, final, metric, cfg))
     if isinstance(outcome, Solution) and cfg.enforce_monotonic_t and outcome.t < t_floor:
         point = stacked_interp(t_floor, start, final)
         dist = stacked_distance(point, sensed, metric)

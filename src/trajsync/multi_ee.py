@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .metric_core import ClampOutcome, GridEvalFn, hypersphere_clamp
+from .metric_core import ClampOutcome, GridEvalFn, MetricFn, hypersphere_clamp
 from .se3 import (
     FLAT_ARC_ANGLE,
     Pose,
@@ -152,6 +152,16 @@ class MultiMetricParams:
         rot = [i for i, p in enumerate(self.per_ee) if not math.isinf(p.r_e)]
         return p_e, r_e, slice(None) if len(rot) == len(self.per_ee) else rot
 
+    @cached_property
+    def _clamp_fns(self) -> tuple[MetricFn, GridEvalFn]:
+        """The stacked distance under these params and its grid evaluator,
+        built once for every clamp under them."""
+        return (lambda a, b: stacked_distance(a, b, self)), stacked_grid_eval(self)
+
+    def __getstate__(self):
+        # The cached functions do not pickle; they are rebuilt on first use.
+        return {"per_ee": self.per_ee, "norm_order": self.norm_order}
+
 
 def _translated(mp: MultiPose, offset: np.ndarray) -> MultiPose:
     """Every pose of ``mp`` shifted by ``offset`` (mm), as
@@ -260,6 +270,26 @@ def per_ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> t
     return tuple(_ee_distances(x, y, params).tolist())
 
 
+# The last segment's kernel constants, as one (start, final, params,
+# constants) tuple.
+_last_segment: tuple = (None, None, None, None)
+
+
+def _segment_constants(S: MultiPose, F: MultiPose, params: MultiMetricParams):
+    """``_kernels.segment_constants`` of the segment S -> F under
+    ``params``, computed once while the same three objects come in."""
+    global _last_segment
+    s, f, p, constants = _last_segment
+    if s is S and f is F and p is params:
+        return constants
+    _check_names(S, F)
+    _check_params(S, params)
+    p_e, r_e, rot = params._columns
+    constants = _kernels.segment_constants(S._v, F._v, S._q, F._q, p_e, r_e, rot)
+    _last_segment = (S, F, params, constants)
+    return constants
+
+
 def stacked_grid_eval(params: MultiMetricParams) -> GridEvalFn:
     """Batch grid evaluator for LERP/SLERP segments under ``params``.
 
@@ -267,14 +297,12 @@ def stacked_grid_eval(params: MultiMetricParams) -> GridEvalFn:
     ``_kernels``; equal to evaluating ``stacked_distance`` against
     ``stacked_interp`` sample by sample, to within ~1e-12.
     """
-    p_e, r_e, _ = params._columns
     k = float(params.norm_order)
 
     def grid_eval(Y: MultiPose, S: MultiPose, F: MultiPose, ts: np.ndarray) -> np.ndarray:
-        _check_names(S, F)
+        segment = _segment_constants(S, F, params)
         _check_names(Y, S)
-        _check_params(Y, params)
-        coeffs = _kernels.segment_coefficients(S._v, F._v, Y._v, S._q, F._q, Y._q, p_e, r_e)
+        coeffs = _kernels.segment_coefficients(segment, Y._v, Y._q)
         return _kernels.grid_distances(np.ascontiguousarray(ts), coeffs, k)
 
     return grid_eval
@@ -288,12 +316,7 @@ def clamp_stacked(
     n_samples: int,
 ) -> ClampOutcome:
     """Hypersphere clamp specialized to stacked LERP/SLERP segments."""
+    distance, grid_eval = params._clamp_fns
     return hypersphere_clamp(
-        state,
-        start,
-        final,
-        stacked_interp,
-        lambda a, b: stacked_distance(a, b, params),
-        n_samples,
-        grid_eval=stacked_grid_eval(params),
+        state, start, final, stacked_interp, distance, n_samples, grid_eval
     )

@@ -338,6 +338,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _int_field(value: Any, path: str) -> int:
+    """``value`` as an int, or a ValueError naming the field: JSON's 1e400
+    loads as inf, which ``int`` cannot convert, and 2.5 is no count."""
+    try:
+        out = int(value)
+    except (OverflowError, TypeError, ValueError):
+        out = None
+    if out is None or (isinstance(value, float) and out != value):
+        raise ValueError(f"{path}: must be an integer, got {value!r}")
+    return out
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     prog = data["program"]
     if prog["type"] == "path":
@@ -378,8 +390,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     clamp_data = data.get("clamp", {})
     clamp = ClampConfig(
         step_distance=float(clamp_data.get("step_distance", 0.01)),
-        min_samples=int(clamp_data.get("min_samples", 2)),
-        max_samples=int(clamp_data.get("max_samples", 1_000_000)),
+        min_samples=_int_field(clamp_data.get("min_samples", 2), "clamp.min_samples"),
+        max_samples=_int_field(clamp_data.get("max_samples", 1_000_000), "clamp.max_samples"),
         enforce_monotonic_t=bool(clamp_data.get("enforce_monotonic_t", False)),
     )
     disturbances = tuple(
@@ -403,7 +415,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         disturbances=disturbances,
         dt=float(data["dt"]),
         horizon=float(data["horizon"]),
-        seed=int(data.get("seed", 0)),
+        seed=_int_field(data.get("seed", 0), "seed"),
     )
 
 

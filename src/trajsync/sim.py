@@ -220,10 +220,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append(f"limbs: duplicate names in {names}")
     for i, limb in enumerate(scenario.limbs):
         prefix = f"limbs[{i}].{limb.name}" if limb.name else f"limbs[{i}]"
-        if not limb.max_ee_speed > 0:
-            errors.append(f"{prefix}.max_ee_speed: must be > 0, got {limb.max_ee_speed}")
-        if not limb.tracking_gain > 0:
-            errors.append(f"{prefix}.tracking_gain: must be > 0, got {limb.tracking_gain}")
+        if not (math.isfinite(limb.max_ee_speed) and limb.max_ee_speed > 0):
+            errors.append(
+                f"{prefix}.max_ee_speed: must be finite and > 0, got {limb.max_ee_speed}"
+            )
+        if not (math.isfinite(limb.tracking_gain) and limb.tracking_gain > 0):
+            errors.append(
+                f"{prefix}.tracking_gain: must be finite and > 0, got {limb.tracking_gain}"
+            )
         if not (math.isfinite(limb.sensor_period) and limb.sensor_period >= 0):
             errors.append(
                 f"{prefix}.sensor_period: must be finite and >= 0, got {limb.sensor_period}"
@@ -314,10 +318,44 @@ def limb_step(
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    held, caps, fracs, frac_col, lower, upper = _plant_constants(
+        limbs, active_disturbances, dt
+    )
+    if held is True:
+        return current
+    dv = (command._v - current._v) * frac_col
+    lengths = np.sqrt(_rowdot(dv, dv)).tolist()
+    # Scaling by exactly 1.0 leaves a row that is under its cap unchanged.
+    scale = [cap / length if length > cap else 1.0 for length, cap in zip(lengths, caps)]
+    new_v = np.clip(current._v + dv * np.array(scale)[:, None], lower, upper)
+    new_q = _slerp_rows(current._q, command._q, fracs)
+    if held is not None:
+        new_v = np.where(held, current._v, new_v)
+        new_q = np.where(held, current._q, new_q)
+    return MultiPose._of_arrays(current.names, new_v, new_q)
+
+
+# The last plant constants, as one (limbs, active, dt, constants) tuple.
+_last_plant: tuple = (None, None, None, None)
+
+
+def _plant_constants(limbs, active, dt):
+    """What ``limb_step`` needs of the limbs, the active faults and dt:
+    the held rows (None if none, True if all), the speed caps, the pursuit
+    fractions (a list and an (n, 1) column) and the workspace bounds.
+
+    Computed once while the same limbs tuple and active tuple come in
+    (``run_scenario`` rebuilds its tuple only when a fault starts or ends);
+    any other sequence of faults is read afresh.
+    """
+    global _last_plant
+    memo_limbs, memo_active, memo_dt, constants = _last_plant
+    if memo_limbs is limbs and memo_active is active and memo_dt == dt:
+        return constants
     moving, caps = [], []
     for i, limb in enumerate(limbs):
         speed = limb.max_ee_speed
-        for d in active_disturbances:
+        for d in active:
             if not d.targets(limb.name):
                 continue
             if d.kind in _HOLD_KINDS:
@@ -327,25 +365,24 @@ def limb_step(
         else:
             moving.append(i)
         caps.append(speed * dt)
+    held = None
     if not moving:
-        return current
-    fracs = [min(1.0, limb.tracking_gain * dt) for limb in limbs]
-    dv = (command._v - current._v) * np.array(fracs)[:, None]
-    lengths = np.sqrt(_rowdot(dv, dv)).tolist()
-    # Scaling by exactly 1.0 leaves a row that is under its cap unchanged.
-    scale = [cap / length if length > cap else 1.0 for length, cap in zip(lengths, caps)]
-    new_v = np.clip(
-        current._v + dv * np.array(scale)[:, None],
-        [limb.workspace.lower for limb in limbs],
-        [limb.workspace.upper for limb in limbs],
-    )
-    new_q = _slerp_rows(current._q, command._q, fracs)
-    if len(moving) < len(limbs):
+        held = True
+    elif len(moving) < len(limbs):
         held = np.ones((len(limbs), 1), dtype=bool)
         held[moving] = False
-        new_v = np.where(held, current._v, new_v)
-        new_q = np.where(held, current._q, new_q)
-    return MultiPose._of_arrays(current.names, new_v, new_q)
+    fracs = [min(1.0, limb.tracking_gain * dt) for limb in limbs]
+    constants = (
+        held,
+        caps,
+        fracs,
+        np.array(fracs)[:, None],
+        np.array([limb.workspace.lower for limb in limbs]),
+        np.array([limb.workspace.upper for limb in limbs]),
+    )
+    if type(limbs) is tuple and type(active) is tuple:
+        _last_plant = (limbs, active, dt, constants)
+    return constants
 
 
 def run_scenario(scenario: Scenario) -> list[TraceRecord]:
@@ -363,23 +400,23 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
     limbs = scenario.limbs
     names = tuple(limb.name for limb in limbs)
     n = len(names)
-    # Limb i acts on the command issued lags[i] steps ago; before the first
-    # one arrives it holds the initial pose.
-    lags = [int(round(limb.command_latency / dt)) for limb in limbs]
+    delayed = _DelayLine(limbs, scenario.initial, dt)
 
     true = scenario.initial
     sensed = true
     next_sample = [0.0] * n
-    commands: list[MultiPose] = []
 
     faults = [(d, *_active_steps(d, dt)) for d in scenario.disturbances]
     changes = {k for _, on, off in faults for k in (on, off)}
-    active: list[Disturbance] = []
+    # A new tuple only when a fault starts or ends: limb_step keeps its
+    # plant constants while the same tuple comes in.
+    active: tuple[Disturbance, ...] = ()
     frozen: set[str] = set()
 
     tracking = isinstance(scenario.program, PathProgram)
     ctrl = ControllerState.initial(scenario.initial)
     records: list[TraceRecord] = []
+    vel = speed = None
 
     for k in range(n_steps):
         now = k * dt
@@ -400,7 +437,7 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
                         )
                     if d.kind in _FREEZE_KINDS or d.kind in _OFFSET_KINDS:
                         next_sample[j] = now
-            active = [d for d, on, off in faults if on <= k < off]
+            active = tuple(d for d, on, off in faults if on <= k < off)
             frozen = {
                 limb.name
                 for limb in limbs
@@ -434,13 +471,14 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
                 scenario.program.strategy,
             )
         else:
-            vel = scenario.program.velocity_at(now)
+            v = scenario.program.velocity_at(now)
+            if v is not vel:
+                vel, speed = v, SpeedInput(v)
             ctrl, command = step_speed(
-                ctrl, sensed, SpeedInput(vel), dt, scenario.metric, scenario.clamp
+                ctrl, sensed, speed, dt, scenario.metric, scenario.clamp
             )
 
-        commands.append(command)
-        true = limb_step(limbs, true, _delayed(commands, lags, scenario.initial), active, dt)
+        true = limb_step(limbs, true, delayed.push(command), active, dt)
 
         dists = per_ee_distances(command, sensed, scenario.metric)
         records.append(
@@ -475,14 +513,35 @@ def _active_steps(d: Disturbance, dt: float) -> tuple[int, int]:
     return on, max(on, off)
 
 
-def _delayed(commands: list[MultiPose], lags: list[int], initial: MultiPose) -> MultiPose:
-    """The command each limb acts on now: row i of the command issued
-    lags[i] steps before the latest, or of ``initial`` before the first."""
-    latest = commands[-1]
-    if not any(lags):
-        return latest
-    k = len(commands) - 1
-    sources = [commands[k - lag] if lag <= k else initial for lag in lags]
-    v = np.array([src._v[i] for i, src in enumerate(sources)])
-    q = np.array([src._q[i] for i, src in enumerate(sources)])
-    return MultiPose._of_arrays(latest.names, v, q)
+class _DelayLine:
+    """The command each limb acts on: row i of the command issued lags[i]
+    steps before the latest, or of the initial pose before the first.
+
+    Keeps the last max(lags) + 1 commands in stacked (slot * n + row, 3)
+    and (slot * n + row, 4) rings, prefilled with the initial pose, so each
+    step gathers the delayed rows with one index per array.
+    """
+
+    def __init__(self, limbs: tuple[LimbModel, ...], initial: MultiPose, dt: float):
+        lags = np.array([int(round(limb.command_latency / dt)) for limb in limbs])
+        n = len(lags)
+        size = int(lags.max()) + 1
+        self._n = n
+        self._size = size
+        self._slot = -1
+        self._v = np.tile(initial._v, (size, 1))
+        self._q = np.tile(initial._q, (size, 1))
+        # _gather[slot]: the ring rows to read when the latest command sits
+        # in that slot
+        self._gather = [((s - lags) % size) * n + np.arange(n) for s in range(size)]
+
+    def push(self, command: MultiPose) -> MultiPose:
+        """Record the command issued this step; return the delayed one."""
+        if self._size == 1:
+            return command
+        slot = self._slot = (self._slot + 1) % self._size
+        rows = slice(slot * self._n, (slot + 1) * self._n)
+        self._v[rows] = command._v
+        self._q[rows] = command._q
+        gather = self._gather[slot]
+        return MultiPose._of_arrays(command.names, self._v[gather], self._q[gather])

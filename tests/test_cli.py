@@ -177,12 +177,22 @@ NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration"
         ),
         # JSON's 1e400 loads as float("inf"), which int() cannot convert
         pytest.param(
-            "out_of_range", ("clamp", "max_samples"), 1e400, None, id="max_samples_1e400",
+            "out_of_range", ("clamp", "max_samples"), 1e400, "clamp.max_samples",
+            id="max_samples_1e400",
         ),
         pytest.param(
-            "out_of_range", ("clamp", "min_samples"), 1e400, None, id="min_samples_1e400",
+            "out_of_range", ("clamp", "min_samples"), 1e400, "clamp.min_samples",
+            id="min_samples_1e400",
         ),
-        pytest.param("out_of_range", ("seed",), 1e400, None, id="seed_1e400"),
+        pytest.param("out_of_range", ("seed",), 1e400, "seed", id="seed_1e400"),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "max_ee_speed"), float("inf"),
+            "limbs[0].heavy.max_ee_speed", id="max_ee_speed_inf",
+        ),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "tracking_gain"), float("inf"),
+            "limbs[0].heavy.tracking_gain", id="tracking_gain_inf",
+        ),
     ],
 )
 def test_invalid_scenario_content_exits_2(tmp_path, capsys, builtin, keys, value, field):

@@ -17,14 +17,14 @@ from trajsync.controller import (
     step_speed,
     step_tracking,
 )
-from trajsync.metric_core import ClampConfig, NoSolution, Solution
+from trajsync.metric_core import ClampConfig, NoSolution, Solution, sample_count
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
     stacked_distance,
     stacked_interp,
 )
-from trajsync.se3 import Pose
+from trajsync.se3 import Pose, Se3MetricParams, quat_from_axis_angle
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -301,7 +301,9 @@ def test_restart_strategy_retargets_the_segment_end():
     assert abs(command.poses[0].v[1]) < 1e-9
 
 
-def test_restart_near_the_end_converges_in_one_step():
+def test_near_the_end_within_the_ball_tracks_without_a_restart():
+    # A sensed point within one radius of the segment end is within one
+    # radius of the segment, so the clamp hits and RESTART_TO_F never runs.
     path = line_path(0.0, 100.0)
     state, sensed = advance_to(path, 50.0)
     near_end = one(95.0, 3.0)
@@ -310,6 +312,8 @@ def test_restart_near_the_end_converges_in_one_step():
     )
     assert command.poses[0].v[0] == 100.0
     assert state.segment_t == 1.0
+    assert state.segment_override is None
+    assert state.segment_index == 0
 
 
 def test_floored_miss_under_nearest_sample_emits_the_floor_point():
@@ -486,3 +490,56 @@ def test_default_config_enforces_monotonic_t():
     back = one(sensed.poses[0].v[0] - 5.0)
     state, _ = step_tracking(state, back, path, METRIC1)
     assert state.segment_t >= t_before
+
+
+# --- per-segment memo ----------------------------------------------------------
+
+def turned(x, y, angle):
+    return Pose(np.array([x, y, 0.0]), quat_from_axis_angle([0.0, 0.0, 1.0], angle))
+
+
+def two_limbs(*poses):
+    return MultiPose(("a", "b"), poses)
+
+
+def cold_outcome(sensed, start, final, metric, cfg):
+    """The clamp of fresh, equal copies of every input: no memo can hold them."""
+    copy = lambda m: MultiPose._of_arrays(m.names, m.translations().copy(), m.quaternions().copy())
+    start, final, sensed = copy(start), copy(final), copy(sensed)
+    metric = MultiMetricParams(metric.per_ee, metric.norm_order)
+    cfg = ClampConfig(cfg.step_distance, cfg.min_samples, cfg.max_samples, cfg.enforce_monotonic_t)
+    n = sample_count(start, final, lambda a, b: stacked_distance(a, b, metric), cfg)
+    return controller.clamp_stacked(sensed, start, final, metric, n)
+
+
+def test_segment_memo_follows_segment_metric_and_config():
+    home = two_limbs(turned(0.0, 0.0, 0.0), turned(0.0, 50.0, 0.2))
+    paths = (
+        PathSpec((home, two_limbs(turned(40.0, 0.0, 0.6), turned(40.0, 50.0, 0.2)))),
+        PathSpec((home, two_limbs(turned(0.0, 30.0, 0.0), turned(-30.0, 50.0, 1.0)))),
+    )
+    metrics = (
+        MultiMetricParams((Se3MetricParams(4.0, 0.3), Se3MetricParams(6.0, 0.4))),
+        MultiMetricParams((Se3MetricParams(9.0, 0.5), Se3MetricParams(5.0)), norm_order=2.0),
+    )
+    cfgs = (CFG, ClampConfig(step_distance=0.3, enforce_monotonic_t=True))
+    state = ControllerState.initial(home)
+    sensed = two_limbs(turned(1.0, 1.0, 0.05), turned(1.0, 49.0, 0.25))
+    cases = (
+        [(path, metrics[0], cfgs[0]) for path in paths * 2],
+        [(paths[0], metric, cfgs[0]) for metric in metrics * 2],
+        [(paths[0], metrics[0], cfg) for cfg in cfgs * 2],
+    )
+    for alternation in cases:
+        # all steps first: a cold clamp in between would reset the memos
+        steps = [step_tracking(state, sensed, *args) for args in alternation]
+        commands = []
+        for (path, metric, cfg), (new, command) in zip(alternation, steps):
+            want = cold_outcome(sensed, *path.segment(0), metric, cfg)
+            assert isinstance(want, Solution)
+            assert new.segment_t == want.t
+            assert command.translations().tobytes() == want.point.translations().tobytes()
+            assert command.quaternions().tobytes() == want.point.quaternions().tobytes()
+            commands.append(command.translations().tobytes())
+        # the two alternatives differ, so a stale memo would show
+        assert commands[0] != commands[1] and commands[:2] == commands[2:]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trajsync._kernels import grid_distances, segment_coefficients
+from trajsync._kernels import grid_distances, segment_coefficients, segment_constants
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
@@ -97,10 +97,12 @@ def test_active_backend_is_a_known_one():
     out = grid_distances(
         np.array([1.0, 0.0]),
         segment_coefficients(
-            np.zeros((1, 3)), np.ones((1, 3)), np.zeros((1, 3)),
-            np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0, 0.0]]),
-            np.array([[1.0, 0.0, 0.0, 0.0]]),
-            np.ones(1), np.full(1, math.inf),
+            segment_constants(
+                np.zeros((1, 3)), np.ones((1, 3)),
+                np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0, 0.0]]),
+                np.ones(1), np.full(1, math.inf), [],
+            ),
+            np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]),
         ),
         math.inf,
     )

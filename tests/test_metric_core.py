@@ -205,3 +205,12 @@ def test_clamp_outcome_properties(y, s, f, n):
         assert out.nearest_dist == dists.min()
         first_min = ts[int(np.argmin(dists))]
         assert out.nearest_t == first_min
+
+
+def test_grid_is_shared_read_only_and_follows_the_sample_count():
+    for n in (5, 7, 5, 7, 7, 2):
+        ts = grid_parameters(n)
+        assert np.array_equal(ts, 1.0 - np.arange(n) / (n - 1))
+        with pytest.raises(ValueError):
+            ts[0] = 0.5
+    assert grid_parameters(2) is grid_parameters(2)

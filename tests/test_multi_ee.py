@@ -2,6 +2,7 @@
 the k-norm stacking of per-effector distances."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -207,3 +208,15 @@ def test_clamp_stacked_solution_is_on_the_interpolant():
         assert np.array_equal(got.v, want.v)
         assert np.array_equal(got.q, want.q)
     assert out.dist <= 1.0
+
+
+def test_metric_params_pickle_after_a_clamp():
+    # the clamp caches functions on the params, which must not stop a pickle
+    params = MultiMetricParams.uniform(2, p_e=10.0, r_e=0.5)
+    start, final = pair(pose(0.0), pose(0.0, 5.0)), pair(pose(50.0), pose(50.0))
+    state = pair(pose(20.0), pose(20.0))
+    want = clamp_stacked(state, start, final, params, 51)
+    copy = pickle.loads(pickle.dumps(params))
+    assert copy == params
+    got = clamp_stacked(state, start, final, copy, 51)
+    assert (got.t, got.dist) == (want.t, want.dist)

@@ -349,3 +349,22 @@ def test_speed_program_piecewise_schedule():
     assert prog.velocity_at(1.0)[2] == -30.0
     with pytest.raises(ValueError):
         SpeedProgram(((1.0, np.array([0.0, 0.0, 1.0])), (0.5, np.zeros(3))))
+
+
+def test_plant_constants_follow_the_active_set():
+    # run_scenario passes one tuple per fault interval; each interval's
+    # result must match a limb_step that reads limbs and faults afresh.
+    limbs = (limb("a", speed=40.0), limb("b", speed=40.0, gain=10.0))
+    current = MultiPose(("a", "b"), (pose(0.0), pose(0.0, 5.0)))
+    command = MultiPose(("a", "b"), (pose(30.0), pose(10.0, 5.0)))
+    block = Disturbance(DisturbanceKind.BLOCK, "a", 0.0, 1.0)
+    slow = Disturbance(DisturbanceKind.SLOWDOWN, ALL_LIMBS, 0.0, 1.0, factor=0.25)
+    results = []
+    for active in ((), (block,), (slow,), ()):
+        got = limb_step(limbs, current, command, active, 0.02)
+        fresh = limb_step(tuple([*limbs]), current, command, list(active), 0.02)
+        assert got.translations().tobytes() == fresh.translations().tobytes()
+        assert got.quaternions().tobytes() == fresh.quaternions().tobytes()
+        results.append(got.translations().tobytes())
+    # the block holds limb a, the slowdown shortens both steps
+    assert len(set(results)) == 3 and results[0] == results[3]

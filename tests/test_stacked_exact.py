@@ -171,7 +171,7 @@ def test_distances_equal_se3_distance_on_random_rotations():
 
 def reference_grid(ts, coeffs, k):
     """The grid kernel as a limb-by-limb loop."""
-    ta, tb, tc, alpha, beta, omega, inv_re, rot_mode = coeffs
+    ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, _ = coeffs
     acc = None
     for i in range(len(ta)):
         d2 = np.maximum(ta[i] * ts * ts + tb[i] * ts + tc[i], 0.0)
@@ -220,18 +220,35 @@ def reference_coefficients(vs, vf, vy, qs, qf, qy, p_e, r_e):
 @pytest.mark.parametrize("samples", [257, 2 * _kernels._BLOCK + 3])
 @pytest.mark.parametrize("norm_order", [math.inf, 1.0, 2.0, 3.0])
 def test_grid_kernel_equals_the_limb_by_limb_loop(norm_order, samples):
+    check_grid_kernel(metric(len(quaternion_pairs()), norm_order), norm_order, samples)
+
+
+@pytest.mark.parametrize("norm_order", [math.inf, 2.0])
+def test_grid_kernel_with_every_limb_rotating(norm_order):
+    n = len(quaternion_pairs())
+    params = MultiMetricParams.uniform(n, p_e=9.0, r_e=0.4, norm_order=norm_order)
+    assert params._columns[2] == slice(None)
+    check_grid_kernel(params, norm_order, 257)
+
+
+def check_grid_kernel(params, norm_order, samples):
     pairs = quaternion_pairs()
     start, final = stacks(pairs)
     state = stacked_interp(0.4, start, stacks(pairs, seed=8)[1])
-    params = metric(len(pairs), norm_order)
-    p_e, r_e, _ = params._columns
+    p_e, r_e, rot = params._columns
     ts = 1.0 - np.arange(samples) / (samples - 1)
     args = (
         start.translations(), final.translations(), state.translations(),
         start.quaternions(), final.quaternions(), state.quaternions(), p_e, r_e,
     )
-    coeffs = _kernels.segment_coefficients(*args)
-    for got, want in zip(coeffs[3:], reference_coefficients(*args)):
+    segment = _kernels.segment_constants(
+        start.translations(), final.translations(),
+        start.quaternions(), final.quaternions(), p_e, r_e, rot,
+    )
+    coeffs = _kernels.segment_coefficients(
+        segment, state.translations(), state.quaternions()
+    )
+    for got, want in zip(coeffs[3:8], reference_coefficients(*args)):
         assert bits(got) == bits(want)
     assert bits(_kernels.grid_distances(ts, coeffs, norm_order)) == bits(
         reference_grid(ts, coeffs, norm_order)
