@@ -5,8 +5,10 @@ Traces are written one row per limb per step. CSV column order is fixed:
     time,limb,sx,sy,sz,sqw,sqx,sqy,sqz,cx,cy,cz,cqw,cqx,cqy,cqz,dist,t,segment,mode
 
 The json-lines format carries the same field names, one object per row.
-Exit codes: 0 success, 2 scenario/config validation error, 3 safety
-invariant violated during the run.
+Exit codes: 0 success; 1 a verify suite failed, or stdout was closed
+before everything was printed to it (``trajsync run ... | head -1``; the
+trace file is still written in full); 2 scenario/config validation error;
+3 safety invariant violated during the run.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import struct
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -46,29 +52,64 @@ def _fmt(value) -> str:
     return str(float(value))
 
 
-def _record_rows(record: TraceRecord):
-    """(limb, [sx, ..., cqz, dist] as Python floats) per limb of one record."""
-    rows = zip(
-        record.sensed.translations().tolist(),
-        record.sensed.quaternions().tolist(),
-        record.command.translations().tolist(),
-        record.command.quaternions().tolist(),
-        record.distances,
+# Each writer formats a distinct float once. A trace has far fewer distinct
+# values than float cells (the quaternions of a translation-only limb are
+# constant, and held or frozen limbs repeat their values from step to step),
+# so the writers map each value's 64-bit pattern to its text through a memo.
+# The key is the bits, not the float: a float key would merge 0.0 with -0.0
+# and never find a NaN. The memo is cleared when it reaches this many
+# entries (about 1 MB), so its size does not grow with the trace.
+_MEMO_ENTRIES = 4096
+
+
+class _FloatText(dict):
+    """64-bit pattern of a float -> ``format(value)``, formatted on first use."""
+
+    __slots__ = ("_format",)
+
+    def __init__(self, to_text):
+        super().__init__()
+        self._format = to_text
+
+    def __missing__(self, bits: int) -> str:
+        if len(self) >= _MEMO_ENTRIES:
+            self.clear()
+        text = self[bits] = self._format(struct.unpack("d", struct.pack("q", bits))[0])
+        return text
+
+
+def _record_bits(record: TraceRecord) -> list[list[int]]:
+    """The 64-bit patterns of sx, ..., cqz, dist, one list per limb of one record."""
+    sensed, command = record.sensed, record.command
+    block = np.concatenate(
+        (
+            sensed.translations(),
+            sensed.quaternions(),
+            command.translations(),
+            command.quaternions(),
+            np.array(record.distances)[:, None],
+        ),
+        axis=1,
+        dtype=np.float64,
     )
-    for name, (sv, sq, cv, cq, dist) in zip(record.sensed.names, rows):
-        yield name, sv + sq + cv + cq + [float(dist)]
+    return block.view(np.int64).tolist()
 
 
 def write_trace_csv(trace: list[TraceRecord], path: Path) -> None:
+    text = _FloatText(repr).__getitem__
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for record in trace:
             head = _fmt(record.time) + ","
             tail = f",{_fmt(record.t)},{_fmt(record.segment)},{_fmt(record.mode)}\n"
             fh.write("".join(
-                head + name + "," + ",".join(map(repr, values)) + tail
-                for name, values in _record_rows(record)
+                head + name + "," + ",".join(map(text, bits)) + tail
+                for name, bits in zip(record.sensed.names, _record_bits(record))
             ))
+
+
+def _json_float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _json_value(value) -> str:
@@ -76,8 +117,7 @@ def _json_value(value) -> str:
     int as a float."""
     if isinstance(value, (str, int)):
         return json.dumps(value)
-    value = float(value)
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    return _json_float(float(value))
 
 
 # One json-lines row, its fields in CSV column order.
@@ -85,14 +125,15 @@ _JSON_ROW = "{{" + ", ".join(f"{json.dumps(k)}: {{}}" for k in _CSV_FIELDS) + "}
 
 
 def write_trace_jsonl(trace: list[TraceRecord], path: Path) -> None:
+    text = _FloatText(_json_float).__getitem__
     with open(path, "w") as fh:
         for record in trace:
             time_s, t_s, segment_s, mode_s = map(
                 _json_value, (record.time, record.t, record.segment, record.mode)
             )
-            for name, values in _record_rows(record):
+            for name, bits in zip(record.sensed.names, _record_bits(record)):
                 fh.write(_JSON_ROW.format(
-                    time_s, _json_value(name), *map(_json_value, values), t_s, segment_s, mode_s
+                    time_s, _json_value(name), *map(text, bits), t_s, segment_s, mode_s
                 ))
 
 
@@ -278,7 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point stdout at devnull, so that
+        # the interpreter's flush at exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

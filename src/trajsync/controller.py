@@ -10,7 +10,7 @@ one retraces to the last valid command, then resumes the original segment.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -152,6 +152,21 @@ class ControllerState:
         )
 
 
+_STATE_FIELDS = frozenset(f.name for f in fields(ControllerState))
+
+
+def _evolve(state: ControllerState, **changes) -> ControllerState:
+    """``dataclasses.replace(state, **changes)`` without its per-field
+    ``__init__``: every field is a plain value with no ``__post_init__``, so
+    the copy's ``__dict__`` is the old one updated."""
+    if not _STATE_FIELDS.issuperset(changes):
+        unknown = sorted(changes.keys() - _STATE_FIELDS)
+        raise TypeError(f"ControllerState has no field(s) {unknown}")
+    new = object.__new__(ControllerState)
+    new.__dict__.update(state.__dict__, **changes)
+    return new
+
+
 # Library users driving the controller directly get monotonic t by default;
 # the raw clamp keeps it off so bare library calls stay stateless.
 _DEFAULT_CFG = ClampConfig(enforce_monotonic_t=True)
@@ -224,7 +239,7 @@ def _tracked(
     """Emit a tracking hit. Reaching t = 1 advances to the next segment:
     always off an override segment, otherwise unless this is the last
     segment of a non-looping path."""
-    new = replace(
+    new = _evolve(
         state,
         mode=Mode.TRACKING,
         t_floor=hit.t,
@@ -237,7 +252,7 @@ def _tracked(
     if hit.t == 1.0 and (
         new.segment_override is not None or not path.is_last_segment(state.segment_index)
     ):
-        new = replace(
+        new = _evolve(
             new,
             segment_index=state.segment_index + 1,
             segment_override=None,
@@ -299,10 +314,10 @@ def step_speed(
     final = _translated(start, speed.linear_velocity * dt)
     outcome = _clamp(sensed, start, final, metric, cfg)
     if isinstance(outcome, NoSolution):
-        return replace(state, mode=Mode.WAITING), state.last_command
+        return _evolve(state, mode=Mode.WAITING), state.last_command
 
     command = outcome.point
-    new = replace(
+    new = _evolve(
         state,
         mode=Mode.TRACKING,
         t_floor=0.0,
@@ -334,7 +349,7 @@ def handle_no_solution(
     """
     cfg = _DEFAULT_CFG if cfg is None else cfg
     if strategy is RecoveryStrategy.RETURN_TO_LAST_VALID:
-        entering = replace(
+        entering = _evolve(
             state,
             mode=Mode.RECOVERING,
             recovery_path=(sensed, state.last_valid_point),
@@ -345,7 +360,7 @@ def handle_no_solution(
 
     if strategy is RecoveryStrategy.NEAREST_SAMPLE:
         command = outcome.nearest_point
-        new = replace(state, mode=Mode.TRACKING, last_command=command)
+        new = _evolve(state, mode=Mode.TRACKING, last_command=command)
         return new, command
 
     if strategy is RecoveryStrategy.RESTART_TO_F:
@@ -368,12 +383,12 @@ def _step_recovery(
     hit = _clamp(sensed, rec_start, rec_final, metric, cfg, state.t_floor)
     if isinstance(hit, NoSolution):
         # The state moved again while recovering: replan from where it is now.
-        state = replace(state, recovery_path=(sensed, rec_final), t_floor=0.0)
+        state = _evolve(state, recovery_path=(sensed, rec_final), t_floor=0.0)
         hit = _clamp(sensed, sensed, rec_final, metric, cfg)
         _expect_solution(hit, "recovery replan from the sensed state")
 
     command = hit.point
-    new = replace(
+    new = _evolve(
         state,
         t_floor=hit.t,
         last_command=command,
@@ -381,7 +396,7 @@ def _step_recovery(
     )
     if hit.t == 1.0:
         # Back at the last valid command, within the ball: resume the segment.
-        new = replace(
+        new = _evolve(
             new,
             mode=Mode.TRACKING,
             recovery_path=None,

@@ -196,6 +196,12 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+# A run keeps a trace record of about 1 KB per step and spends 50-100 us on
+# each. A mistyped dt can ask for 10^12 steps, a run that never ends; the
+# bound makes that a validation error instead.
+_MAX_STEPS = 10_000_000
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Collect validation failures as 'field.path: message' strings."""
     errors: list[str] = []
@@ -207,6 +213,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         )
     elif not math.isfinite(scenario.horizon):
         errors.append(f"horizon: must be finite, got {scenario.horizon}")
+    elif scenario.dt > 0 and not scenario.horizon / scenario.dt <= _MAX_STEPS:
+        errors.append(
+            f"horizon: horizon / dt must be <= {_MAX_STEPS} steps, "
+            f"got {scenario.horizon / scenario.dt:.6g}"
+        )
     # ClampConfig's default: the largest grid any scenario uses, and the
     # clamp oracle's; each clamp allocates arrays of up to this many samples
     if scenario.clamp.max_samples > 1_000_000:

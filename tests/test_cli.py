@@ -2,6 +2,10 @@
 exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,11 @@ import pytest
 import trajsync.cli as cli
 from trajsync.cli import CSV_HEADER, main
 from trajsync.multi_ee import MultiPose
+from trajsync.scenarios import get_scenario
 from trajsync.se3 import Pose
-from trajsync.sim import TraceRecord
+from trajsync.sim import TraceRecord, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # small but real run: single limb climbing for 2 simulated seconds
 FAST = ["--set", "horizon=2", "--set", "dt=0.1"]
@@ -83,6 +90,110 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     run_cli("run", "--scenario", "nominal_square", *FAST, "--output", str(a))
     run_cli("run", "--scenario", "nominal_square", *FAST, "--output", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- writers against a per-value reference -----------------------------------
+
+def _reference_rows(trace):
+    """(time, limb, sx, ..., cqz, dist, t, segment, mode) per limb per step,
+    every float a Python float."""
+    for r in trace:
+        arrays = (
+            r.sensed.translations(), r.sensed.quaternions(),
+            r.command.translations(), r.command.quaternions(),
+        )
+        for i, name in enumerate(r.sensed.names):
+            values = [float(x) for a in arrays for x in a[i]]
+            yield (float(r.time), name, *values, float(r.distances[i]), float(r.t), r.segment, r.mode)
+
+
+def reference_csv(trace) -> str:
+    """The trace as CSV with every float formatted on its own by ``repr``."""
+    lines = [CSV_HEADER]
+    for row in _reference_rows(trace):
+        lines.append(",".join(x if isinstance(x, str) else repr(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_jsonl(trace) -> str:
+    """The trace as json-lines, one ``json.dumps`` of a dict per row."""
+    return "".join(
+        json.dumps(dict(zip(CSV_HEADER.split(","), row))) + "\n"
+        for row in _reference_rows(trace)
+    )
+
+
+def _record(k, sensed_v, command_v, distances):
+    names = tuple(f"l{i}" for i in range(len(sensed_v)))
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (len(names), 1))
+    return TraceRecord(
+        time=0.1 * k,
+        sensed=MultiPose._of_arrays(names, np.array(sensed_v, dtype=float), q.copy()),
+        command=MultiPose._of_arrays(names, np.array(command_v, dtype=float), q.copy()),
+        distances=tuple(distances), t=0.5, segment=k, mode="tracking",
+    )
+
+
+def signed_zero_trace():
+    """0.0 and -0.0 in the same columns, NaN (of both signs) and +-inf."""
+    nan, inf = float("nan"), float("inf")
+    return [
+        _record(0, [[0.0, -0.0, nan], [inf, -inf, 1.5]], [[-0.0, 0.0, 2.0], [nan, 0.0, -0.0]], (0.0, nan)),
+        _record(1, [[-0.0, 0.0, -nan], [-inf, inf, 1.5]], [[0.0, -0.0, inf], [-nan, -0.0, 0.0]], (-0.0, inf)),
+        _record(2, [[0.0, -0.0, nan], [inf, -inf, -1.5]], [[-0.0, 0.0, -inf], [nan, 0.0, -0.0]], (0.0, -0.0)),
+    ]
+
+
+def many_values_trace():
+    """More distinct floats than one memo holds, with values recurring after
+    the memo has been cleared."""
+    rng = np.random.default_rng(3)
+    trace = []
+    for k in range(800):
+        fresh = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-300, 300, size=(3, 3))
+        recurring = np.full((3, 3), float(k % 7)) - 0.5
+        trace.append(_record(k, fresh, recurring, rng.random(3).tolist()))
+    return trace
+
+
+@pytest.fixture(scope="module")
+def power_loss_trace():
+    return run_scenario(get_scenario("power_loss"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("which", ["signed_zero", "many_values", "power_loss"])
+def test_writers_equal_the_per_value_reference(tmp_path, request, fmt, which):
+    if which == "power_loss":
+        trace = request.getfixturevalue("power_loss_trace")
+    else:
+        trace = {"signed_zero": signed_zero_trace, "many_values": many_values_trace}[which]()
+    out = tmp_path / f"trace.{fmt}"
+    if fmt == "csv":
+        cli.write_trace_csv(trace, out)
+        expected = reference_csv(trace)
+    else:
+        cli.write_trace_jsonl(trace, out)
+        expected = reference_jsonl(trace)
+    assert out.read_text() == expected
+
+
+def test_many_values_trace_overflows_the_memo():
+    bits = {
+        x
+        for r in many_values_trace()
+        for a in (r.sensed.translations(), r.command.translations(), np.array(r.distances))
+        for x in a.view(np.int64).ravel().tolist()
+    }
+    assert len(bits) > 2 * cli._MEMO_ENTRIES
+
+
+def test_float_memo_stays_within_its_bound():
+    memo = cli._FloatText(repr)
+    values = np.arange(3 * cli._MEMO_ENTRIES, dtype=np.float64) / 7.0
+    texts = [memo[b] for b in values.view(np.int64).tolist()]
+    assert texts == [repr(v) for v in values.tolist()]
+    assert 0 < len(memo) <= cli._MEMO_ENTRIES
 
 
 # --- config handling ---------------------------------------------------------
@@ -193,6 +304,8 @@ NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration"
             "nominal_square", ("limbs", 0, "tracking_gain"), float("inf"),
             "limbs[0].heavy.tracking_gain", id="tracking_gain_inf",
         ),
+        # 2e9 steps: rejected before the run, which would otherwise not end
+        pytest.param("out_of_range", ("dt",), 1e-9, "horizon", id="steps_unbounded"),
     ],
 )
 def test_invalid_scenario_content_exits_2(tmp_path, capsys, builtin, keys, value, field):
@@ -239,6 +352,26 @@ def test_summary_reports_per_limb_peaks(capsys):
     assert "scenario: out_of_range" in out
     assert "arm:" in out
     assert "safety invariant: OK" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, unbuffered):
+    out = tmp_path / "trace.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trajsync", "run", "--scenario", "out_of_range", "--output", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    expected = tmp_path / "expected.csv"
+    cli.write_trace_csv(run_scenario(get_scenario("out_of_range")), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 # --- other subcommands -------------------------------------------------------

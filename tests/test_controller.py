@@ -1,6 +1,7 @@
 """Waypoint tracking, speed integration, the monotonic-t guard and the
 three clamp-miss recovery strategies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -543,3 +544,16 @@ def test_segment_memo_follows_segment_metric_and_config():
             commands.append(command.translations().tobytes())
         # the two alternatives differ, so a stale memo would show
         assert commands[0] != commands[1] and commands[:2] == commands[2:]
+
+
+def test_evolve_copies_like_dataclasses_replace():
+    state = ControllerState.initial(one(0.0))
+    changes = dict(mode=Mode.RECOVERING, t_floor=0.25, recovery_path=(one(1.0), one(0.0)))
+    new = controller._evolve(state, **changes)
+    assert type(new) is ControllerState
+    assert new == dataclasses.replace(state, **changes)
+    assert state == ControllerState.initial(state.last_command)  # the original is untouched
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        new.mode = Mode.TRACKING
+    with pytest.raises(TypeError, match="t_flor"):
+        controller._evolve(state, t_flor=0.5)
