@@ -150,9 +150,9 @@ def load_scenario(ref: str) -> Scenario:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return scenario_from_dict(data)
-    except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"config {ref}: {exc}"]) from exc
+    return scenario_from_dict(data)
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, str]:

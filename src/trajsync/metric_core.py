@@ -96,10 +96,12 @@ def grid_parameters(n_samples: int) -> np.ndarray:
 
 def sample_count(start: Point, final: Point, d: MetricFn, cfg: ClampConfig) -> int:
     """Number of grid samples for the segment: ceil(d(S,F) / step_distance),
-    clamped to [min_samples, max_samples]."""
-    span = d(start, final)
-    raw = math.ceil(span / cfg.step_distance)
-    return int(min(max(raw, cfg.min_samples), cfg.max_samples))
+    clamped to [min_samples, max_samples]. A span that overflows to inf (or
+    reads NaN) takes max_samples."""
+    raw = d(start, final) / cfg.step_distance
+    if not raw <= cfg.max_samples:
+        return cfg.max_samples
+    return max(math.ceil(raw), cfg.min_samples)
 
 
 def weighted_euclidean(x1, x2, delta_e) -> float:

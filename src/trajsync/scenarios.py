@@ -6,22 +6,23 @@ heterogeneous limbs lapping a square in lockstep (`nominal_square`), the same
 six with a mid-run power cycle of four limbs (`power_loss`), and a two-minute
 fault barrage (`robustness_mix`).
 
-Scenario configs round-trip through plain JSON: `scenario_to_dict` /
-`scenario_from_dict` define the schema, with non-finite reals encoded as the
-strings "inf" / "-inf".
+Scenario configs round-trip through plain JSON: one table of the config's
+objects drives both `scenario_to_dict` and `scenario_from_dict`.
 """
 
 from __future__ import annotations
 
+import enum
+import inspect
 import math
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .controller import PathSpec, RecoveryStrategy
 from .metric_core import ClampConfig
-from .multi_ee import MultiMetricParams, MultiPose
+from .multi_ee import MultiMetricParams, MultiPose, multi_pose
 from .se3 import Pose, Se3MetricParams
 from .sim import (
     Box,
@@ -29,7 +30,9 @@ from .sim import (
     DisturbanceKind,
     LimbModel,
     PathProgram,
+    Program,
     Scenario,
+    ScenarioValidationError,
     SpeedProgram,
 )
 
@@ -46,37 +49,22 @@ _SQUARE_CORNERS = (
 _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _box_around(home: np.ndarray, half: float = 300.0) -> Box:
-    return Box(home - half, home + half)
+# name: (home x, y; max_ee_speed, sensor_period, command_latency)
+_SIX_LIMBS = {
+    "heavy": (0.0, 0.0, 60.0, 0.06, 0.04),
+    "quad1": (400.0, 400.0, 400.0, 0.02, 0.02),
+    "quad2": (-400.0, 400.0, 400.0, 0.02, 0.02),
+    "quad3": (-400.0, -400.0, 400.0, 0.02, 0.02),
+    "quad4": (400.0, -400.0, 400.0, 0.02, 0.02),
+    "light": (800.0, 0.0, 600.0, 0.04, 0.0),
+}
 
 
 def _six_limbs() -> tuple[tuple[LimbModel, ...], dict[str, np.ndarray]]:
-    homes = {
-        "heavy": np.array([0.0, 0.0, 0.0]),
-        "quad1": np.array([400.0, 400.0, 0.0]),
-        "quad2": np.array([-400.0, 400.0, 0.0]),
-        "quad3": np.array([-400.0, -400.0, 0.0]),
-        "quad4": np.array([400.0, -400.0, 0.0]),
-        "light": np.array([800.0, 0.0, 0.0]),
-    }
-    specs = {
-        "heavy": (60.0, 0.06, 0.04),
-        "quad1": (400.0, 0.02, 0.02),
-        "quad2": (400.0, 0.02, 0.02),
-        "quad3": (400.0, 0.02, 0.02),
-        "quad4": (400.0, 0.02, 0.02),
-        "light": (600.0, 0.04, 0.0),
-    }
+    homes = {name: np.array([x, y, 0.0]) for name, (x, y, *_) in _SIX_LIMBS.items()}
     limbs = tuple(
-        LimbModel(
-            name=name,
-            max_ee_speed=specs[name][0],
-            workspace=_box_around(homes[name]),
-            tracking_gain=_GAIN,
-            sensor_period=specs[name][1],
-            command_latency=specs[name][2],
-        )
-        for name in homes
+        LimbModel(name, speed, Box(homes[name] - 300.0, homes[name] + 300.0), _GAIN, period, latency)
+        for name, (_, _, speed, period, latency) in _SIX_LIMBS.items()
     )
     return limbs, homes
 
@@ -177,6 +165,9 @@ _MIX_OFFSETS = (
     np.array([0.0, 25.0, -25.0]),
 )
 
+# The small within-ball displacement.
+_NUDGE = np.array([4.0, -4.0, 2.0])
+
 
 def robustness_mix() -> Scenario:
     """Two minutes of the square run under 29 scheduled faults of all kinds."""
@@ -187,39 +178,19 @@ def robustness_mix() -> Scenario:
     for i, kind in enumerate(_MIX_KINDS):
         start = 6.0 + 3.6 * i
         target = names[i % len(names)]
-        if kind == "block":
-            disturbances.append(
-                Disturbance(DisturbanceKind.BLOCK, target, start, 1.5)
+        if kind == "slowdown":
+            fault = Disturbance(
+                DisturbanceKind.SLOWDOWN, next(slowdown_targets), start, 3.0, factor=0.3
             )
-        elif kind == "slowdown":
-            disturbances.append(
-                Disturbance(
-                    DisturbanceKind.SLOWDOWN, next(slowdown_targets), start, 3.0, factor=0.3
-                )
-            )
-        elif kind == "freeze":
-            disturbances.append(
-                Disturbance(DisturbanceKind.FREEZE, target, start, 1.5)
-            )
-        elif kind == "displace":
-            offset = _MIX_OFFSETS[i % len(_MIX_OFFSETS)]
-            disturbances.append(
-                Disturbance(DisturbanceKind.DISPLACE, target, start, 0.5, offset=offset)
-            )
-        elif kind == "nudge":
-            disturbances.append(
-                Disturbance(
-                    DisturbanceKind.DISPLACE, target, start, 0.5,
-                    offset=np.array([4.0, -4.0, 2.0]),
-                )
-            )
+        elif kind in ("displace", "nudge"):
+            offset = _MIX_OFFSETS[i % len(_MIX_OFFSETS)] if kind == "displace" else _NUDGE
+            fault = Disturbance(DisturbanceKind.DISPLACE, target, start, 0.5, offset=offset)
         elif kind == "power_cycle":
             offset = _MIX_OFFSETS[(i + 2) % len(_MIX_OFFSETS)]
-            disturbances.append(
-                Disturbance(
-                    DisturbanceKind.POWER_CYCLE, target, start, 1.5, offset=offset
-                )
-            )
+            fault = Disturbance(DisturbanceKind.POWER_CYCLE, target, start, 1.5, offset=offset)
+        else:  # block or freeze
+            fault = Disturbance(DisturbanceKind(kind), target, start, 1.5)
+        disturbances.append(fault)
     return replace(
         base,
         name="robustness_mix",
@@ -246,177 +217,205 @@ def get_scenario(name: str) -> Scenario:
 
 
 # --- JSON schema -----------------------------------------------------------
-
-def _real_out(x: float) -> Any:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
-def _pose_out(name: str, pose: Pose) -> dict:
-    return {
-        "name": name,
-        "v": [float(c) for c in pose.v],
-        "q": [float(c) for c in pose.q],
-    }
+#
+# One table per JSON object lists its keys in the order they are written,
+# each with a kind. A kind reads a JSON value, checking its JSON type and
+# length and naming the field path in a ScenarioValidationError, and writes
+# the value back. An object is read as the keyword arguments of its
+# constructor, so an absent optional key takes the dataclass's own default
+# and a constructor's ValueError comes back with the object's path in front.
+# Infinite reals are written as the strings "inf" / "-inf".
 
 
-def _multipose_out(mp: MultiPose) -> list[dict]:
-    return [_pose_out(n, p) for n, p in zip(mp.names, mp.poses)]
+class _Kind(NamedTuple):
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
 
 
-def _multipose_in(items: list[dict]) -> MultiPose:
-    names = tuple(item["name"] for item in items)
-    poses = tuple(
-        Pose(np.array(item["v"], dtype=np.float64), np.array(item["q"], dtype=np.float64))
-        for item in items
-    )
-    return MultiPose(names, poses)
+def _error(path: str, message: Any) -> ScenarioValidationError:
+    return ScenarioValidationError([f"{path or 'config'}: {message}"])
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _built(make: Callable, path: str, *args, **kwargs) -> Any:
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _error(path, exc) from None
+
+
+def _typed(json_type: type, what: str) -> _Kind:
+    def read(value, path):
+        if type(value) is not json_type:
+            raise _error(path, f"must be {what}, got {value!r:.60}")
+        return value
+    return _Kind(read, json_type)
+
+
+def _read_real(value: Any, path: str) -> float:
+    if type(value) in (int, float) or value in ("inf", "-inf"):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise _error(path, f'must be a number, "inf" or "-inf", got {value!r:.60}')
+
+
+def _write_real(x: float) -> Any:
+    return ("inf" if x > 0 else "-inf") if math.isinf(x) else float(x)
+
+
+_REAL = _Kind(_read_real, _write_real)
+_COUNT = _typed(int, "an integer")
+_FLAG = _typed(bool, "true or false")
+_TEXT = _typed(str, "a string")
+
+
+def _list(item: _Kind, length: int | None = None) -> _Kind:
+    def read(value, path):
+        if type(value) is not list or length not in (None, len(value)):
+            raise _error(path, f"must be a list of {length or 'values'}, got {value!r:.60}")
+        return tuple(item.read(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _Kind(read, lambda values: [item.write(v) for v in values])
+
+
+def _vector(n: int) -> _Kind:
+    reals = _list(_REAL, n)
+    return _Kind(lambda value, path: np.array(reals.read(value, path)), reals.write)
+
+
+def _enum(cls: type[enum.Enum]) -> _Kind:
+    values = [member.value for member in cls]
+
+    def read(value, path):
+        if value not in values:
+            raise _error(path, f"must be one of {values}, got {value!r:.60}")
+        return cls(value)
+    return _Kind(read, lambda member: member.value)
+
+
+def _object(make: Callable, view: Callable | None = None, **table: _Kind) -> _Kind:
+    """The kind of a JSON object read as ``make(**fields)``. ``view`` gives an
+    object's values in table order (default: its attributes of those names);
+    a None value is left out of the JSON."""
+    params = inspect.signature(make).parameters
+    required = [key for key in table if params[key].default is inspect.Parameter.empty]
+
+    def read(value, path):
+        if type(value) is not dict:
+            raise _error(path, f"must be an object, got {value!r:.60}")
+        for key in value:
+            if key not in table:
+                raise _error(_at(path, key), f"unknown key; known: {', '.join(table)}")
+        for key in required:
+            if key not in value:
+                raise _error(_at(path, key), "missing")
+        return _built(make, path, **{
+            key: kind.read(value[key], _at(path, key))
+            for key, kind in table.items() if key in value
+        })
+
+    def write(obj):
+        values = view(obj) if view else [getattr(obj, key) for key in table]
+        return {
+            key: kind.write(v)
+            for (key, kind), v in zip(table.items(), values) if v is not None
+        }
+    return _Kind(read, write)
+
+
+# A pose list (a MultiPose) is a list of {"name", "v", "q"} entries.
+_POSE_ENTRIES = _list(_object(
+    lambda name, v, q: (name, Pose(v, q)),
+    lambda entry: (entry[0], entry[1].v, entry[1].q),
+    name=_TEXT, v=_vector(3), q=_vector(4),
+))
+_POSES = _Kind(
+    lambda value, path: _built(multi_pose, path, _POSE_ENTRIES.read(value, path)),
+    lambda mp: _POSE_ENTRIES.write(zip(mp.names, mp.poses)),
+)
+
+# The program is an object tagged by its "type".
+_PROGRAMS = {
+    "path": _object(
+        lambda waypoints, loop=PathSpec.loop, strategy=PathProgram.strategy:
+            PathProgram(PathSpec(waypoints, loop), strategy),
+        lambda program: (program.path.loop, program.strategy, program.path.waypoints),
+        loop=_FLAG, strategy=_enum(RecoveryStrategy), waypoints=_list(_POSES),
+    ),
+    "speed": _object(SpeedProgram, schedule=_list(_object(
+        lambda until, velocity: (until, velocity),
+        lambda entry: entry,
+        until=_REAL, velocity=_vector(3),
+    ))),
+}
+
+
+def _read_program(value: Any, path: str) -> Program:
+    tag = value.get("type") if type(value) is dict else None
+    if tag not in list(_PROGRAMS):
+        raise _error(_at(path, "type"), f"must be one of {list(_PROGRAMS)}, got {tag!r:.60}")
+    fields = {key: v for key, v in value.items() if key != "type"}
+    return _PROGRAMS[tag].read(fields, path)
+
+
+def _write_program(program: Program) -> dict:
+    tag = "path" if isinstance(program, PathProgram) else "speed"
+    return {"type": tag, **_PROGRAMS[tag].write(program)}
+
+
+_SCENARIO = _object(
+    Scenario,
+    name=_TEXT,
+    dt=_REAL,
+    horizon=_REAL,
+    seed=_COUNT,
+    limbs=_list(_object(
+        LimbModel,
+        name=_TEXT,
+        max_ee_speed=_REAL,
+        workspace=_object(Box, lower=_vector(3), upper=_vector(3)),
+        tracking_gain=_REAL,
+        sensor_period=_REAL,
+        command_latency=_REAL,
+    )),
+    initial=_POSES,
+    program=_Kind(_read_program, _write_program),
+    metric=_object(
+        MultiMetricParams,
+        norm_order=_REAL,
+        per_ee=_list(_object(Se3MetricParams, p_e=_REAL, r_e=_REAL)),
+    ),
+    clamp=_object(
+        ClampConfig,
+        step_distance=_REAL,
+        min_samples=_COUNT,
+        max_samples=_COUNT,
+        enforce_monotonic_t=_FLAG,
+    ),
+    disturbances=_list(_object(
+        Disturbance,
+        kind=_enum(DisturbanceKind),
+        target=_TEXT,
+        start=_REAL,
+        duration=_REAL,
+        factor=_REAL,
+        offset=_vector(3),
+    )),
+)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    if isinstance(scenario.program, PathProgram):
-        program = {
-            "type": "path",
-            "loop": scenario.program.path.loop,
-            "strategy": scenario.program.strategy.value,
-            "waypoints": [_multipose_out(w) for w in scenario.program.path.waypoints],
-        }
-    else:
-        program = {
-            "type": "speed",
-            "schedule": [
-                {"until": float(until), "velocity": [float(c) for c in vel]}
-                for until, vel in scenario.program.schedule
-            ],
-        }
-    return {
-        "name": scenario.name,
-        "dt": float(scenario.dt),
-        "horizon": float(scenario.horizon),
-        "seed": int(scenario.seed),
-        "limbs": [
-            {
-                "name": limb.name,
-                "max_ee_speed": float(limb.max_ee_speed),
-                "workspace": {
-                    "lower": [float(c) for c in limb.workspace.lower],
-                    "upper": [float(c) for c in limb.workspace.upper],
-                },
-                "tracking_gain": float(limb.tracking_gain),
-                "sensor_period": float(limb.sensor_period),
-                "command_latency": float(limb.command_latency),
-            }
-            for limb in scenario.limbs
-        ],
-        "initial": _multipose_out(scenario.initial),
-        "program": program,
-        "metric": {
-            "norm_order": _real_out(scenario.metric.norm_order),
-            "per_ee": [
-                {"p_e": float(p.p_e), "r_e": _real_out(p.r_e)}
-                for p in scenario.metric.per_ee
-            ],
-        },
-        "clamp": {
-            "step_distance": float(scenario.clamp.step_distance),
-            "min_samples": int(scenario.clamp.min_samples),
-            "max_samples": int(scenario.clamp.max_samples),
-            "enforce_monotonic_t": bool(scenario.clamp.enforce_monotonic_t),
-        },
-        "disturbances": [
-            {
-                "kind": d.kind.value,
-                "target": d.target,
-                "start": float(d.start),
-                "duration": float(d.duration),
-                **({"factor": float(d.factor)} if d.factor is not None else {}),
-                **({"offset": [float(c) for c in d.offset]} if d.offset is not None else {}),
-            }
-            for d in scenario.disturbances
-        ],
-    }
+    return _SCENARIO.write(scenario)
 
 
-def _int_field(value: Any, path: str) -> int:
-    """``value`` as an int, or a ValueError naming the field: JSON's 1e400
-    loads as inf, which ``int`` cannot convert, and 2.5 is no count."""
-    try:
-        out = int(value)
-    except (OverflowError, TypeError, ValueError):
-        out = None
-    if out is None or (isinstance(value, float) and out != value):
-        raise ValueError(f"{path}: must be an integer, got {value!r}")
-    return out
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    prog = data["program"]
-    if prog["type"] == "path":
-        waypoints = tuple(_multipose_in(w) for w in prog["waypoints"])
-        program: Any = PathProgram(
-            PathSpec(waypoints, loop=bool(prog.get("loop", False))),
-            strategy=RecoveryStrategy(prog.get("strategy", "return_to_last_valid")),
-        )
-    elif prog["type"] == "speed":
-        schedule = tuple(
-            (float(e["until"]), np.array(e["velocity"], dtype=np.float64))
-            for e in prog["schedule"]
-        )
-        program = SpeedProgram(schedule)
-    else:
-        raise ValueError(f"program.type: unknown {prog['type']!r}")
-    limbs = tuple(
-        LimbModel(
-            name=entry["name"],
-            max_ee_speed=float(entry["max_ee_speed"]),
-            workspace=Box(
-                np.array(entry["workspace"]["lower"], dtype=np.float64),
-                np.array(entry["workspace"]["upper"], dtype=np.float64),
-            ),
-            tracking_gain=float(entry["tracking_gain"]),
-            sensor_period=float(entry.get("sensor_period", 0.0)),
-            command_latency=float(entry.get("command_latency", 0.0)),
-        )
-        for entry in data["limbs"]
-    )
-    metric = MultiMetricParams(
-        per_ee=tuple(
-            Se3MetricParams(p_e=float(p["p_e"]), r_e=float(p["r_e"]))
-            for p in data["metric"]["per_ee"]
-        ),
-        norm_order=float(data["metric"]["norm_order"]),
-    )
-    clamp_data = data.get("clamp", {})
-    clamp = ClampConfig(
-        step_distance=float(clamp_data.get("step_distance", 0.01)),
-        min_samples=_int_field(clamp_data.get("min_samples", 2), "clamp.min_samples"),
-        max_samples=_int_field(clamp_data.get("max_samples", 1_000_000), "clamp.max_samples"),
-        enforce_monotonic_t=bool(clamp_data.get("enforce_monotonic_t", False)),
-    )
-    disturbances = tuple(
-        Disturbance(
-            kind=DisturbanceKind(entry["kind"]),
-            target=entry["target"],
-            start=float(entry["start"]),
-            duration=float(entry["duration"]),
-            factor=float(entry["factor"]) if "factor" in entry else None,
-            offset=np.array(entry["offset"], dtype=np.float64) if "offset" in entry else None,
-        )
-        for entry in data.get("disturbances", [])
-    )
-    return Scenario(
-        name=str(data["name"]),
-        limbs=limbs,
-        initial=_multipose_in(data["initial"]),
-        program=program,
-        metric=metric,
-        clamp=clamp,
-        disturbances=disturbances,
-        dt=float(data["dt"]),
-        horizon=float(data["horizon"]),
-        seed=_int_field(data.get("seed", 0), "seed"),
-    )
+def scenario_from_dict(data: Any) -> Scenario:
+    """Read a scenario from JSON data, or raise a ScenarioValidationError
+    naming the first malformed field."""
+    return _SCENARIO.read(data, "")
 
 
 # CLI override keys. p_e and r_e apply uniformly to every limb; r_e is given

@@ -154,10 +154,17 @@ class Se3MetricParams:
     r_e: float = math.inf
 
     def __post_init__(self):
-        if not (math.isfinite(self.p_e) and self.p_e > 0):
-            raise ValueError(f"p_e must be finite and > 0, got {self.p_e}")
-        if not self.r_e > 0:
-            raise ValueError(f"r_e must be > 0 (inf allowed), got {self.r_e}")
+        # The distance divides by p_e squared and multiplies by 1 / r_e: a
+        # p_e whose square underflows to 0, or a finite r_e whose reciprocal
+        # overflows, makes the distance of two equal poses 0/0 or 0*inf.
+        if not (math.isfinite(self.p_e) and self.p_e > 0 and self.p_e * self.p_e > 0):
+            raise ValueError(
+                f"p_e must be finite and > 0, with a square above 0, got {self.p_e}"
+            )
+        if not self.r_e > 0 or (math.isfinite(self.r_e) and math.isinf(1.0 / self.r_e)):
+            raise ValueError(
+                f"r_e must be > 0 (inf allowed), with a finite reciprocal, got {self.r_e}"
+            )
 
 
 def slerp(q_s: np.ndarray, q_f: np.ndarray, t: float) -> np.ndarray:

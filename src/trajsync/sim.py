@@ -196,10 +196,11 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-# A run keeps a trace record of about 1 KB per step and spends 50-100 us on
-# each. A mistyped dt can ask for 10^12 steps, a run that never ends; the
-# bound makes that a validation error instead.
-_MAX_STEPS = 10_000_000
+# A run keeps every trace record, about 1 KB per step for one limb, and
+# spends 50-100 us on each step. A mistyped dt can ask for 10^12 steps, a run
+# that never ends. The bound makes that a validation error instead and keeps
+# the trace of the longest run near 1 GB. It can rise once the run streams.
+_MAX_STEPS = 1_000_000
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -301,9 +302,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if d.kind is DisturbanceKind.SLOWDOWN:
             if d.factor is None or not (0.0 < d.factor < 1.0):
                 errors.append(f"{prefix}.factor: slowdown needs factor in (0,1), got {d.factor}")
-        if d.kind in (DisturbanceKind.DISPLACE, DisturbanceKind.POWER_CYCLE):
-            if d.offset is None or d.offset.shape != (3,):
-                errors.append(f"{prefix}.offset: {d.kind.value} needs a 3-vector offset")
+        elif d.factor is not None:
+            errors.append(f"{prefix}.factor: {d.kind.value} takes no factor")
+        if d.kind in _OFFSET_KINDS:
+            if d.offset is None or d.offset.shape != (3,) or not np.isfinite(d.offset).all():
+                errors.append(f"{prefix}.offset: {d.kind.value} needs a finite 3-vector offset")
+        elif d.offset is not None:
+            errors.append(f"{prefix}.offset: {d.kind.value} takes no offset")
     return errors
 
 

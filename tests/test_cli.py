@@ -306,6 +306,69 @@ NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration"
         ),
         # 2e9 steps: rejected before the run, which would otherwise not end
         pytest.param("out_of_range", ("dt",), 1e-9, "horizon", id="steps_unbounded"),
+        # 2e6 steps: over the bound of 10^6, which keeps the trace near 1 GB
+        pytest.param("out_of_range", ("dt",), 1e-6, "horizon", id="steps_2e6"),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "sensor_perod"), 0.1, "limbs[0].sensor_perod",
+            id="unknown_limb_key",
+        ),
+        pytest.param(
+            "nominal_square", ("clamp", "step_distnce"), 0.1, "clamp.step_distnce",
+            id="unknown_clamp_key",
+        ),
+        pytest.param("nominal_square", ("horizn",), 2.0, "horizn", id="unknown_top_key"),
+        pytest.param(
+            "out_of_range", ("program", "type"), "spline", "program.type", id="unknown_program",
+        ),
+        pytest.param(
+            "out_of_range", ("clamp", "enforce_monotonic_t"), "no",
+            "clamp.enforce_monotonic_t", id="flag_as_string",
+        ),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "max_ee_speed"), "fast",
+            "limbs[0].max_ee_speed", id="max_ee_speed_string",
+        ),
+        pytest.param("out_of_range", ("dt",), "0.1", "dt", id="quoted_number"),
+        pytest.param("out_of_range", ("horizon",), True, "horizon", id="bool_for_number"),
+        pytest.param("out_of_range", ("seed",), 2.5, "seed", id="seed_fraction"),
+        pytest.param("out_of_range", ("clamp",), [1, 2], "clamp", id="clamp_as_list"),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "workspace"), [1, 2], "limbs[0].workspace",
+            id="workspace_as_list",
+        ),
+        pytest.param(
+            "nominal_square", ("limbs", 0, "workspace", "lower"), [1, 2],
+            "limbs[0].workspace.lower", id="workspace_2_vector",
+        ),
+        pytest.param(
+            "nominal_square", ("initial", 1, "q"), [0, 0, 0, 0], "initial[1]", id="zero_quaternion",
+        ),
+        pytest.param("nominal_square", ("limbs", 0, "name"), [], "limbs[0].name", id="name_list"),
+        pytest.param(
+            "nominal_square", ("metric", "per_ee", 0, "p_e"), 1e-200, "metric.per_ee[0]",
+            id="p_e_square_underflows",
+        ),
+        pytest.param(
+            "out_of_range", ("metric", "per_ee", 0, "r_e"), 1e-309, "metric.per_ee[0]",
+            id="r_e_reciprocal_overflows",
+        ),
+        pytest.param(
+            "nominal_square", ("disturbances",),
+            [{"kind": "displace", "target": "heavy", "start": 0.0, "duration": 0.5,
+              "offset": [float("nan"), 0.0, 0.0]}],
+            "disturbances[0].offset", id="offset_nan",
+        ),
+        pytest.param(
+            "nominal_square", ("disturbances",),
+            [{"kind": "block", "target": "heavy", "start": 0.0, "duration": 0.5, "factor": 0.5}],
+            "disturbances[0].factor", id="block_factor",
+        ),
+        pytest.param(
+            "nominal_square", ("disturbances",),
+            [{"kind": "freeze", "target": "heavy", "start": 0.0, "duration": 0.5,
+              "offset": [1.0, 0.0, 0.0]}],
+            "disturbances[0].offset", id="freeze_offset",
+        ),
     ],
 )
 def test_invalid_scenario_content_exits_2(tmp_path, capsys, builtin, keys, value, field):
@@ -323,6 +386,35 @@ def test_invalid_scenario_content_exits_2(tmp_path, capsys, builtin, keys, value
     if field is not None:
         assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "builtin,keys,value",
+    [
+        pytest.param(
+            "nominal_square", ("program", "waypoints", 0, 0, "v"), [1e200, 0.0, 0.0],
+            id="waypoint_1e200",
+        ),
+        pytest.param(
+            "out_of_range", ("program", "schedule", 0, "velocity"), [0.0, 0.0, 1e308],
+            id="velocity_1e308",
+        ),
+        pytest.param("nominal_square", ("clamp", "step_distance"), 1e-320, id="step_1e-320"),
+    ],
+)
+def test_overflowing_span_ends_without_a_traceback(tmp_path, capsys, builtin, keys, value):
+    # the segment span overflows to inf; its clamp takes max_samples
+    cfg = tmp_path / "scenario.json"
+    run_cli("run", "--scenario", builtin, "--set", "horizon=0.2", "--dump-config", str(cfg))
+    data = json.loads(cfg.read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    cfg.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("run", "--scenario", str(cfg)) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_safety_violation_exits_3(tmp_path, monkeypatch, capsys):

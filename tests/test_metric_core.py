@@ -72,6 +72,15 @@ def test_sample_count_caps_at_max():
     assert sample_count(0.0, 1e6, dist, cfg) == 100
 
 
+def test_sample_count_of_an_overflowing_span_is_the_cap():
+    # a span that overflows to inf, one that overflows when divided by the
+    # step, and a NaN span all take max_samples instead of raising
+    cfg = ClampConfig(max_samples=100)
+    assert sample_count(-1e308, 1e308, dist, cfg) == 100
+    assert sample_count(0.0, 1.0, dist, ClampConfig(step_distance=1e-320)) == 1_000_000
+    assert sample_count(0.0, math.nan, dist, cfg) == 100
+
+
 def test_clamp_config_validation():
     with pytest.raises(ValueError):
         ClampConfig(step_distance=0.0)

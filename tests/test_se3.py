@@ -294,3 +294,24 @@ def test_metric_params_validation():
     with pytest.raises(ValueError):
         Se3MetricParams(p_e=10.0, r_e=-1.0)
     assert math.isinf(Se3MetricParams(p_e=1.0).r_e)
+
+
+@pytest.mark.parametrize(
+    "p_e,r_e",
+    [
+        pytest.param(1e-200, math.inf, id="p_e_square_underflows"),
+        pytest.param(-1e-200, math.inf, id="p_e_negative"),
+        pytest.param(1.0, 1e-309, id="r_e_reciprocal_overflows"),
+    ],
+)
+def test_metric_params_reject_tolerances_outside_the_float_range(p_e, r_e):
+    with pytest.raises(ValueError):
+        Se3MetricParams(p_e=p_e, r_e=r_e)
+
+
+def test_metric_params_at_the_float_range_keep_equal_poses_at_zero():
+    # the smallest tolerances still accepted: p_e^2 and 1 / r_e are finite
+    # and nonzero, so two equal poses stay at distance 0, not NaN
+    params = Se3MetricParams(p_e=1e-160, r_e=1e-300)
+    p = Pose(np.array([3.0, 1.0, -2.0]), rot(Z, 48.0))
+    assert se3_distance(p, p, params) == 0.0
