@@ -152,6 +152,8 @@ def load_scenario(ref: str) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"config {ref}: {exc}"]) from exc
+    except OSError as exc:  # a directory, an unreadable file
+        raise ScenarioValidationError([f"scenario: cannot read {ref!r}: {exc.strerror}"]) from exc
     return scenario_from_dict(data)
 
 

@@ -223,13 +223,17 @@ def _clamp(
     the sensed state, the result is a miss at the floor: refusing to
     backslide must never cost safety, so recovery takes over instead.
     """
-    outcome = clamp_stacked(sensed, start, final, metric, _samples(start, final, metric, cfg))
-    if isinstance(outcome, Solution) and cfg.enforce_monotonic_t and outcome.t < t_floor:
-        point = stacked_interp(t_floor, start, final)
+    floor = t_floor if cfg.enforce_monotonic_t else 0.0
+    # A hit at or above the floor stands as it is, so those samples are
+    # scored first.
+    n = _samples(start, final, metric, cfg)
+    outcome = clamp_stacked(sensed, start, final, metric, n, t_min=floor)
+    if isinstance(outcome, Solution) and outcome.t < floor:
+        point = stacked_interp(floor, start, final)
         dist = stacked_distance(point, sensed, metric)
         if dist > 1.0:
-            return NoSolution(point, t_floor, dist)
-        return Solution(point, t_floor, dist)
+            return NoSolution(point, floor, dist)
+        return Solution(point, floor, dist)
     return outcome
 
 

@@ -122,6 +122,22 @@ def weighted_euclidean(x1, x2, delta_e) -> float:
     return float(np.linalg.norm((x1 - x2) / delta_e))
 
 
+def _floor_index(n_samples: int, t_min: float) -> int:
+    """The number of leading samples of ``grid_parameters(n_samples)`` at or
+    above ``t_min``: those samples are ``ts[:j]``, and ``ts[j:] < t_min``."""
+    if not t_min > 0.0:
+        return n_samples
+    last = n_samples - 1
+    j = min(max(int((1.0 - t_min) * last) + 1, 0), n_samples)
+    # 1.0 - i / last is ts[i] bit for bit (the same two IEEE operations); the
+    # estimate can be one off where they round across t_min.
+    while j < n_samples and 1.0 - j / last >= t_min:
+        j += 1
+    while j > 0 and 1.0 - (j - 1) / last < t_min:
+        j -= 1
+    return j
+
+
 def hypersphere_clamp(
     state: Point,
     start: Point,
@@ -130,6 +146,8 @@ def hypersphere_clamp(
     d: MetricFn,
     n_samples: int,
     grid_eval: Optional[GridEvalFn] = None,
+    *,
+    t_min: float = 0.0,
 ) -> ClampOutcome:
     """Clamp the trajectory onto the unit ball centered at ``state``.
 
@@ -138,18 +156,24 @@ def hypersphere_clamp(
     If no sample qualifies, returns NoSolution carrying the sample of
     minimal distance (ties resolved toward larger t).
 
-    With ``grid_eval`` the distances for the whole grid are computed in one
-    batch call; the outcome is identical to the sequential scan.
+    With ``grid_eval`` the distances are computed in batch calls; the
+    outcome is identical to the sequential scan. ``t_min`` orders that
+    work, never the outcome: the samples at or above it are scored first,
+    and the rest only when none of those is feasible. A caller that
+    discards hits below some t passes that t.
     """
     if n_samples < 2:
         raise ValueError(f"sample count must be >= 2, got {n_samples}")
 
     if grid_eval is not None:
         ts = grid_parameters(n_samples)
-        dists = np.asarray(grid_eval(state, start, final, ts), dtype=np.float64)
-        if dists.shape != ts.shape:
-            raise ValueError("grid_eval returned wrong number of distances")
+        j = _floor_index(n_samples, t_min) or n_samples  # none above: all at once
+        dists = _grid_distances(grid_eval, state, start, final, ts[:j])
         feasible = dists <= 1.0
+        if j < n_samples and not feasible.any():
+            tail = _grid_distances(grid_eval, state, start, final, ts[j:])
+            dists = np.concatenate((dists, tail))
+            feasible = dists <= 1.0
         if feasible.any():
             i = int(np.argmax(feasible))
             t = float(ts[i])
@@ -173,3 +197,11 @@ def hypersphere_clamp(
             best_t = t
             best_point = point
     return NoSolution(best_point, best_t, best_dist)
+
+
+def _grid_distances(grid_eval, state, start, final, ts) -> np.ndarray:
+    """``grid_eval`` over ``ts``, shape-checked."""
+    dists = np.asarray(grid_eval(state, start, final, ts), dtype=np.float64)
+    if dists.shape != ts.shape:
+        raise ValueError("grid_eval returned wrong number of distances")
+    return dists

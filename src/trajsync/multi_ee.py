@@ -64,15 +64,19 @@ class MultiPose:
         return mp
 
     def _init(self, names, v, q, poses) -> None:
-        v.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_poses", poses)
+        v.setflags(write=False)
+        q.setflags(write=False)
+        _set_names(self, names)
+        _set_v(self, v)
+        _set_q(self, q)
+        _set_poses(self, poses)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MultiPose is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        # The default reduction restores the slots through __setattr__.
+        return MultiPose._of_arrays, (self.names, self._v, self._q)
 
     def __repr__(self) -> str:
         return (
@@ -87,7 +91,7 @@ class MultiPose:
     def poses(self) -> tuple[Pose, ...]:
         if self._poses is None:
             poses = tuple(Pose._trusted(v, q) for v, q in zip(self._v, self._q))
-            object.__setattr__(self, "_poses", poses)
+            _set_poses(self, poses)
         return self._poses
 
     def pose_of(self, name: str) -> Pose:
@@ -101,7 +105,7 @@ class MultiPose:
         q[i] = pose.q
         out = MultiPose._of_arrays(self.names, v, q)
         if self._poses is not None:
-            object.__setattr__(out, "_poses", self._poses[:i] + (pose,) + self._poses[i + 1 :])
+            _set_poses(out, self._poses[:i] + (pose,) + self._poses[i + 1 :])
         return out
 
     def translations(self) -> np.ndarray:
@@ -111,6 +115,12 @@ class MultiPose:
     def quaternions(self) -> np.ndarray:
         """(n, 4) read-only array of unit quaternions."""
         return self._q
+
+
+# The slots' own setters, which __setattr__ refuses to reach.
+_set_names, _set_v, _set_q, _set_poses = (
+    MultiPose.__dict__[slot].__set__ for slot in MultiPose.__slots__
+)
 
 
 def multi_pose(pairs: Sequence[tuple[str, Pose]]) -> MultiPose:
@@ -314,9 +324,15 @@ def clamp_stacked(
     final: MultiPose,
     params: MultiMetricParams,
     n_samples: int,
+    *,
+    t_min: float = 0.0,
 ) -> ClampOutcome:
-    """Hypersphere clamp specialized to stacked LERP/SLERP segments."""
+    """Hypersphere clamp specialized to stacked LERP/SLERP segments.
+
+    ``t_min`` scores the grid at and above it first; the outcome is the
+    same for every ``t_min`` (see ``metric_core.hypersphere_clamp``).
+    """
     distance, grid_eval = params._clamp_fns
     return hypersphere_clamp(
-        state, start, final, stacked_interp, distance, n_samples, grid_eval
+        state, start, final, stacked_interp, distance, n_samples, grid_eval, t_min=t_min
     )

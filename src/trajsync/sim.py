@@ -177,7 +177,7 @@ class Scenario:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One simulation step: controller-facing readings and emitted command."""
 
@@ -201,6 +201,29 @@ class ScenarioValidationError(ValueError):
 # that never ends. The bound makes that a validation error instead and keeps
 # the trace of the longest run near 1 GB. It can rise once the run streams.
 _MAX_STEPS = 1_000_000
+
+# Positions are in mm. Within +-1e150 the squared difference of any two
+# coordinates, at most (2e150)^2 = 4e300, stays finite, and so do the spans
+# and distances built from them.
+_MAX_COORDINATE = 1e150
+
+# The grid resolves the ball only while a step is at most one radius, so a
+# span that 10^6 samples (the largest clamp.max_samples) count is at most
+# 10^6 radii. Its k-th power, which a finite norm order k sums, stays finite
+# while k <= log(float max) / log(10^6) = 709.78 / 13.82 = 51.4.
+_MAX_NORM_ORDER = 51.0
+
+
+def _coordinate_errors(field: str, rows: np.ndarray) -> list[str]:
+    """An error for each row of the (m, 3) positions ``rows`` outside
+    +-_MAX_COORDINATE; ``field`` is formatted with the row's index."""
+    if np.abs(rows).max() <= _MAX_COORDINATE:
+        return []
+    return [
+        f"{field.format(j)}: must lie within +-{_MAX_COORDINATE:g} mm, got {row}"
+        for j, row in enumerate(rows.tolist())
+        if not max(map(abs, row)) <= _MAX_COORDINATE
+    ]
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -250,6 +273,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"{prefix}.command_latency: must be in [0, horizon={scenario.horizon}], "
                 f"got {limb.command_latency}"
             )
+        for corner in ("lower", "upper"):
+            errors += _coordinate_errors(
+                f"{prefix}.workspace.{corner}", getattr(limb.workspace, corner)[None]
+            )
         if limb.name in scenario.initial.names:
             if not limb.workspace.contains(scenario.initial.pose_of(limb.name).v):
                 errors.append(f"{prefix}.workspace: initial pose outside workspace")
@@ -257,6 +284,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append(
             f"initial: pose names {scenario.initial.names} do not match limbs {tuple(names)}"
         )
+    errors += _coordinate_errors("initial[{}].v", scenario.initial.translations())
+    k = scenario.metric.norm_order
+    if not (math.isinf(k) or k <= _MAX_NORM_ORDER):
+        errors.append(f"metric.norm_order: must be inf or at most {_MAX_NORM_ORDER:g}, got {k}")
     if len(scenario.metric.per_ee) != len(scenario.limbs):
         errors.append(
             f"metric.per_ee: {len(scenario.metric.per_ee)} entries for "
@@ -267,6 +298,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             errors.append(
                 f"program.path: waypoint names {scenario.program.path.names} "
                 f"do not match limbs {tuple(names)}"
+            )
+        for i, waypoint in enumerate(scenario.program.path.waypoints):
+            errors += _coordinate_errors(
+                f"program.waypoints[{i}][{{}}].v", waypoint.translations()
             )
     elif isinstance(scenario.program, SpeedProgram):
         if not scenario.program.schedule:
@@ -283,6 +318,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 errors.append(
                     f"program.schedule[{i}].velocity: must be a finite 3-vector, "
                     f"got {vel.tolist()}"
+                )
+            elif math.isfinite(scenario.horizon):
+                # the furthest a velocity can carry the command in one run
+                reach = [x * scenario.horizon for x in vel.tolist()]  # inf, not a warning
+                errors += _coordinate_errors(
+                    f"program.schedule[{i}].velocity x horizon", np.array([reach])
                 )
     else:
         errors.append(f"program: unknown program type {type(scenario.program).__name__}")
@@ -307,6 +348,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if d.kind in _OFFSET_KINDS:
             if d.offset is None or d.offset.shape != (3,) or not np.isfinite(d.offset).all():
                 errors.append(f"{prefix}.offset: {d.kind.value} needs a finite 3-vector offset")
+            else:
+                errors += _coordinate_errors(f"{prefix}.offset", d.offset[None])
         elif d.offset is not None:
             errors.append(f"{prefix}.offset: {d.kind.value} takes no offset")
     return errors
@@ -343,7 +386,7 @@ def limb_step(
     lengths = np.sqrt(_rowdot(dv, dv)).tolist()
     # Scaling by exactly 1.0 leaves a row that is under its cap unchanged.
     scale = [cap / length if length > cap else 1.0 for length, cap in zip(lengths, caps)]
-    new_v = np.clip(current._v + dv * np.array(scale)[:, None], lower, upper)
+    new_v = (current._v + dv * np.array(scale)[:, None]).clip(lower, upper)
     new_q = _slerp_rows(current._q, command._q, fracs)
     if held is not None:
         new_v = np.where(held, current._v, new_v)
@@ -463,18 +506,17 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
 
         refresh = []
         for j, limb in enumerate(limbs):
-            if limb.name in frozen:
-                continue
-            if now >= next_sample[j] - _TIME_EPS:
-                refresh.append(j)
+            fresh = limb.name not in frozen and now >= next_sample[j] - _TIME_EPS
+            if fresh:
                 next_sample[j] = now + limb.sensor_period
-        if len(refresh) == n:
+            refresh.append(fresh)
+        if all(refresh):
             sensed = true
-        elif refresh and sensed is not true:
-            v = sensed.translations().copy()
-            q = sensed.quaternions().copy()
-            v[refresh] = true.translations()[refresh]
-            q[refresh] = true.quaternions()[refresh]
+        elif any(refresh) and sensed is not true:
+            rows = np.array(refresh)[:, None]
+            v = np.where(rows, true._v, sensed._v)
+            # Rotation-free plants hand the same quaternion array on.
+            q = sensed._q if sensed._q is true._q else np.where(rows, true._q, sensed._q)
             sensed = MultiPose._of_arrays(names, v, q)
 
         if tracking:

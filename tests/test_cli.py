@@ -246,6 +246,13 @@ def test_invalid_config_file_exits_2(tmp_path, capsys):
     assert run_cli("run", "--scenario", str(bad)) == 2
 
 
+def test_directory_as_scenario_exits_2(tmp_path, capsys):
+    assert run_cli("run", "--scenario", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "scenario:" in err and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
 NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration": 1.0}
 
 
@@ -368,6 +375,39 @@ NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration"
             [{"kind": "freeze", "target": "heavy", "start": 0.0, "duration": 0.5,
               "offset": [1.0, 0.0, 0.0]}],
             "disturbances[0].offset", id="freeze_offset",
+        ),
+        # every span reads inf under a k-norm of 1e308; spans stay finite up to k = 51
+        pytest.param(
+            "nominal_square", ("metric", "norm_order"), 1e308, "metric.norm_order",
+            id="norm_order_1e308",
+        ),
+        pytest.param(
+            "nominal_square", ("metric", "norm_order"), 52, "metric.norm_order",
+            id="norm_order_52",
+        ),
+        # coordinates beyond +-1e150 mm square to inf
+        pytest.param(
+            "nominal_square", ("program", "waypoints", 2, 1, "v"), [0.0, 2e150, 0.0],
+            "program.waypoints[2][1].v", id="waypoint_2e150",
+        ),
+        pytest.param(
+            "nominal_square", ("initial", 1, "v"), [-1e151, 0.0, 0.0], "initial[1].v",
+            id="initial_1e151",
+        ),
+        pytest.param(
+            "out_of_range", ("limbs", 0, "workspace", "upper"), [1e151, 1e151, 1e151],
+            "limbs[0].arm.workspace.upper", id="workspace_1e151",
+        ),
+        pytest.param(
+            "nominal_square", ("disturbances",),
+            [{"kind": "displace", "target": "heavy", "start": 0.0, "duration": 0.5,
+              "offset": [0.0, 0.0, -1e160]}],
+            "disturbances[0].offset", id="offset_1e160",
+        ),
+        # 1e150 mm/s over a 2 s horizon carries the command to 2e150 mm
+        pytest.param(
+            "out_of_range", ("program", "schedule", 0, "velocity"), [0.0, 0.0, 1e150],
+            "program.schedule[0].velocity", id="velocity_x_horizon",
         ),
     ],
 )

@@ -364,8 +364,8 @@ def test_floored_miss_during_recovery_replans_from_the_sensed_state(monkeypatch)
     calls = []
     clamp = controller.clamp_stacked
 
-    def spy(sensed, start, final, params, n_samples):
-        out = clamp(sensed, start, final, params, n_samples)
+    def spy(sensed, start, final, params, n_samples, **kwargs):
+        out = clamp(sensed, start, final, params, n_samples, **kwargs)
         calls.append((start, out))
         return out
 
@@ -439,7 +439,7 @@ def test_stuck_state_makes_speed_mode_wait_and_hold():
 
 
 def _clamp_always_misses(monkeypatch):
-    def miss(state, start, final, params, n_samples):
+    def miss(state, start, final, params, n_samples, **kwargs):
         return NoSolution(start, 0.0, math.inf)
 
     monkeypatch.setattr(controller, "clamp_stacked", miss)

@@ -11,6 +11,7 @@ from trajsync.metric_core import (
     ClampConfig,
     NoSolution,
     Solution,
+    _floor_index,
     grid_parameters,
     hypersphere_clamp,
     sample_count,
@@ -191,6 +192,28 @@ def test_batch_grid_eval_shape_check():
         hypersphere_clamp(
             0.0, 0.0, 1.0, lerp, dist, 5, grid_eval=lambda y, s, f, ts: ts[:2]
         )
+
+
+def test_floor_first_grid_eval_shape_check():
+    # the samples at and above the floor, then the rest: both are checked
+    for grid_eval in (
+        lambda y, s, f, ts: np.zeros(len(ts) + 1),
+        lambda y, s, f, ts: np.full(len(ts) + (ts[0] < 0.6), 2.0),
+    ):
+        with pytest.raises(ValueError):
+            hypersphere_clamp(0.0, 0.0, 1.0, lerp, dist, 5, grid_eval=grid_eval, t_min=0.6)
+
+
+@pytest.mark.parametrize("n", [2, 708, 1_000_000])
+def test_floor_index_counts_the_samples_at_or_above_the_floor(n):
+    ts = grid_parameters(n)
+    rng = np.random.default_rng(n)
+    picks = np.unique(np.r_[0, n // 2, n - 2, n - 1, rng.integers(0, n, 100)])
+    floors = [0.0, -0.0, 1.0, 2.0, 5e-324, *rng.uniform(0.0, 1.0, 100)]
+    for t in ts[picks]:
+        floors += [t, np.nextafter(t, 2.0), np.nextafter(t, -1.0)]
+    for t_min in map(float, floors):
+        assert _floor_index(n, t_min) == np.count_nonzero(ts >= t_min), t_min
 
 
 @given(

@@ -6,8 +6,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from trajsync.metric_core import NoSolution, Solution, hypersphere_clamp
+from trajsync.metric_core import NoSolution, Solution, grid_parameters, hypersphere_clamp
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
@@ -40,6 +42,32 @@ def test_multipose_validation():
         MultiPose(("a", "a"), (pose(0.0), pose(1.0)))
     with pytest.raises(ValueError):
         MultiPose(("a", "b"), (pose(0.0),))
+
+
+def test_multipose_is_read_only_from_both_constructors():
+    built = pair(pose(1.0), pose(2.0))
+    wrapped = MultiPose._of_arrays(("a", "b"), np.zeros((2, 3)), np.tile(IDENTITY, (2, 1)))
+    for mp in (built, wrapped):
+        for array in (mp.translations(), mp.quaternions()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 5.0
+        for name in ("names", "_v", "_q", "_poses", "other"):
+            with pytest.raises(AttributeError):
+                setattr(mp, name, None)
+    # the lazily built poses are still set through the slots
+    assert wrapped.poses[1].v[0] == 0.0
+    assert wrapped.replace_pose("b", pose(7.0)).poses[1].v[0] == 7.0
+
+
+def test_multipose_pickles_read_only():
+    mp = pair(pose(1.0, 2.0), pose(-3.0, q=quat_from_axis_angle(Z, 0.4)))
+    copy = pickle.loads(pickle.dumps(mp))
+    assert copy.names == mp.names
+    assert copy.translations().tobytes() == mp.translations().tobytes()
+    assert copy.quaternions().tobytes() == mp.quaternions().tobytes()
+    assert not copy.translations().flags.writeable
+    assert not copy.quaternions().flags.writeable
 
 
 def test_multi_pose_builder_and_accessors():
@@ -220,3 +248,80 @@ def test_metric_params_pickle_after_a_clamp():
     assert copy == params
     got = clamp_stacked(state, start, final, copy, 51)
     assert (got.t, got.dist) == (want.t, want.dist)
+
+
+# --- floor-first scan ----------------------------------------------------------
+
+CASES = ("hit_above_floor", "hit_only_below_floor", "no_hit", "floor_on_the_grid")
+
+
+@st.composite
+def floored_clamps(draw):
+    """A stacked clamp instance, a floor t_min and the case it was built for."""
+    case = draw(st.sampled_from(CASES))
+    n_limbs = draw(st.sampled_from((1, 2, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = tuple(f"l{i}" for i in range(n_limbs))
+
+    def stack(v):
+        return MultiPose(names, tuple(Pose(row, quat_normalize(rng.normal(size=4))) for row in v))
+
+    v_start = rng.uniform(-100.0, 100.0, (n_limbs, 3))
+    start = stack(v_start)
+    final = stack(v_start + rng.uniform(-150.0, 150.0, (n_limbs, 3)))
+    r_e = [math.inf if rng.uniform() < 0.4 else rng.uniform(0.3, 1.5) for _ in range(n_limbs)]
+    params = MultiMetricParams(
+        tuple(Se3MetricParams(rng.uniform(5.0, 30.0), r) for r in r_e),
+        norm_order=draw(st.sampled_from((math.inf, 1.0, 2.0, 3.5))),
+    )
+    n_samples = draw(st.integers(2, 900))
+    ts = grid_parameters(n_samples)
+    if case == "floor_on_the_grid":
+        t_min = float(ts[draw(st.integers(0, n_samples - 1))])
+    elif case == "hit_only_below_floor":
+        t_min = draw(st.floats(0.3, 1.0))
+    else:
+        t_min = draw(st.floats(0.0, 1.0))
+    # the sensed state: near the segment above the floor, near it below the
+    # floor, or far from all of it
+    if case == "hit_above_floor":
+        t_state = rng.uniform(t_min, 1.0)
+    elif case == "hit_only_below_floor":
+        t_state = rng.uniform(0.0, t_min - 0.25)
+    else:
+        t_state = rng.uniform()
+    on_path = stacked_interp(float(t_state), start, final)
+    offset = 1000.0 if case == "no_hit" else 2.0
+    state = MultiPose._of_arrays(
+        names, on_path.translations() + rng.uniform(-offset, offset, (n_limbs, 3)),
+        on_path.quaternions().copy(),
+    )
+    return case, state, start, final, params, n_samples, t_min
+
+
+def outcome_bits(out):
+    if isinstance(out, Solution):
+        point, t, dist = out.point, out.t, out.dist
+    else:
+        point, t, dist = out.nearest_point, out.nearest_t, out.nearest_dist
+    return (
+        type(out), np.float64(t).tobytes(), np.float64(dist).tobytes(),
+        point.translations().tobytes(), point.quaternions().tobytes(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(floored_clamps())
+def test_floor_first_scan_keeps_the_outcome(instance):
+    case, state, start, final, params, n, t_min = instance
+    whole = clamp_stacked(state, start, final, params, n)
+    floored = clamp_stacked(state, start, final, params, n, t_min=t_min)
+    assert outcome_bits(floored) == outcome_bits(whole)
+    # count the example only when it realises the case it was built for
+    hit = isinstance(whole, Solution)
+    if case == "hit_above_floor":
+        assume(hit and whole.t >= t_min)
+    elif case == "hit_only_below_floor":
+        assume(hit and whole.t < t_min)
+    elif case == "no_hit":
+        assume(not hit)

@@ -1,6 +1,8 @@
 """Plant stepping, fault semantics, sensing and the fixed-step scenario loop."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -368,3 +370,47 @@ def test_plant_constants_follow_the_active_set():
         results.append(got.translations().tobytes())
     # the block holds limb a, the slowdown shortens both steps
     assert len(set(results)) == 3 and results[0] == results[3]
+
+
+def test_validate_bounds_coordinates_and_the_norm_order():
+    def errors(bound, k, **overrides):
+        far = np.array([0.0, -bound, 0.0])
+        fields = dict(
+            limbs=(limb(box=Box(np.full(3, -bound), np.full(3, bound))),),
+            program=PathProgram(PathSpec((stack(pose(0.0)), stack(Pose(far, IDENTITY))))),
+            metric=MultiMetricParams.uniform(1, p_e=10.0, norm_order=k),
+            disturbances=(Disturbance(DisturbanceKind.DISPLACE, "arm", 0.0, 0.5, offset=far),),
+        )
+        sc = single_limb_scenario(**{**fields, **overrides})
+        return [e.split(":")[0] for e in validate_scenario(sc)]
+
+    assert errors(1e150, 51.0) == []
+    assert errors(1e150, math.inf) == []
+    assert errors(1.0000000000000002e150, 52.0) == [
+        "limbs[0].arm.workspace.lower",
+        "limbs[0].arm.workspace.upper",
+        "metric.norm_order",
+        "program.waypoints[1][0].v",
+        "disturbances[0].offset",
+    ]
+    out_of_bound = stack(pose(1.1e150))
+    assert "initial[0].v" in errors(1e151, 2.0, initial=out_of_bound)
+    # a speed program's velocity times the horizon is where it can carry the command
+    for speed, want in ((0.5e150, []), (0.6e150, ["program.schedule[0].velocity x horizon"])):
+        program = SpeedProgram(((2.0, np.array([0.0, 0.0, speed])),))
+        assert errors(1e150, 2.0, program=program) == want
+
+
+def test_trace_record_is_frozen_slotted_and_pickles():
+    record = run_scenario(single_limb_scenario(horizon=0.1))[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.t = 0.5
+    assert not hasattr(record, "__dict__")
+    copy = pickle.loads(pickle.dumps(record))
+    assert (copy.time, copy.distances, copy.t, copy.segment, copy.mode) == (
+        record.time, record.distances, record.t, record.segment, record.mode
+    )
+    for got, want in ((copy.sensed, record.sensed), (copy.command, record.command)):
+        assert got.names == want.names
+        assert got.translations().tobytes() == want.translations().tobytes()
+        assert got.quaternions().tobytes() == want.quaternions().tobytes()
