@@ -241,18 +241,53 @@ def _relative_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     return np.array([2.0 * math.atan2(n, abs(w)) for n, w in zip(norms, ws)])
 
 
+def _row_distances(xv, yv, xq, yq, p_e, r_e, rot) -> np.ndarray:
+    """``se3_distance`` of every row pair of (N, 3) translations and (N, 4)
+    quaternions under the (N,) ``p_e`` and ``r_e``, as an (N,) array.
+
+    ``rot`` holds the rows whose rotation counts: a list, empty if none (the
+    quaternions are then not read), or a full slice if all. Each row's
+    result depends on that row alone, so any stack of pose pairs gives each
+    pair the bits it gets on its own.
+    """
+    dv = (yv - xv) / p_e[:, None]
+    d2 = _rowdot(dv, dv)
+    # A bitwise equal quaternion pair is at relative angle exactly 0 and adds
+    # nothing, so rows with equal pairs come out the same whether the angles
+    # are computed or skipped.
+    if rot and xq.tobytes() != yq.tobytes():
+        ang = _relative_angles(xq[rot], yq[rot]) / r_e[rot]
+        d2[rot] += ang * ang
+    return np.sqrt(d2)
+
+
 def _ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> np.ndarray:
     """``se3_distance`` of every effector pair, as an (n,) array."""
     _check_names(x, y)
     _check_params(x, params)
+    return _row_distances(x._v, y._v, x._q, y._q, *params._columns)
+
+
+def _chunk_distances(
+    xs: Sequence[MultiPose], ys: Sequence[MultiPose], params: MultiMetricParams
+) -> list[tuple[float, ...]]:
+    """``per_ee_distances(xs[i], ys[i], params)`` for every i, in one pass
+    over the stacked rows of all the pairs.
+
+    Unchecked: every pose must have as many effectors as ``params``.
+    """
     p_e, r_e, rot = params._columns
-    dv = (y._v - x._v) / p_e[:, None]
-    d2 = _rowdot(dv, dv)
-    # Bitwise equal quaternions are at relative angle exactly 0 and add nothing.
-    if rot and x._q.tobytes() != y._q.tobytes():
-        ang = _relative_angles(x._q[rot], y._q[rot]) / r_e[rot]
-        d2[rot] += ang * ang
-    return np.sqrt(d2)
+    m, n = len(xs), len(p_e)
+    if isinstance(rot, list):
+        rot = [j * n + i for j in range(m) for i in rot]
+    xv = np.concatenate([x._v for x in xs])
+    yv = np.concatenate([y._v for y in ys])
+    xq = yq = None
+    if rot:
+        xq = np.concatenate([x._q for x in xs])
+        yq = np.concatenate([y._q for y in ys])
+    d = _row_distances(xv, yv, xq, yq, np.tile(p_e, m), np.tile(r_e, m), rot)
+    return list(map(tuple, d.reshape(m, n).tolist()))
 
 
 def stacked_interp(t: float, start: MultiPose, final: MultiPose) -> MultiPose:

@@ -156,10 +156,13 @@ class Se3MetricParams:
     def __post_init__(self):
         # The distance divides by p_e squared and multiplies by 1 / r_e: a
         # p_e whose square underflows to 0, or a finite r_e whose reciprocal
-        # overflows, makes the distance of two equal poses 0/0 or 0*inf.
-        if not (math.isfinite(self.p_e) and self.p_e > 0 and self.p_e * self.p_e > 0):
+        # overflows, makes the distance of two equal poses 0/0 or 0*inf. A
+        # p_e whose square overflows to inf (the grid kernel squares it)
+        # reads every distance as 0, a ball that bounds nothing.
+        pe2 = self.p_e * self.p_e
+        if not (math.isfinite(pe2) and self.p_e > 0 and pe2 > 0):
             raise ValueError(
-                f"p_e must be finite and > 0, with a square above 0, got {self.p_e}"
+                f"p_e must be > 0, with a square that is finite and above 0, got {self.p_e}"
             )
         if not self.r_e > 0 or (math.isfinite(self.r_e) and math.isinf(1.0 / self.r_e)):
             raise ValueError(

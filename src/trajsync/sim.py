@@ -30,7 +30,7 @@ from .controller import (
     step_tracking,
 )
 from .metric_core import ClampConfig
-from .multi_ee import MultiMetricParams, MultiPose, _slerp_rows, per_ee_distances
+from .multi_ee import MultiMetricParams, MultiPose, _chunk_distances, _slerp_rows
 from .se3 import Pose, _rowdot
 
 ALL_LIMBS = "ALL"
@@ -201,6 +201,11 @@ class ScenarioValidationError(ValueError):
 # that never ends. The bound makes that a validation error instead and keeps
 # the trace of the longest run near 1 GB. It can rise once the run streams.
 _MAX_STEPS = 1_000_000
+
+# The loop computes the trace distances a chunk of steps at a time: one pass
+# over the stacked rows of a chunk costs about what the pass of one step did
+# on its own. The buffered steps hold only what their records will hold.
+_CHUNK_STEPS = 128
 
 # Positions are in mm. Within +-1e150 the squared difference of any two
 # coordinates, at most (2e150)^2 = 4e300, stays finite, and so do the spans
@@ -475,6 +480,8 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
     tracking = isinstance(scenario.program, PathProgram)
     ctrl = ControllerState.initial(scenario.initial)
     records: list[TraceRecord] = []
+    # (time, sensed, command, t, segment, mode) of the steps not yet recorded
+    steps: list[tuple] = []
     vel = speed = None
 
     for k in range(n_steps):
@@ -538,19 +545,25 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
 
         true = limb_step(limbs, true, delayed.push(command), active, dt)
 
-        dists = per_ee_distances(command, sensed, scenario.metric)
-        records.append(
-            TraceRecord(
-                time=now,
-                sensed=sensed,
-                command=command,
-                distances=dists,
-                t=ctrl.segment_t,
-                segment=ctrl.command_segment,
-                mode=ctrl.mode.value,
-            )
+        steps.append(
+            (now, sensed, command, ctrl.segment_t, ctrl.command_segment, ctrl.mode.value)
         )
+        if len(steps) == _CHUNK_STEPS:
+            records += _records(steps, scenario.metric)
+            steps = []
+    if steps:
+        records += _records(steps, scenario.metric)
     return records
+
+
+def _records(steps: list[tuple], metric: MultiMetricParams) -> list[TraceRecord]:
+    """A TraceRecord for each buffered step, with the distances of its
+    command to its sensed state."""
+    dists = _chunk_distances([s[2] for s in steps], [s[1] for s in steps], metric)
+    return [
+        TraceRecord(now, sensed, command, d, t, segment, mode)
+        for (now, sensed, command, t, segment, mode), d in zip(steps, dists)
+    ]
 
 
 def _active_steps(d: Disturbance, dt: float) -> tuple[int, int]:

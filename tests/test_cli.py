@@ -156,16 +156,59 @@ def many_values_trace():
     return trace
 
 
+def chunked_trace(n_records, n_limbs):
+    """Records that cross the writers' chunk boundaries. sx is 0.0 but for
+    one -0.0; sy and the first limb's command quaternion are constant in the
+    first chunk and vary in the next; the distances carry NaN and +-inf."""
+    rng = np.random.default_rng(1000 * n_records + n_limbs)
+    chunk = cli._CHUNK_RECORDS
+    names = tuple(f"l{i}" for i in range(n_limbs))
+    specials = [float("nan"), float("inf"), -float("inf"), -0.0]
+    trace = []
+    for k in range(n_records):
+        sv = np.zeros((n_limbs, 3))
+        sv[:, 1] = 2.5 if k < chunk else 0.25 * k
+        sv[:, 2] = rng.normal(size=n_limbs)
+        if k == n_records // 2:
+            sv[-1, 0] = -0.0
+        cq = np.tile([1.0, 0.0, 0.0, 0.0], (n_limbs, 1))
+        if k >= chunk:
+            cq[0] = [np.cos(1e-3 * k), np.sin(1e-3 * k), 0.0, 0.0]
+        dists = rng.random(n_limbs)
+        dists[k % n_limbs] = specials[k % len(specials)]
+        trace.append(TraceRecord(
+            time=0.02 * k,
+            sensed=MultiPose._of_arrays(names, sv, np.tile([1.0, 0.0, 0.0, 0.0], (n_limbs, 1))),
+            command=MultiPose._of_arrays(names, sv + rng.normal(size=(n_limbs, 3)), cq),
+            distances=tuple(dists.tolist()), t=float(k // 3) / n_records, segment=k // 50,
+            mode=("tracking", "waiting", "recovering")[k % 3],
+        ))
+    return trace
+
+
+_CHUNK = cli._CHUNK_RECORDS
+# (records, limbs): around the chunk boundaries for 1 and 6 limbs, and a
+# chunk of 40 limbs, whose columns hold more distinct values than the memo
+CHUNKED = {
+    f"chunked_{m}x{n}": (m, n)
+    for m in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
+    for n in (1, 6)
+}
+CHUNKED[f"chunked_{_CHUNK}x40"] = (_CHUNK, 40)
+
+
 @pytest.fixture(scope="module")
 def power_loss_trace():
     return run_scenario(get_scenario("power_loss"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("which", ["signed_zero", "many_values", "power_loss"])
+@pytest.mark.parametrize("which", ["signed_zero", "many_values", "power_loss", *CHUNKED])
 def test_writers_equal_the_per_value_reference(tmp_path, request, fmt, which):
     if which == "power_loss":
         trace = request.getfixturevalue("power_loss_trace")
+    elif which in CHUNKED:
+        trace = chunked_trace(*CHUNKED[which])
     else:
         trace = {"signed_zero": signed_zero_trace, "many_values": many_values_trace}[which]()
     out = tmp_path / f"trace.{fmt}"
@@ -191,9 +234,21 @@ def test_many_values_trace_overflows_the_memo():
 def test_float_memo_stays_within_its_bound():
     memo = cli._FloatText(repr)
     values = np.arange(3 * cli._MEMO_ENTRIES, dtype=np.float64) / 7.0
-    texts = [memo[b] for b in values.view(np.int64).tolist()]
+    bits = values.view(np.int64).tolist()
+    texts = [
+        text
+        for i in range(0, len(bits), cli._CHUNK_RECORDS)
+        for text in memo.column(bits[i : i + cli._CHUNK_RECORDS])
+    ]
     assert texts == [repr(v) for v in values.tolist()]
-    assert 0 < len(memo) <= cli._MEMO_ENTRIES
+    assert 0 < len(memo._texts) <= cli._MEMO_ENTRIES
+
+
+def test_float_memo_formats_a_column_wider_than_its_bound():
+    memo = cli._FloatText(repr)
+    values = np.arange(2 * cli._MEMO_ENTRIES, dtype=np.float64) / 7.0
+    assert memo.column(values.view(np.int64).tolist()) == [repr(v) for v in values.tolist()]
+    assert len(memo._texts) <= cli._MEMO_ENTRIES
 
 
 # --- config handling ---------------------------------------------------------
@@ -238,6 +293,36 @@ def test_bad_override_key_exits_2(capsys):
 
 def test_malformed_override_exits_2(capsys):
     assert run_cli("run", "--scenario", "out_of_range", "--set", "dt") == 2
+
+
+def test_overflowing_p_e_override_exits_2(capsys):
+    # p_e^2 overflows to inf, which would read every distance as 0
+    rc = run_cli("run", "--scenario", "nominal_square", "--set", "horizon=1", "--set", "p_e=1e308")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "p_e" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--output", "--dump-config"])
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_path_exits_2_before_the_run(tmp_path, monkeypatch, capsys, option, where):
+    path = str(tmp_path if where == "directory" else tmp_path / "missing" / "out")
+
+    def no_run(scenario):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    assert run_cli("run", "--scenario", "out_of_range", *FAST, option, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: cannot write {path!r}: ")
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_output_check_leaves_no_file_when_validation_fails(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert run_cli("run", "--scenario", "out_of_range", "--set", "dt=-1", "--output", str(out)) == 2
+    assert not out.exists()
 
 
 def test_invalid_config_file_exits_2(tmp_path, capsys):
@@ -354,6 +439,10 @@ NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration"
         pytest.param(
             "nominal_square", ("metric", "per_ee", 0, "p_e"), 1e-200, "metric.per_ee[0]",
             id="p_e_square_underflows",
+        ),
+        pytest.param(
+            "nominal_square", ("metric", "per_ee", 2, "p_e"), 1e308, "metric.per_ee[2]",
+            id="p_e_square_overflows",
         ),
         pytest.param(
             "out_of_range", ("metric", "per_ee", 0, "r_e"), 1e-309, "metric.per_ee[0]",

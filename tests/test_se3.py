@@ -300,6 +300,7 @@ def test_metric_params_validation():
     "p_e,r_e",
     [
         pytest.param(1e-200, math.inf, id="p_e_square_underflows"),
+        pytest.param(1e155, math.inf, id="p_e_square_overflows"),
         pytest.param(-1e-200, math.inf, id="p_e_negative"),
         pytest.param(1.0, 1e-309, id="r_e_reciprocal_overflows"),
     ],
@@ -315,3 +316,9 @@ def test_metric_params_at_the_float_range_keep_equal_poses_at_zero():
     params = Se3MetricParams(p_e=1e-160, r_e=1e-300)
     p = Pose(np.array([3.0, 1.0, -2.0]), rot(Z, 48.0))
     assert se3_distance(p, p, params) == 0.0
+
+
+def test_metric_params_p_e_bound_is_where_its_square_overflows():
+    Se3MetricParams(p_e=1.3e154)  # square 1.69e308, below the float max 1.80e308
+    with pytest.raises(ValueError):
+        Se3MetricParams(p_e=1.4e154)  # square 1.96e308 overflows to inf

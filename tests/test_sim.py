@@ -9,8 +9,9 @@ import pytest
 
 from trajsync.controller import PathSpec, RecoveryStrategy
 from trajsync.metric_core import ClampConfig
-from trajsync.multi_ee import MultiMetricParams, MultiPose
-from trajsync.se3 import Pose, quat_from_axis_angle
+from trajsync.multi_ee import MultiMetricParams, MultiPose, per_ee_distances
+from trajsync.scenarios import BUILTIN_SCENARIOS, get_scenario
+from trajsync.se3 import Pose, Se3MetricParams, quat_from_axis_angle
 from trajsync.sim import (
     ALL_LIMBS,
     Box,
@@ -20,6 +21,7 @@ from trajsync.sim import (
     PathProgram,
     Scenario,
     ScenarioValidationError,
+    _CHUNK_STEPS,
     SpeedProgram,
     limb_step,
     run_scenario,
@@ -342,6 +344,68 @@ def test_safety_holds_through_every_step_of_a_fault_run():
     assert max(max(r.distances) for r in trace) <= 1.0 + 1e-9
     assert any(r.mode == "recovering" for r in trace)
     assert trace[-1].mode == "tracking"
+
+
+def rotating_scenario(r_e):
+    """Three limbs that turn about different axes as they move, under the
+    2-norm, with per-limb ``r_e``, a slow sensor, latency, a freeze and a
+    displacement: 300 steps, not a multiple of the trace chunk."""
+    names = ("a", "b", "c")
+    axes = (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+
+    def waypoint(angle, x):
+        return MultiPose(names, tuple(
+            Pose(np.array([x, 10.0 * i, 0.0]), quat_from_axis_angle(axis, angle * (i + 1)))
+            for i, axis in enumerate(axes)
+        ))
+
+    path = PathSpec((waypoint(0.0, 0.0), waypoint(0.5, 40.0), waypoint(-0.2, 80.0)))
+    return Scenario(
+        name="rotating",
+        limbs=(
+            limb("a"),
+            limb("b", speed=20.0, sensor_period=0.06),
+            limb("c", gain=5.0, command_latency=0.04),
+        ),
+        initial=waypoint(0.0, 0.0),
+        program=PathProgram(path),
+        metric=MultiMetricParams(tuple(Se3MetricParams(10.0, r) for r in r_e), norm_order=2.0),
+        clamp=ClampConfig(enforce_monotonic_t=True),
+        disturbances=(
+            Disturbance(DisturbanceKind.FREEZE, "b", start=1.0, duration=0.5),
+            Disturbance(
+                DisturbanceKind.DISPLACE, "c", start=2.0, duration=0.3,
+                offset=np.array([5.0, 0.0, 0.0]),
+            ),
+        ),
+        dt=0.02,
+        horizon=6.0,
+    )
+
+
+ROTATING = {"rotating_some": (0.3, math.inf, 0.2), "rotating_all": (0.3, 0.5, 0.2)}
+
+
+def bits(values):
+    return np.array(values).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("which", [*BUILTIN_SCENARIOS, *ROTATING])
+def test_recorded_distances_equal_per_ee_distances(which):
+    # run_scenario computes the distances a chunk of steps at a time
+    if which in ROTATING:
+        sc = rotating_scenario(ROTATING[which])
+    else:
+        sc = get_scenario(which)
+    trace = run_scenario(sc)
+    if which in ROTATING:
+        assert len(trace) % _CHUNK_STEPS != 0
+        assert any(
+            not np.array_equal(r.command.quaternions(), r.sensed.quaternions()) for r in trace
+        )
+    for r in trace:
+        want = per_ee_distances(r.command, r.sensed, sc.metric)
+        assert bits(r.distances) == bits(want)
 
 
 def test_speed_program_piecewise_schedule():
