@@ -10,7 +10,7 @@ one retraces to the last valid command, then resumes the original segment.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -19,8 +19,8 @@ from .metric_core import ClampConfig, NoSolution, Solution, sample_count
 from .multi_ee import (
     MultiMetricParams,
     MultiPose,
+    StackedSegment,
     _translated,
-    clamp_stacked,
     stacked_distance,
     stacked_interp,
 )
@@ -126,6 +126,10 @@ class ControllerState:
     start (``resume_t_floor`` stashes the segment's floor while recovering).
     ``segment_t`` is the last reported parameter of the *tracking* segment;
     it holds still during recovery and waiting.
+
+    ``clamp_segment`` is the ``(cfg, StackedSegment)`` of the last clamp,
+    reused while the same segment is clamped under the same metric and
+    config: the state holds every clamp constant of its run.
     """
 
     mode: Mode
@@ -140,6 +144,9 @@ class ControllerState:
     # Segment index segment_t refers to; lags segment_index by one on the
     # step that completes a segment (the command still lies on the old one).
     command_segment: int = 0
+    clamp_segment: Optional[tuple[ClampConfig, StackedSegment]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @staticmethod
     def initial(state: MultiPose) -> "ControllerState":
@@ -188,35 +195,18 @@ def _active_segment(state: ControllerState, path: PathSpec) -> tuple[MultiPose, 
     return path.segment(state.segment_index)
 
 
-# The last segment's sample count, as one (start, final, metric, cfg, n)
-# tuple.
-_last_count: tuple = (None, None, None, None, 0)
-
-
-def _samples(
-    start: MultiPose, final: MultiPose, metric: MultiMetricParams, cfg: ClampConfig
-) -> int:
-    """``sample_count`` of the segment, computed once while the same
-    segment, metric and config come in (all four are immutable)."""
-    global _last_count
-    s, f, m, c, n = _last_count
-    if s is start and f is final and m is metric and c is cfg:
-        return n
-    n = sample_count(start, final, metric._clamp_fns[0], cfg)
-    _last_count = (start, final, metric, cfg, n)
-    return n
-
-
 def _clamp(
     sensed: MultiPose,
     start: MultiPose,
     final: MultiPose,
     metric: MultiMetricParams,
     cfg: ClampConfig,
+    last: Optional[tuple[ClampConfig, StackedSegment]],
     t_floor: float = 0.0,
-) -> Solution | NoSolution:
+) -> tuple[Solution | NoSolution, tuple[ClampConfig, StackedSegment]]:
     """Clamp the segment start -> final against the sensed state, then apply
-    the monotonic-t floor to a hit.
+    the monotonic-t floor to a hit. Returns the outcome and the ``(cfg,
+    segment)`` clamped: ``last`` if it fits, otherwise a new one.
 
     A hit below ``t_floor`` (when the config enforces monotonic t) moves up
     to the floor. If the floored sample falls outside the unit ball around
@@ -224,17 +214,26 @@ def _clamp(
     backslide must never cost safety, so recovery takes over instead.
     """
     floor = t_floor if cfg.enforce_monotonic_t else 0.0
+    # All four are immutable: the last segment serves while they are the same.
+    last_cfg, segment = last or (None, None)
+    if not (
+        last_cfg is cfg
+        and segment.start is start
+        and segment.final is final
+        and segment.params is metric
+    ):
+        n = sample_count(start, final, metric.distance, cfg)
+        last = (cfg, StackedSegment(start, final, metric, n))
     # A hit at or above the floor stands as it is, so those samples are
     # scored first.
-    n = _samples(start, final, metric, cfg)
-    outcome = clamp_stacked(sensed, start, final, metric, n, t_min=floor)
+    outcome = last[1].clamp(sensed, floor)
     if isinstance(outcome, Solution) and outcome.t < floor:
         point = stacked_interp(floor, start, final)
         dist = stacked_distance(point, sensed, metric)
         if dist > 1.0:
-            return NoSolution(point, floor, dist)
-        return Solution(point, floor, dist)
-    return outcome
+            return NoSolution(point, floor, dist), last
+        return Solution(point, floor, dist), last
+    return outcome, last
 
 
 def _tracked(
@@ -286,12 +285,15 @@ def step_tracking(
         return _step_recovery(state, sensed, path, metric, cfg)
 
     start, final = _active_segment(state, path)
-    outcome = _clamp(sensed, start, final, metric, cfg, state.t_floor)
+    outcome, segment = _clamp(
+        sensed, start, final, metric, cfg, state.clamp_segment, state.t_floor
+    )
     if isinstance(outcome, NoSolution):
+        state = _evolve(state, clamp_segment=segment)
         return handle_no_solution(
             state, sensed, strategy, metric, cfg, outcome=outcome, path=path
         )
-    return _tracked(state, outcome, path)
+    return _tracked(state, outcome, path, clamp_segment=segment)
 
 
 def step_speed(
@@ -316,7 +318,8 @@ def step_speed(
         raise ValueError("state names do not match the controller's")
     start = state.last_command
     final = _translated(start, speed.linear_velocity * dt)
-    outcome = _clamp(sensed, start, final, metric, cfg)
+    # A new segment every step: there is none to keep.
+    outcome, _ = _clamp(sensed, start, final, metric, cfg, None)
     if isinstance(outcome, NoSolution):
         return _evolve(state, mode=Mode.WAITING), state.last_command
 
@@ -369,9 +372,11 @@ def handle_no_solution(
 
     if strategy is RecoveryStrategy.RESTART_TO_F:
         _, final = _active_segment(state, path)
-        hit = _clamp(sensed, sensed, final, metric, cfg)
+        hit, segment = _clamp(sensed, sensed, final, metric, cfg, state.clamp_segment)
         _expect_solution(hit, "restart from the sensed state")
-        return _tracked(state, hit, path, segment_override=(sensed, final))
+        return _tracked(
+            state, hit, path, segment_override=(sensed, final), clamp_segment=segment
+        )
 
     raise ValueError(f"unknown recovery strategy: {strategy}")
 
@@ -384,11 +389,13 @@ def _step_recovery(
     cfg: ClampConfig,
 ) -> tuple[ControllerState, MultiPose]:
     rec_start, rec_final = state.recovery_path
-    hit = _clamp(sensed, rec_start, rec_final, metric, cfg, state.t_floor)
+    hit, segment = _clamp(
+        sensed, rec_start, rec_final, metric, cfg, state.clamp_segment, state.t_floor
+    )
     if isinstance(hit, NoSolution):
         # The state moved again while recovering: replan from where it is now.
         state = _evolve(state, recovery_path=(sensed, rec_final), t_floor=0.0)
-        hit = _clamp(sensed, sensed, rec_final, metric, cfg)
+        hit, segment = _clamp(sensed, sensed, rec_final, metric, cfg, segment)
         _expect_solution(hit, "recovery replan from the sensed state")
 
     command = hit.point
@@ -397,6 +404,7 @@ def _step_recovery(
         t_floor=hit.t,
         last_command=command,
         last_valid_point=command,
+        clamp_segment=segment,
     )
     if hit.t == 1.0:
         # Back at the last valid command, within the ball: resume the segment.

@@ -12,6 +12,7 @@ loop with a batch evaluation of the whole grid (see ``multi_ee``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
@@ -72,25 +73,18 @@ class NoSolution:
 ClampOutcome = Union[Solution, NoSolution]
 
 
-# The last grid built, as one (n_samples, grid) tuple.
-_last_grid: tuple[int, Optional[np.ndarray]] = (0, None)
-
-
+@functools.lru_cache(maxsize=1)
 def grid_parameters(n_samples: int) -> np.ndarray:
     """The descending sample grid t_i = 1 - i/(I-1), endpoints included.
 
-    The array is shared and read-only: calls with the sample count of the
-    previous call return that same array, so a clamp that keeps its segment
-    builds its grid once. Copy it before writing into it.
+    The array is shared and read-only: it depends on the sample count alone,
+    and the last one built is kept, so a clamp that keeps its segment builds
+    its grid once. Copy it before writing into it.
     """
-    global _last_grid
     if n_samples < 2:
         raise ValueError(f"sample count must be >= 2, got {n_samples}")
-    n, ts = _last_grid
-    if n != n_samples:
-        ts = 1.0 - np.arange(n_samples, dtype=np.float64) / (n_samples - 1)
-        ts.flags.writeable = False
-        _last_grid = (n_samples, ts)
+    ts = 1.0 - np.arange(n_samples, dtype=np.float64) / (n_samples - 1)
+    ts.flags.writeable = False
     return ts
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .metric_core import ClampOutcome, GridEvalFn, MetricFn, hypersphere_clamp
+from .metric_core import ClampOutcome, hypersphere_clamp
 from .se3 import (
     FLAT_ARC_ANGLE,
     Pose,
@@ -162,15 +162,9 @@ class MultiMetricParams:
         rot = [i for i, p in enumerate(self.per_ee) if not math.isinf(p.r_e)]
         return p_e, r_e, slice(None) if len(rot) == len(self.per_ee) else rot
 
-    @cached_property
-    def _clamp_fns(self) -> tuple[MetricFn, GridEvalFn]:
-        """The stacked distance under these params and its grid evaluator,
-        built once for every clamp under them."""
-        return (lambda a, b: stacked_distance(a, b, self)), stacked_grid_eval(self)
-
-    def __getstate__(self):
-        # The cached functions do not pickle; they are rebuilt on first use.
-        return {"per_ee": self.per_ee, "norm_order": self.norm_order}
+    def distance(self, x: MultiPose, y: MultiPose) -> float:
+        """``stacked_distance(x, y, self)``: the metric these params define."""
+        return stacked_distance(x, y, self)
 
 
 def _translated(mp: MultiPose, offset: np.ndarray) -> MultiPose:
@@ -315,42 +309,43 @@ def per_ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> t
     return tuple(_ee_distances(x, y, params).tolist())
 
 
-# The last segment's kernel constants, as one (start, final, params,
-# constants) tuple.
-_last_segment: tuple = (None, None, None, None)
-
-
-def _segment_constants(S: MultiPose, F: MultiPose, params: MultiMetricParams):
-    """``_kernels.segment_constants`` of the segment S -> F under
-    ``params``, computed once while the same three objects come in."""
-    global _last_segment
-    s, f, p, constants = _last_segment
-    if s is S and f is F and p is params:
-        return constants
-    _check_names(S, F)
-    _check_params(S, params)
-    p_e, r_e, rot = params._columns
-    constants = _kernels.segment_constants(S._v, F._v, S._q, F._q, p_e, r_e, rot)
-    _last_segment = (S, F, params, constants)
-    return constants
-
-
-def stacked_grid_eval(params: MultiMetricParams) -> GridEvalFn:
-    """Batch grid evaluator for LERP/SLERP segments under ``params``.
-
-    Returns a callable (Y, S, F, ts) -> distances backed by the kernels in
-    ``_kernels``; equal to evaluating ``stacked_distance`` against
-    ``stacked_interp`` sample by sample, to within ~1e-12.
+class StackedSegment:
+    """The stacked LERP/SLERP segment ``start -> final`` under ``params``,
+    clamped on ``n_samples`` grid points, with its kernel constants: built
+    once per segment and kept by the caller (the controller keeps it in its
+    state) for every clamp of that segment.
     """
-    k = float(params.norm_order)
 
-    def grid_eval(Y: MultiPose, S: MultiPose, F: MultiPose, ts: np.ndarray) -> np.ndarray:
-        segment = _segment_constants(S, F, params)
+    __slots__ = ("start", "final", "params", "n_samples", "constants")
+
+    def __init__(
+        self, start: MultiPose, final: MultiPose, params: MultiMetricParams, n_samples: int
+    ):
+        _check_names(start, final)
+        _check_params(start, params)
+        self.start = start
+        self.final = final
+        self.params = params
+        self.n_samples = n_samples
+        p_e, r_e, rot = params._columns
+        self.constants = _kernels.segment_constants(
+            start._v, final._v, start._q, final._q, p_e, r_e, rot
+        )
+
+    def grid_eval(self, Y: MultiPose, S: MultiPose, F: MultiPose, ts: np.ndarray) -> np.ndarray:
+        """The ``GridEvalFn`` of this segment (``S`` and ``F`` are its own
+        endpoints): equal to evaluating ``stacked_distance`` against
+        ``stacked_interp`` sample by sample, to within ~1e-12."""
         _check_names(Y, S)
-        coeffs = _kernels.segment_coefficients(segment, Y._v, Y._q)
-        return _kernels.grid_distances(np.ascontiguousarray(ts), coeffs, k)
+        coeffs = _kernels.segment_coefficients(self.constants, Y._v, Y._q)
+        return _kernels.grid_distances(np.ascontiguousarray(ts), coeffs, self.params.norm_order)
 
-    return grid_eval
+    def clamp(self, state: MultiPose, t_min: float = 0.0) -> ClampOutcome:
+        """``clamp_stacked`` of this segment against ``state``."""
+        return hypersphere_clamp(
+            state, self.start, self.final, stacked_interp, self.params.distance,
+            self.n_samples, self.grid_eval, t_min=t_min,
+        )
 
 
 def clamp_stacked(
@@ -365,9 +360,8 @@ def clamp_stacked(
     """Hypersphere clamp specialized to stacked LERP/SLERP segments.
 
     ``t_min`` scores the grid at and above it first; the outcome is the
-    same for every ``t_min`` (see ``metric_core.hypersphere_clamp``).
+    same for every ``t_min`` (see ``metric_core.hypersphere_clamp``). The
+    segment's constants are built for this call alone; a caller that clamps
+    one segment again and again keeps its ``StackedSegment``.
     """
-    distance, grid_eval = params._clamp_fns
-    return hypersphere_clamp(
-        state, start, final, stacked_interp, distance, n_samples, grid_eval, t_min=t_min
-    )
+    return StackedSegment(start, final, params, n_samples).clamp(state, t_min)

@@ -26,7 +26,13 @@ def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (4,):
         raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-    n = float(np.linalg.norm(q))
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(q))
+    if math.isinf(n) and np.isfinite(q).all():
+        # The sum of squares overflows once a component exceeds ~1e154; that
+        # of q over its largest component cannot.
+        q = q / np.abs(q).max()
+        n = float(np.linalg.norm(q))
     if not math.isfinite(n) or n < 1e-12:
         raise ValueError("quaternion has zero or non-finite norm")
     return q / n

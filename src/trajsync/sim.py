@@ -10,6 +10,11 @@ The loop per step: apply restore offsets of faults that just ended, refresh
 sensor readings, run the controller on the stacked sensed state, step all
 plants at once against their latency-delayed commands, record. The state
 stays stacked throughout: (n, 3) translations and (n, 4) quaternions.
+
+A run owns the constants of its steps: ``run_scenario`` keeps the plant
+constants, rebuilt when a fault starts or ends, and the controller state the
+clamp segment. No module state is shared between runs, so runs may be
+interleaved or repeated in one process.
 """
 
 from __future__ import annotations
@@ -365,26 +370,18 @@ _FREEZE_KINDS = (DisturbanceKind.FREEZE, DisturbanceKind.POWER_CYCLE)
 _OFFSET_KINDS = (DisturbanceKind.DISPLACE, DisturbanceKind.POWER_CYCLE)
 
 
-def limb_step(
-    limbs: tuple[LimbModel, ...],
-    current: MultiPose,
-    command: MultiPose,
-    active_disturbances: list[Disturbance],
-    dt: float,
-) -> MultiPose:
+def limb_step(plant: tuple, current: MultiPose, command: MultiPose) -> MultiPose:
     """Advance every plant by dt toward its (already latency-delayed) command.
 
-    First-order pursuit: each limb's step covers a min(1, gain*dt) fraction
-    of its remaining error, capped at max_ee_speed * dt (scaled by the
-    slowdowns that target it), with the translation clipped to its workspace
-    box. Blockage, freeze and power-off hold a limb's pose exactly; when
-    every limb is held, ``current`` itself comes back.
+    ``plant`` is the ``_plant_constants`` of the limbs, the active faults and
+    dt; ``run_scenario`` owns it and builds it afresh whenever a fault starts
+    or ends. First-order pursuit: each limb's step covers a min(1, gain*dt)
+    fraction of its remaining error, capped at max_ee_speed * dt (scaled by
+    the slowdowns that target it), with the translation clipped to its
+    workspace box. Blockage, freeze and power-off hold a limb's pose
+    exactly; when every limb is held, ``current`` itself comes back.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    held, caps, fracs, frac_col, lower, upper = _plant_constants(
-        limbs, active_disturbances, dt
-    )
+    held, caps, fracs, frac_col, lower, upper = plant
     if held is True:
         return current
     dv = (command._v - current._v) * frac_col
@@ -399,23 +396,13 @@ def limb_step(
     return MultiPose._of_arrays(current.names, new_v, new_q)
 
 
-# The last plant constants, as one (limbs, active, dt, constants) tuple.
-_last_plant: tuple = (None, None, None, None)
-
-
-def _plant_constants(limbs, active, dt):
-    """What ``limb_step`` needs of the limbs, the active faults and dt:
-    the held rows (None if none, True if all), the speed caps, the pursuit
-    fractions (a list and an (n, 1) column) and the workspace bounds.
-
-    Computed once while the same limbs tuple and active tuple come in
-    (``run_scenario`` rebuilds its tuple only when a fault starts or ends);
-    any other sequence of faults is read afresh.
-    """
-    global _last_plant
-    memo_limbs, memo_active, memo_dt, constants = _last_plant
-    if memo_limbs is limbs and memo_active is active and memo_dt == dt:
-        return constants
+def _plant_constants(limbs: tuple[LimbModel, ...], active, dt: float) -> tuple:
+    """What ``limb_step`` needs of the limbs, the faults ``active`` (any
+    sequence) and dt: the held rows (None if none, True if all), the speed
+    caps, the pursuit fractions (a list and an (n, 1) column) and the
+    workspace bounds."""
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     moving, caps = [], []
     for i, limb in enumerate(limbs):
         speed = limb.max_ee_speed
@@ -436,7 +423,7 @@ def _plant_constants(limbs, active, dt):
         held = np.ones((len(limbs), 1), dtype=bool)
         held[moving] = False
     fracs = [min(1.0, limb.tracking_gain * dt) for limb in limbs]
-    constants = (
+    return (
         held,
         caps,
         fracs,
@@ -444,9 +431,6 @@ def _plant_constants(limbs, active, dt):
         np.array([limb.workspace.lower for limb in limbs]),
         np.array([limb.workspace.upper for limb in limbs]),
     )
-    if type(limbs) is tuple and type(active) is tuple:
-        _last_plant = (limbs, active, dt, constants)
-    return constants
 
 
 def run_scenario(scenario: Scenario) -> list[TraceRecord]:
@@ -472,9 +456,8 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
 
     faults = [(d, *_active_steps(d, dt)) for d in scenario.disturbances]
     changes = {k for _, on, off in faults for k in (on, off)}
-    # A new tuple only when a fault starts or ends: limb_step keeps its
-    # plant constants while the same tuple comes in.
-    active: tuple[Disturbance, ...] = ()
+    # The plant constants change only when a fault starts or ends.
+    plant = _plant_constants(limbs, (), dt)
     frozen: set[str] = set()
 
     tracking = isinstance(scenario.program, PathProgram)
@@ -503,7 +486,8 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
                         )
                     if d.kind in _FREEZE_KINDS or d.kind in _OFFSET_KINDS:
                         next_sample[j] = now
-            active = tuple(d for d, on, off in faults if on <= k < off)
+            active = [d for d, on, off in faults if on <= k < off]
+            plant = _plant_constants(limbs, active, dt)
             frozen = {
                 limb.name
                 for limb in limbs
@@ -543,7 +527,7 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
                 ctrl, sensed, speed, dt, scenario.metric, scenario.clamp
             )
 
-        true = limb_step(limbs, true, delayed.push(command), active, dt)
+        true = limb_step(plant, true, delayed.push(command))
 
         steps.append(
             (now, sensed, command, ctrl.segment_t, ctrl.command_segment, ctrl.mode.value)

@@ -376,9 +376,7 @@ def run_clamp_oracle_suite(
             far = i % far_modulus[n_ee] == far_modulus[n_ee] - 1
             target = _perturbed_target(rng, start, final, params, far)
             cfg = ClampConfig()
-            n = sample_count(
-                start, final, lambda a, b: stacked_distance(a, b, params), cfg
-            )
+            n = sample_count(start, final, params.distance, cfg)
             got = clamp_stacked(target, start, final, params, n)
             want_feasible, want_t, _ = oracle_scan_stacked(
                 target, start, final, params, oracle_samples

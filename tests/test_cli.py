@@ -546,6 +546,22 @@ def test_overflowing_span_ends_without_a_traceback(tmp_path, capsys, builtin, ke
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_huge_initial_quaternion_runs_without_a_warning(tmp_path):
+    # [1e200, 0, 0, 0] is the identity, though its sum of squares overflows
+    cfg = tmp_path / "scenario.json"
+    run_cli("run", "--scenario", "nominal_square", "--set", "horizon=0.2", "--dump-config", str(cfg))
+    data = json.loads(cfg.read_text())
+    data["initial"][0]["q"] = [1e200, 0.0, 0.0, 0.0]
+    cfg.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajsync", "run", "--scenario", str(cfg)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_safety_violation_exits_3(tmp_path, monkeypatch, capsys):
     # the controller never emits an unsafe command, so fabricate a trace with
     # one out-of-ball step to prove the exit-code plumbing

@@ -22,6 +22,8 @@ from trajsync.metric_core import ClampConfig, NoSolution, Solution, sample_count
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
+    StackedSegment,
+    clamp_stacked,
     stacked_distance,
     stacked_interp,
 )
@@ -324,7 +326,7 @@ def test_floored_miss_under_nearest_sample_emits_the_floor_point():
     state, _ = advance_to(path, 60.0)
     back = one(5.0)
     start, final = path.segment(0)
-    raw = controller.clamp_stacked(back, start, final, METRIC1, 101)
+    raw = clamp_stacked(back, start, final, METRIC1, 101)
     assert isinstance(raw, Solution) and raw.t < state.t_floor
     floor_point = stacked_interp(state.t_floor, start, final)
     assert stacked_distance(floor_point, back, METRIC1) > 1.0
@@ -362,14 +364,14 @@ def test_floored_miss_during_recovery_replans_from_the_sensed_state(monkeypatch)
     assert state.mode is Mode.RECOVERING and state.t_floor > 0.3
     rec_start, rec_final = state.recovery_path
     calls = []
-    clamp = controller.clamp_stacked
+    clamp = StackedSegment.clamp
 
-    def spy(sensed, start, final, params, n_samples, **kwargs):
-        out = clamp(sensed, start, final, params, n_samples, **kwargs)
-        calls.append((start, out))
+    def spy(segment, sensed, t_min=0.0):
+        out = clamp(segment, sensed, t_min)
+        calls.append((segment.start, out))
         return out
 
-    monkeypatch.setattr(controller, "clamp_stacked", spy)
+    monkeypatch.setattr(StackedSegment, "clamp", spy)
     # near the recovery start: the clamp hits there, far below the floor
     sensed = one(displaced.poses[0].v[0] + 1.0, 58.0)
     new, command = step_tracking(state, sensed, path, METRIC1, CFG)
@@ -439,10 +441,10 @@ def test_stuck_state_makes_speed_mode_wait_and_hold():
 
 
 def _clamp_always_misses(monkeypatch):
-    def miss(state, start, final, params, n_samples, **kwargs):
-        return NoSolution(start, 0.0, math.inf)
+    def miss(segment, state, t_min=0.0):
+        return NoSolution(segment.start, 0.0, math.inf)
 
-    monkeypatch.setattr(controller, "clamp_stacked", miss)
+    monkeypatch.setattr(StackedSegment, "clamp", miss)
 
 
 def test_restart_strategy_raises_if_the_restart_clamp_misses(monkeypatch):
@@ -493,7 +495,7 @@ def test_default_config_enforces_monotonic_t():
     assert state.segment_t >= t_before
 
 
-# --- per-segment memo ----------------------------------------------------------
+# --- carried clamp segment ---------------------------------------------------
 
 def turned(x, y, angle):
     return Pose(np.array([x, y, 0.0]), quat_from_axis_angle([0.0, 0.0, 1.0], angle))
@@ -510,10 +512,10 @@ def cold_outcome(sensed, start, final, metric, cfg):
     metric = MultiMetricParams(metric.per_ee, metric.norm_order)
     cfg = ClampConfig(cfg.step_distance, cfg.min_samples, cfg.max_samples, cfg.enforce_monotonic_t)
     n = sample_count(start, final, lambda a, b: stacked_distance(a, b, metric), cfg)
-    return controller.clamp_stacked(sensed, start, final, metric, n)
+    return clamp_stacked(sensed, start, final, metric, n)
 
 
-def test_segment_memo_follows_segment_metric_and_config():
+def test_carried_segment_follows_path_metric_and_config():
     home = two_limbs(turned(0.0, 0.0, 0.0), turned(0.0, 50.0, 0.2))
     paths = (
         PathSpec((home, two_limbs(turned(40.0, 0.0, 0.6), turned(40.0, 50.0, 0.2)))),
@@ -524,7 +526,7 @@ def test_segment_memo_follows_segment_metric_and_config():
         MultiMetricParams((Se3MetricParams(9.0, 0.5), Se3MetricParams(5.0)), norm_order=2.0),
     )
     cfgs = (CFG, ClampConfig(step_distance=0.3, enforce_monotonic_t=True))
-    state = ControllerState.initial(home)
+    initial = ControllerState.initial(home)
     sensed = two_limbs(turned(1.0, 1.0, 0.05), turned(1.0, 49.0, 0.25))
     cases = (
         [(path, metrics[0], cfgs[0]) for path in paths * 2],
@@ -532,17 +534,28 @@ def test_segment_memo_follows_segment_metric_and_config():
         [(paths[0], metrics[0], cfg) for cfg in cfgs * 2],
     )
     for alternation in cases:
-        # all steps first: a cold clamp in between would reset the memos
-        steps = [step_tracking(state, sensed, *args) for args in alternation]
+        # each step carries the clamp segment of the step before it, which
+        # clamped another path, metric or config
+        carried = None
         commands = []
-        for (path, metric, cfg), (new, command) in zip(alternation, steps):
+        for path, metric, cfg in alternation:
+            state = dataclasses.replace(initial, clamp_segment=carried)
+            new, command = step_tracking(state, sensed, path, metric, cfg)
             want = cold_outcome(sensed, *path.segment(0), metric, cfg)
             assert isinstance(want, Solution)
             assert new.segment_t == want.t
             assert command.translations().tobytes() == want.point.translations().tobytes()
             assert command.quaternions().tobytes() == want.point.quaternions().tobytes()
             commands.append(command.translations().tobytes())
-        # the two alternatives differ, so a stale memo would show
+            assert new.clamp_segment is not carried
+            # the same segment, metric and config again keep the segment
+            again, _ = step_tracking(
+                dataclasses.replace(initial, clamp_segment=new.clamp_segment),
+                sensed, path, metric, cfg,
+            )
+            assert again.clamp_segment is new.clamp_segment
+            carried = new.clamp_segment
+        # the two alternatives differ, so a stale segment would show
         assert commands[0] != commands[1] and commands[:2] == commands[2:]
 
 

@@ -9,8 +9,8 @@ from trajsync._kernels import grid_distances, segment_coefficients, segment_cons
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
+    StackedSegment,
     stacked_distance,
-    stacked_grid_eval,
     stacked_interp,
 )
 from trajsync.se3 import Pose, Se3MetricParams, quat_normalize
@@ -23,6 +23,11 @@ def random_multipose(rng, n):
         for _ in range(n)
     )
     return MultiPose(names, poses)
+
+
+def grid_eval(state, start, final, params, ts):
+    """The segment's batched distances from ``state`` at every sample of ``ts``."""
+    return StackedSegment(start, final, params, len(ts)).grid_eval(state, start, final, ts)
 
 
 def random_params(rng, n, k):
@@ -40,13 +45,12 @@ def random_params(rng, n, k):
 def test_batched_distances_match_per_sample_evaluation(n, k):
     rng = np.random.default_rng(42 + n)
     params = random_params(rng, n, k)
-    grid_eval = stacked_grid_eval(params)
     ts = np.linspace(1.0, 0.0, 157)
     for _ in range(20):
         start = random_multipose(rng, n)
         final = random_multipose(rng, n)
         state = random_multipose(rng, n)
-        batched = grid_eval(state, start, final, ts)
+        batched = grid_eval(state, start, final, params, ts)
         direct = np.array(
             [
                 stacked_distance(stacked_interp(float(t), start, final), state, params)
@@ -59,12 +63,11 @@ def test_batched_distances_match_per_sample_evaluation(n, k):
 def test_infinite_rotation_allowance_reduces_to_translation_metric():
     rng = np.random.default_rng(3)
     params = MultiMetricParams.uniform(2, p_e=10.0)
-    grid_eval = stacked_grid_eval(params)
     ts = np.linspace(1.0, 0.0, 33)
     start = random_multipose(rng, 2)
     final = random_multipose(rng, 2)
     state = random_multipose(rng, 2)
-    got = grid_eval(state, start, final, ts)
+    got = grid_eval(state, start, final, params, ts)
     expect = np.array(
         [
             max(
@@ -88,7 +91,7 @@ def test_identical_rotations_contribute_zero():
     state = MultiPose(("a",), (pose([5.0, 0.0, 0.0]),))
     params = MultiMetricParams((Se3MetricParams(p_e=10.0, r_e=0.5),))
     ts = np.linspace(1.0, 0.0, 11)
-    got = stacked_grid_eval(params)(state, start, final, ts)
+    got = grid_eval(state, start, final, params, ts)
     expect = np.abs(ts * 10.0 - 5.0) / 10.0
     np.testing.assert_allclose(got, expect, atol=1e-12, rtol=0)
 

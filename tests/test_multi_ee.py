@@ -239,7 +239,7 @@ def test_clamp_stacked_solution_is_on_the_interpolant():
 
 
 def test_metric_params_pickle_after_a_clamp():
-    # the clamp caches functions on the params, which must not stop a pickle
+    # a clamp caches the per-limb columns on the params, which must not stop a pickle
     params = MultiMetricParams.uniform(2, p_e=10.0, r_e=0.5)
     start, final = pair(pose(0.0), pose(0.0, 5.0)), pair(pose(50.0), pose(50.0))
     state = pair(pose(20.0), pose(20.0))

@@ -1,6 +1,7 @@
 """Quaternion primitives, SLERP and the single-pose weighted metric."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_quat_normalize_returns_unit_norm():
     assert np.array_equal(q, IDENTITY)
     q = quat_normalize(np.array([1.0, 1.0, 1.0, 1.0]))
     assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_quat_normalize_of_a_finite_quaternion_whose_square_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = quat_normalize([1e200, 0.0, 0.0, 0.0])
+    assert np.array_equal(q, IDENTITY)
+    # a finite norm divides as it always has, bit for bit
+    for q in ([1e153, -2e153, 3.0, 0.5], [0.3, -0.1, 0.7, 0.2]):
+        want = np.array(q) / np.linalg.norm(q)
+        assert quat_normalize(q).tobytes() == want.tobytes()
 
 
 def test_quat_normalize_rejects_zero_and_bad_shape():

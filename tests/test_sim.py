@@ -23,6 +23,7 @@ from trajsync.sim import (
     ScenarioValidationError,
     _CHUNK_STEPS,
     SpeedProgram,
+    _plant_constants,
     limb_step,
     run_scenario,
     validate_scenario,
@@ -76,10 +77,15 @@ def test_box_validation_and_clip():
 
 # --- limb_step ---------------------------------------------------------------
 
+def plant_step(limbs, current, command, active, dt):
+    """``limb_step`` under the plant constants of ``limbs``, ``active`` and ``dt``."""
+    return limb_step(_plant_constants(limbs, active, dt), current, command)
+
+
 def test_limb_at_its_command_stays_put():
     l = limb()
     p = pose(5.0, 1.0, -2.0)
-    out = limb_step((l,), stack(p), stack(p), [], 0.02).poses[0]
+    out = plant_step((l,), stack(p), stack(p), [], 0.02).poses[0]
     assert np.allclose(out.v, p.v)
 
 
@@ -87,20 +93,20 @@ def test_speed_cap_limits_the_step():
     # 100 mm of error, 10 mm/s limit, 0.1 s step, gain high enough to ask for
     # the whole error: exactly 1 mm of motion
     l = limb(speed=10.0, gain=1000.0)
-    out = limb_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
+    out = plant_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
     assert np.allclose(out.v, [1.0, 0.0, 0.0])
 
 
 def test_low_gain_takes_a_fraction_of_the_error():
     l = limb(speed=1e6, gain=2.0)
-    out = limb_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
+    out = plant_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
     assert np.allclose(out.v, [20.0, 0.0, 0.0])
 
 
 def test_workspace_clips_the_plant():
     box = Box(np.array([-10.0, -10.0, -10.0]), np.array([5.0, 10.0, 10.0]))
     l = limb(box=box, speed=1e6, gain=1e6)
-    out = limb_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
+    out = plant_step((l,), stack(pose(0.0)), stack(pose(100.0)), [], 0.1).poses[0]
     assert out.v[0] == 5.0
 
 
@@ -108,27 +114,27 @@ def test_blockage_holds_the_pose_exactly():
     l = limb()
     d = Disturbance(DisturbanceKind.BLOCK, "arm", start=0.0, duration=1.0)
     p = pose(3.0)
-    out = limb_step((l,), stack(p), stack(pose(100.0)), [d], 0.1).poses[0]
+    out = plant_step((l,), stack(p), stack(pose(100.0)), [d], 0.1).poses[0]
     assert out is p
 
 
 def test_slowdown_scales_the_speed_cap():
     l = limb(speed=10.0, gain=1000.0)
     d = Disturbance(DisturbanceKind.SLOWDOWN, "arm", start=0.0, duration=1.0, factor=0.3)
-    out = limb_step((l,), stack(pose(0.0)), stack(pose(100.0)), [d], 0.1).poses[0]
+    out = plant_step((l,), stack(pose(0.0)), stack(pose(100.0)), [d], 0.1).poses[0]
     assert np.allclose(out.v, [0.3, 0.0, 0.0])
 
 
 def test_rotation_converges_with_gain_one():
     l = limb(gain=50.0)
     target = Pose(np.zeros(3), quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4))
-    out = limb_step((l,), stack(Pose.identity()), stack(target), [], 0.02).poses[0]  # frac = 1
+    out = plant_step((l,), stack(Pose.identity()), stack(target), [], 0.02).poses[0]  # frac = 1
     assert np.allclose(out.q, target.q, atol=1e-12)
 
 
-def test_limb_step_rejects_bad_dt():
+def test_plant_constants_reject_bad_dt():
     with pytest.raises(ValueError):
-        limb_step((limb(),), stack(pose(0.0)), stack(pose(1.0)), [], 0.0)
+        _plant_constants((limb(),), [], 0.0)
 
 
 # --- disturbance plumbing ----------------------------------------------------
@@ -418,17 +424,20 @@ def test_speed_program_piecewise_schedule():
 
 
 def test_plant_constants_follow_the_active_set():
-    # run_scenario passes one tuple per fault interval; each interval's
-    # result must match a limb_step that reads limbs and faults afresh.
+    # run_scenario builds one set of constants per fault interval; each
+    # interval's step must match constants built afresh right before it,
+    # though the constants of every interval exist side by side.
     limbs = (limb("a", speed=40.0), limb("b", speed=40.0, gain=10.0))
     current = MultiPose(("a", "b"), (pose(0.0), pose(0.0, 5.0)))
     command = MultiPose(("a", "b"), (pose(30.0), pose(10.0, 5.0)))
     block = Disturbance(DisturbanceKind.BLOCK, "a", 0.0, 1.0)
     slow = Disturbance(DisturbanceKind.SLOWDOWN, ALL_LIMBS, 0.0, 1.0, factor=0.25)
+    intervals = ((), (block,), (slow,), ())
+    plants = [_plant_constants(limbs, active, 0.02) for active in intervals]
     results = []
-    for active in ((), (block,), (slow,), ()):
-        got = limb_step(limbs, current, command, active, 0.02)
-        fresh = limb_step(tuple([*limbs]), current, command, list(active), 0.02)
+    for plant, active in zip(plants, intervals):
+        got = limb_step(plant, current, command)
+        fresh = plant_step(tuple([*limbs]), current, command, list(active), 0.02)
         assert got.translations().tobytes() == fresh.translations().tobytes()
         assert got.quaternions().tobytes() == fresh.quaternions().tobytes()
         results.append(got.translations().tobytes())

@@ -32,7 +32,7 @@ from trajsync.se3 import (
     se3_interp,
     slerp,
 )
-from trajsync.sim import Box, Disturbance, DisturbanceKind, LimbModel, limb_step
+from trajsync.sim import Box, Disturbance, DisturbanceKind, LimbModel, _plant_constants, limb_step
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 AXIS = np.array([0.3, -0.5, 0.8])
@@ -302,7 +302,7 @@ def plant_case():
 @pytest.mark.parametrize("dt", [0.02, 0.1])
 def test_stacked_plant_equals_per_limb_steps(dt):
     limbs, current, command, disturbances = plant_case()
-    got = limb_step(limbs, current, command, disturbances, dt)
+    got = limb_step(_plant_constants(limbs, disturbances, dt), current, command)
     want = [
         reference_step(limb, c, m, [d for d in disturbances if d.targets(limb.name)], dt)
         for limb, c, m in zip(limbs, current.poses, command.poses)
@@ -311,10 +311,8 @@ def test_stacked_plant_equals_per_limb_steps(dt):
     # and one-limb stacks agree with the full stack
     for i, limb in enumerate(limbs):
         one = limb_step(
-            (limb,),
+            _plant_constants((limb,), disturbances, dt),
             MultiPose((limb.name,), (current.poses[i],)),
             MultiPose((limb.name,), (command.poses[i],)),
-            disturbances,
-            dt,
         )
         assert_same_poses(one, [want[i]])
