@@ -44,65 +44,25 @@ CSV_HEADER = (
 _CSV_FIELDS = CSV_HEADER.split(",")
 
 
-# Each writer formats a distinct float once. A trace has far fewer distinct
-# values than float cells (the quaternions of a translation-only limb are
-# constant, and held or frozen limbs repeat their values from step to step),
-# so the writers map each value's 64-bit pattern to its text through a memo.
-# The key is the bits, not the float: a float key would merge 0.0 with -0.0
-# and never find a NaN. The memo is cleared when it would grow past this many
-# entries (about 1 MB), so its size does not grow with the trace.
-_MEMO_ENTRIES = 4096
-
 # The writers gather this many records at a time and format them column by
-# column. Larger chunks save little and cost memory: over three in-process
-# robustness_mix runs with CSV export, 512-record chunks with a 16k-entry
-# memo raised the peak RSS by 4.6 MB over one record at a time, 128-record
-# chunks with this memo by 0.8 MB.
+# column. Larger chunks save little and cost memory: three in-process
+# robustness_mix runs with CSV export raised the peak RSS by 9.0 MB with
+# one-record chunks, by 9.0 MB with 128-record chunks and by 11.1 MB with 512.
 _CHUNK_RECORDS = 128
 
 
-class _FloatText:
-    """64-bit patterns of floats -> ``to_text(value)``, a column at a time."""
-
-    __slots__ = ("to_text", "_texts")
-
-    def __init__(self, to_text):
-        self.to_text = to_text
-        # A plain dict: ``set.difference`` looks each element up in an exact
-        # dict, but walks the whole of any other mapping.
-        self._texts: dict[int, str] = {}
-
-    def column(self, bits: list[int]) -> list[str]:
-        """The text of every pattern in ``bits``; each distinct pattern not
-        in the memo is formatted once."""
-        texts = self._texts
-        missing = set(bits).difference(texts)
-        if missing:
-            if len(texts) + len(missing) > _MEMO_ENTRIES:
-                texts.clear()
-                missing = set(bits)
-                if len(missing) > _MEMO_ENTRIES:
-                    return list(map(self.to_text, _floats(bits)))
-            keys = list(missing)
-            texts.update(zip(keys, map(self.to_text, _floats(keys))))
-        return list(map(texts.__getitem__, bits))
-
-
-def _floats(bits: list[int]) -> list[float]:
-    return np.array(bits, dtype=np.int64).view(np.float64).tolist()
-
-
-def _chunks(trace: list[TraceRecord]):
-    return (trace[i : i + _CHUNK_RECORDS] for i in range(0, len(trace), _CHUNK_RECORDS))
-
-
-def _float_texts(chunk: list[TraceRecord], memo: _FloatText) -> tuple[list, list, list]:
+def _float_texts(chunk: list[TraceRecord], to_text) -> tuple[list, list, list]:
     """The text of every float field of ``chunk``: the lists of its records'
     time and t, and sx, ..., cqz and dist of its limb rows as 15 cells.
 
     A cell is the text of a column whose bits are the same on every row,
     else the list of the rows' texts. Times are formatted as they are, since
-    no two steps share one; the rest go through ``memo``.
+    no two steps share one. The rest are formatted once per distinct 64-bit
+    pattern in the chunk: a trace has far fewer distinct values than float
+    cells (the quaternions of a translation-only limb are constant, and held
+    or frozen limbs repeat their values from step to step). The key is the
+    bits, not the float, so that 0.0 and -0.0 stay apart. Nothing is kept
+    from one chunk to the next.
     """
     time_t = np.array([(r.time, r.t) for r in chunk])
     rows = sum(len(r.sensed.names) for r in chunk)
@@ -115,74 +75,76 @@ def _float_texts(chunk: list[TraceRecord], memo: _FloatText) -> tuple[list, list
         itertools.chain.from_iterable(r.distances for r in chunk), np.float64, rows
     )
     bits = block.view(np.int64)
-    constant = (bits == bits[0]).all(axis=0).tolist()
-    cells = [
-        memo.column(bits[:1, j].tolist())[0] if same else memo.column(bits[:, j].tolist())
-        for j, same in enumerate(constant)
-    ]
-    times = list(map(memo.to_text, time_t[:, 0].tolist()))
-    return times, memo.column(time_t[:, 1].view(np.int64).tolist()), cells
+    constant = (bits == bits[0]).all(axis=0)
+    varying = bits[:, ~constant].T
+    t_bits = time_t[:, 1].view(np.int64)
+    patterns, inverse = np.unique(
+        np.concatenate([varying.ravel(), bits[0, constant], t_bits]), return_inverse=True
+    )
+    texts = np.array(list(map(to_text, patterns.view(np.float64).tolist())), dtype=object)[inverse]
+    columns = iter(texts[: varying.size].reshape(varying.shape).tolist())
+    firsts = iter(texts[varying.size : -len(chunk)].tolist())
+    cells = [next(firsts) if same else next(columns) for same in constant.tolist()]
+    times = list(map(to_text, time_t[:, 0].tolist()))
+    return times, texts[-len(chunk) :].tolist(), cells
 
 
-def _rows(cells: list, sep: str) -> str:
-    """The rows of ``cells`` joined by ``sep``. A cell is the list of its
-    rows' texts, or one str that every row shares (at least one cell is a
-    list); a run of adjacent strs is joined once."""
+def _rows(cells: list) -> str:
+    """The rows of ``cells``, each the concatenation of its cells. A cell is
+    the list of its rows' texts, or one str that every row shares (at least
+    one cell is a list); a run of adjacent strs is joined once."""
     pieces = []
     for cell in cells:
         if isinstance(cell, str) and pieces and isinstance(pieces[-1], str):
-            pieces[-1] += sep + cell
+            pieces[-1] += cell
         else:
             pieces.append(cell)
     columns = (itertools.repeat(p) if isinstance(p, str) else p for p in pieces)
-    return "".join(map(sep.join, zip(*columns)))
+    return "".join(map("".join, zip(*columns)))
 
 
-def write_trace_csv(trace: list[TraceRecord], path: Path) -> None:
-    memo = _FloatText(repr)
+def _write_trace(trace, path, head: str, keys: list[str], end: str, to_text, quote) -> None:
+    """Write ``head``, then per limb per step each field's key in ``keys``
+    followed by its value, and ``end``. Floats are formatted by ``to_text``,
+    and the limb names, segment and mode by ``quote``."""
+    segment_key, mode_key = keys[-2:]
+    names = quoted = None
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for chunk in _chunks(trace):
-            times, ts, cells = _float_texts(chunk, memo)
+        fh.write(head)
+        for i in range(0, len(trace), _CHUNK_RECORDS):
+            chunk = trace[i : i + _CHUNK_RECORDS]
+            times, ts, cells = _float_texts(chunk, to_text)
             heads, limbs, tails = [], [], []
             for record, time_s, t_s in zip(chunk, times, ts):
-                names = record.sensed.names
+                if record.sensed.names is not names:
+                    names = record.sensed.names
+                    quoted = list(map(quote, names))
                 heads += [time_s] * len(names)
-                limbs += names
-                tails += [f"{t_s},{record.segment},{record.mode}\n"] * len(names)
-            fh.write(_rows([heads, limbs, *cells, tails], ","))
+                limbs += quoted
+                segment_s, mode_s = quote(record.segment), quote(record.mode)
+                tails += [f"{t_s}{segment_key}{segment_s}{mode_key}{mode_s}{end}"] * len(names)
+            cells = [heads, limbs, *cells, tails]
+            fh.write(_rows([piece for key, cell in zip(keys, cells) for piece in (key, cell)]))
+
+
+# What comes before each field's value in a row, in CSV column order
+_CSV_KEYS = [""] + [","] * (len(_CSV_FIELDS) - 1)
+# '{"time": ', ', "limb": ', ...
+_JSON_KEYS = ["{" + json.dumps(_CSV_FIELDS[0]) + ": "] + [
+    ", " + json.dumps(k) + ": " for k in _CSV_FIELDS[1:]
+]
 
 
 def _json_float(value: float) -> str:
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
-# What comes before each field's value in a json-lines row, in CSV column
-# order: '{"time": ', ', "limb": ', ...
-_JSON_KEYS = ["{" + json.dumps(_CSV_FIELDS[0]) + ": "] + [
-    ", " + json.dumps(k) + ": " for k in _CSV_FIELDS[1:]
-]
+def write_trace_csv(trace: list[TraceRecord], path: Path) -> None:
+    _write_trace(trace, path, CSV_HEADER + "\n", _CSV_KEYS, "\n", repr, str)
 
 
 def write_trace_jsonl(trace: list[TraceRecord], path: Path) -> None:
-    memo = _FloatText(_json_float)
-    segment_key, mode_key = _JSON_KEYS[-2:]
-    names = limbs_json = None
-    with open(path, "w") as fh:
-        for chunk in _chunks(trace):
-            times, ts, cells = _float_texts(chunk, memo)
-            heads, limbs, tails = [], [], []
-            for record, time_s, t_s in zip(chunk, times, ts):
-                if record.sensed.names is not names:
-                    names = record.sensed.names
-                    limbs_json = list(map(json.dumps, names))
-                heads += [time_s] * len(names)
-                limbs += limbs_json
-                segment_s, mode_s = json.dumps(record.segment), json.dumps(record.mode)
-                tails += [f"{t_s}{segment_key}{segment_s}{mode_key}{mode_s}}}\n"] * len(names)
-            cells = [heads, limbs, *cells, tails]
-            keyed = [piece for key, cell in zip(_JSON_KEYS, cells) for piece in (key, cell)]
-            fh.write(_rows(keyed, ""))
+    _write_trace(trace, path, "", _JSON_KEYS, "}\n", _json_float, json.dumps)
 
 
 def load_scenario(ref: str) -> Scenario:
@@ -198,7 +160,7 @@ def load_scenario(ref: str) -> Scenario:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, nested too deep
         raise ScenarioValidationError([f"config {ref}: {exc}"]) from exc
     except OSError as exc:  # a directory, an unreadable file
         raise ScenarioValidationError([f"scenario: cannot read {ref!r}: {exc.strerror}"]) from exc

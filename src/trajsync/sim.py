@@ -265,6 +265,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append(f"limbs: duplicate names in {names}")
     for i, limb in enumerate(scenario.limbs):
         prefix = f"limbs[{i}].{limb.name}" if limb.name else f"limbs[{i}]"
+        # a CSV trace row holds the name as a bare cell
+        if any(c in limb.name for c in ',"\n\r'):
+            errors.append(
+                f"limbs[{i}].name: must not contain a comma, quote or line break, got {limb.name!r}"
+            )
         if not (math.isfinite(limb.max_ee_speed) and limb.max_ee_speed > 0):
             errors.append(
                 f"{prefix}.max_ee_speed: must be finite and > 0, got {limb.max_ee_speed}"

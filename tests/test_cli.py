@@ -1,10 +1,12 @@
 """The command-line interface: trace export formats, config handling and
 exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,23 @@ def test_jsonl_rows_mirror_the_csv_columns(tmp_path):
         assert list(row) == CSV_HEADER.split(",")
 
 
+# sha256 of each builtin's json-lines trace; perfbench/run.py --check-only
+# pins the CSV bytes
+BUILTIN_JSONL_SHA256 = {
+    "out_of_range": "57dcf8c3853e0e8215c41468e912db496c66b4305be538071439f5481b174da1",
+    "nominal_square": "7beffdfd62637a78da601f9c87a076d2378323e3580b206b4219471ae5fb5286",
+    "power_loss": "02d93db4a82ef9fb95b16118dbf75f256555fddae4055cfd869cb476627f4de7",
+    "robustness_mix": "0107496faa63d005293f0afecf5aaff34a06fad8431e5f7edd039d895b2a73cf",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_JSONL_SHA256)
+def test_builtin_jsonl_bytes_are_pinned(tmp_path, name):
+    out = tmp_path / "trace.jsonl"
+    cli.write_trace_jsonl(run_scenario(get_scenario(name)), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_JSONL_SHA256[name]
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -145,8 +164,8 @@ def signed_zero_trace():
 
 
 def many_values_trace():
-    """More distinct floats than one memo holds, with values recurring after
-    the memo has been cleared."""
+    """Thousands of distinct floats over seven chunks, and values that recur
+    within and across chunks."""
     rng = np.random.default_rng(3)
     trace = []
     for k in range(800):
@@ -188,7 +207,7 @@ def chunked_trace(n_records, n_limbs):
 
 _CHUNK = cli._CHUNK_RECORDS
 # (records, limbs): around the chunk boundaries for 1 and 6 limbs, and a
-# chunk of 40 limbs, whose columns hold more distinct values than the memo
+# chunk of 40 limbs, 5120 rows with thousands of distinct values per column
 CHUNKED = {
     f"chunked_{m}x{n}": (m, n)
     for m in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
@@ -221,34 +240,28 @@ def test_writers_equal_the_per_value_reference(tmp_path, request, fmt, which):
     assert out.read_text() == expected
 
 
-def test_many_values_trace_overflows_the_memo():
-    bits = {
-        x
-        for r in many_values_trace()
-        for a in (r.sensed.translations(), r.command.translations(), np.array(r.distances))
-        for x in a.view(np.int64).ravel().tolist()
-    }
-    assert len(bits) > 2 * cli._MEMO_ENTRIES
-
-
-def test_float_memo_stays_within_its_bound():
-    memo = cli._FloatText(repr)
-    values = np.arange(3 * cli._MEMO_ENTRIES, dtype=np.float64) / 7.0
-    bits = values.view(np.int64).tolist()
-    texts = [
-        text
-        for i in range(0, len(bits), cli._CHUNK_RECORDS)
-        for text in memo.column(bits[i : i + cli._CHUNK_RECORDS])
-    ]
-    assert texts == [repr(v) for v in values.tolist()]
-    assert 0 < len(memo._texts) <= cli._MEMO_ENTRIES
-
-
-def test_float_memo_formats_a_column_wider_than_its_bound():
-    memo = cli._FloatText(repr)
-    values = np.arange(2 * cli._MEMO_ENTRIES, dtype=np.float64) / 7.0
-    assert memo.column(values.view(np.int64).tolist()) == [repr(v) for v in values.tolist()]
-    assert len(memo._texts) <= cli._MEMO_ENTRIES
+def test_each_chunk_formats_each_distinct_pattern_once():
+    trace = signed_zero_trace() + many_values_trace()
+    for i in range(0, len(trace), _CHUNK):
+        chunk = trace[i : i + _CHUNK]
+        formatted = []
+        cli._float_texts(chunk, lambda x: formatted.append(x) or repr(x))
+        cells = [
+            a
+            for r in chunk
+            for a in (
+                r.sensed.translations(), r.sensed.quaternions(),
+                r.command.translations(), r.command.quaternions(), np.array(r.distances),
+            )
+        ]
+        cells.append(np.array([r.t for r in chunk]))
+        distinct = set(np.concatenate([a.ravel() for a in cells]).view(np.int64).tolist())
+        times = np.array([r.time for r in chunk]).view(np.int64).tolist()
+        # each distinct pattern once; times are formatted as they are
+        assert Counter(np.array(formatted).view(np.int64).tolist()) == Counter(distinct) + Counter(times)
+        if i == 0:
+            specials = np.array([0.0, -0.0, float("nan"), -float("nan")]).view(np.int64).tolist()
+            assert set(specials) <= distinct
 
 
 # --- config handling ---------------------------------------------------------
@@ -329,6 +342,34 @@ def test_invalid_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("run", "--scenario", str(bad)) == 2
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000], ids=["not_utf8", "nested_200000"]
+)
+def test_unreadable_config_exits_2_with_its_name(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run_cli("run", "--scenario", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert f"error: config {bad}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", 'a"b', "a\rb"])
+def test_limb_name_that_a_csv_row_cannot_hold_exits_2(tmp_path, capsys, name):
+    cfg = tmp_path / "scenario.json"
+    out = tmp_path / "trace.csv"
+    run_cli("run", "--scenario", "out_of_range", "--set", "horizon=1", "--dump-config", str(cfg))
+    data = json.loads(cfg.read_text())
+    data["limbs"][0]["name"] = data["initial"][0]["name"] = name
+    cfg.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("run", "--scenario", str(cfg), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "limbs[0].name: must not contain" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_directory_as_scenario_exits_2(tmp_path, capsys):
