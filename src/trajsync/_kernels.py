@@ -4,9 +4,11 @@ The clamp's inner loop evaluates the stacked distance at every sample of a
 segment. For a LERP/SLERP segment both terms collapse to closed forms in t:
 
   translation:  |lerp(t) - y|^2 / p_e^2  is a quadratic  a t^2 + b t + c
-  rotation:     slerp(t) . q_y           is  alpha cos(t w) + beta sin(t w)
+  rotation:     slerp(t) . q_y           is  alpha cos(t w) + beta sin(t w),
+                                         or  alpha + beta t on a flat arc
 
-so the whole grid reduces to a few transcendental ops per sample.
+so the whole grid reduces to a few transcendental ops per sample. Limbs
+with finite r_e form one group per arc kind, their terms (rows, 1) columns.
 """
 
 from __future__ import annotations
@@ -17,11 +19,6 @@ import numpy as np
 
 from .se3 import FLAT_ARC_ANGLE, _flips_arc, _rowdot
 
-# Rotation term evaluation modes, one per end effector.
-ROT_SKIP = 0  # r_e is infinite, rotation ignored
-ROT_ARC = 1  # alpha cos(t w) + beta sin(t w)
-ROT_FLAT = 2  # arc numerically flat: alpha + beta t
-
 
 def segment_constants(vs, vf, qs, qf, p_e, r_e, rot):
     """The coefficient terms of one stacked segment that do not depend on
@@ -31,55 +28,44 @@ def segment_constants(vs, vf, qs, qf, p_e, r_e, rot):
     Pose inputs are (n, 3) / (n, 4) arrays; p_e and r_e are (n,). ``rot``
     selects the rows whose rotation counts (finite r_e): a list of rows,
     empty if none, or a full slice if all (``MultiMetricParams._columns``).
+    Returns (vs, dv, pe2, ta, groups), one group per arc kind present.
     """
-    n = vs.shape[0]
     dv = vf - vs
     pe2 = p_e * p_e
     ta = np.einsum("ij,ij->i", dv, dv) / pe2
-    zeros = np.zeros(n)
-    omega = np.zeros(n)
-    inv_re = np.zeros(n)
-    rot_mode = np.zeros(n, dtype=np.int8)
-    modes, rotation = [], None
+    ta.flags.writeable = False
+    arcs, flats = [], []
     if rot:
-        qs_r, qf_r = qs[rot], qf[rot]
-        signs, dots, sines = [], [], []
         rows = zip(
-            range(n) if isinstance(rot, slice) else rot,
-            _rowdot(qs_r, qf_r).tolist(),
-            qf_r.tolist(),
+            range(len(vs)) if isinstance(rot, slice) else rot,
+            _rowdot(qs[rot], qf[rot]).tolist(),
+            qf[rot].tolist(),
             r_e[rot].tolist(),
         )
         for i, d, q_f, re in rows:
             # Against the aligned (negated) q_f, q_f . q_y changes sign exactly.
-            signs.append(-1.0 if _flips_arc(d, q_f) else 1.0)
+            sign = -1.0 if _flips_arc(d, q_f) else 1.0
             dot = min(1.0, abs(d))
             om = math.acos(dot)
-            inv_re[i] = 1.0 / re
             if om < FLAT_ARC_ANGLE:
-                # beta = (c2 - 1 * c1) / 1 is c2 - c1 exactly
-                rot_mode[i] = ROT_FLAT
-                dots.append(1.0)
-                sines.append(1.0)
+                flats.append((i, sign, 1.0 / re))
             else:
-                rot_mode[i] = ROT_ARC
-                omega[i] = om
-                dots.append(dot)
-                sines.append(math.sin(om))
-        rotation = (rot, qs_r, qf_r, np.array(signs), np.array(dots), np.array(sines))
-        # Per rotation mode: its rows (a full slice if all) and their omega
-        # and 1/r_e as (rows, 1) columns, for every block of the grid kernel.
-        mode_of = rot_mode.tolist()
-        for mode in (ROT_ARC, ROT_FLAT):
-            sel = [i for i, m in enumerate(mode_of) if m == mode]
-            if len(sel) == n:
-                sel = slice(None)
-            if sel:
-                modes.append((mode, sel, omega[sel, None], inv_re[sel, None]))
-    # Every step's coefficients share these arrays.
-    for a in (ta, zeros, omega, inv_re, rot_mode):
-        a.flags.writeable = False
-    return vs, dv, pe2, ta, zeros, omega, inv_re, rot_mode, tuple(modes), rotation
+                arcs.append((i, sign, 1.0 / re, dot, math.sin(om), om))
+    groups = tuple(_group(qs, qf, members, len(vs)) for members in (arcs, flats) if members)
+    return vs, dv, pe2, ta, groups
+
+
+def _group(qs, qf, members, n):
+    """(rows, qs[rows], qf[rows], signs, arc, inv_re) of one arc kind: rows
+    is a full slice if the group spans every limb, arc is (dots, sines,
+    omega) on a circular arc and None on a flat one, and every term is a
+    read-only (rows, 1) column."""
+    rows, *columns = zip(*members)
+    rows = slice(None) if len(rows) == n else list(rows)
+    signs, inv_re, *arc = (np.array(c)[:, None] for c in columns)
+    for column in (signs, inv_re, *arc):
+        column.flags.writeable = False  # every step's coefficients share it
+    return rows, qs[rows], qf[rows], signs, tuple(arc) or None, inv_re
 
 
 def segment_coefficients(segment, vy, qy):
@@ -87,29 +73,28 @@ def segment_coefficients(segment, vy, qy):
     sensed state ``(vy, qy)``, (n, 3) / (n, 4) arrays.
 
     ``segment`` is the segment's ``segment_constants``. Returns (ta, tb, tc,
-    alpha, beta, omega, inv_re, rot_mode, modes): the translation part of
-    the squared distance is ta t^2 + tb t + tc, and the slerp dot against
-    q_y is alpha cos(t omega) + beta sin(t omega), or alpha + beta t for
-    flat arcs; ``modes`` lists the rows of each rotation mode. The
-    quaternion sign alignment matches ``se3.slerp`` exactly.
+    rotation): the translation part of the squared distance is
+    ta t^2 + tb t + tc, and ``rotation`` holds one (rows, alpha, beta,
+    omega, inv_re) per group, each a (rows, 1) column, omega None on a flat
+    arc: the slerp dot against q_y is alpha cos(t omega) + beta sin(t omega),
+    or alpha + beta t. The quaternion sign alignment matches ``se3.slerp``
+    exactly.
     """
-    vs, dv, pe2, ta, zeros, omega, inv_re, rot_mode, modes, rotation = segment
+    vs, dv, pe2, ta, groups = segment
     sv = vs - vy
     tb = 2.0 * np.einsum("ij,ij->i", dv, sv) / pe2
     tc = np.einsum("ij,ij->i", sv, sv) / pe2
-    if rotation is None:
-        return ta, tb, tc, zeros, zeros, omega, inv_re, rot_mode, modes
-    rot, qs_r, qf_r, signs, dots, sines = rotation
-    qy_r = qy[rot]
-    c1 = _rowdot(qs_r, qy_r)
-    beta_r = (_rowdot(qf_r, qy_r) * signs - dots * c1) / sines
-    if isinstance(rot, slice):
-        return ta, tb, tc, c1, beta_r, omega, inv_re, rot_mode, modes
-    alpha = zeros.copy()
-    beta = zeros.copy()
-    alpha[rot] = c1
-    beta[rot] = beta_r
-    return ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, modes
+    rotation = []
+    for rows, qs_g, qf_g, signs, arc, inv_re in groups:
+        qy_g = qy[rows]
+        c1 = _rowdot(qs_g, qy_g)[:, None]
+        c2 = _rowdot(qf_g, qy_g)[:, None] * signs
+        if arc is None:  # (c2 - 1 * c1) / 1 is c2 - c1 exactly
+            rotation.append((rows, c1, c2 - c1, None, inv_re))
+        else:
+            dots, sines, omega = arc
+            rotation.append((rows, c1, (c2 - dots * c1) / sines, omega, inv_re))
+    return ta, tb, tc, rotation
 
 
 def grid_distances(ts, coeffs, k):
@@ -134,18 +119,18 @@ _BLOCK = 1 << 14
 
 
 def _grid_block(ts, coeffs, k):
-    ta, tb, tc, alpha, beta, _, _, _, modes = coeffs
+    ta, tb, tc, rotation = coeffs
     d2 = np.multiply(ta[:, None], ts)
     d2 *= ts
     d2 += np.multiply(tb[:, None], ts)
     d2 += tc[:, None]
     np.maximum(d2, 0.0, out=d2)
-    for mode, rows, omega, inv_re in modes:
-        if mode == ROT_ARC:
-            wt = ts * omega
-            rd = alpha[rows, None] * np.cos(wt) + beta[rows, None] * np.sin(wt)
+    for rows, alpha, beta, omega, inv_re in rotation:
+        if omega is None:
+            rd = alpha + beta * ts
         else:
-            rd = alpha[rows, None] + beta[rows, None] * ts
+            wt = ts * omega
+            rd = alpha * np.cos(wt) + beta * np.sin(wt)
         ang = 2.0 * np.arccos(np.minimum(np.abs(rd), 1.0)) * inv_re
         d2[rows] += ang * ang
     if math.isinf(k):

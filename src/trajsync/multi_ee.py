@@ -338,7 +338,7 @@ class StackedSegment:
         ``stacked_interp`` sample by sample, to within ~1e-12."""
         _check_names(Y, S)
         coeffs = _kernels.segment_coefficients(self.constants, Y._v, Y._q)
-        return _kernels.grid_distances(np.ascontiguousarray(ts), coeffs, self.params.norm_order)
+        return _kernels.grid_distances(ts, coeffs, self.params.norm_order)
 
     def clamp(self, state: MultiPose, t_min: float = 0.0) -> ClampOutcome:
         """``clamp_stacked`` of this segment against ``state``."""

@@ -418,34 +418,39 @@ def scenario_from_dict(data: Any) -> Scenario:
     return _SCENARIO.read(data, "")
 
 
-# CLI override keys. p_e and r_e apply uniformly to every limb; r_e is given
-# in degrees ("inf" allowed) to match how rotation tolerances are usually
-# quoted, and stored internally in radians.
-OVERRIDE_KEYS = ("dt", "p_e", "r_e", "step_distance", "horizon")
+def _per_ee(scenario: Scenario, **fields) -> Scenario:
+    """``scenario`` with ``fields`` set in every limb's metric."""
+    per_ee = tuple(replace(p, **fields) for p in scenario.metric.per_ee)
+    return replace(scenario, metric=replace(scenario.metric, per_ee=per_ee))
+
+
+# CLI override keys, each with how it sets its value on a scenario. p_e and
+# r_e apply uniformly to every limb; r_e is given in degrees ("inf" allowed)
+# to match how rotation tolerances are usually quoted, and stored internally
+# in radians.
+_OVERRIDES: dict[str, Callable[[Scenario, float], Scenario]] = {
+    "dt": lambda sc, x: replace(sc, dt=x),
+    "p_e": lambda sc, x: _per_ee(sc, p_e=x),
+    "r_e": lambda sc, x: _per_ee(sc, r_e=x if math.isinf(x) else math.radians(x)),
+    "step_distance": lambda sc, x: replace(sc, clamp=replace(sc.clamp, step_distance=x)),
+    "horizon": lambda sc, x: replace(sc, horizon=x),
+}
+OVERRIDE_KEYS = tuple(_OVERRIDES)
 
 
 def apply_overrides(scenario: Scenario, overrides: dict[str, str]) -> Scenario:
+    """``scenario`` with each ``--set`` key set to its value; a ValueError
+    names the key it rejects."""
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ValueError(
             f"unknown override keys {sorted(unknown)}; valid: {list(OVERRIDE_KEYS)}"
         )
     out = scenario
-    if "dt" in overrides:
-        out = replace(out, dt=float(overrides["dt"]))
-    if "horizon" in overrides:
-        out = replace(out, horizon=float(overrides["horizon"]))
-    if "step_distance" in overrides:
-        out = replace(out, clamp=replace(out.clamp, step_distance=float(overrides["step_distance"])))
-    if "p_e" in overrides or "r_e" in overrides:
-        per_ee = []
-        for p in out.metric.per_ee:
-            p_e = float(overrides["p_e"]) if "p_e" in overrides else p.p_e
-            if "r_e" in overrides:
-                r_deg = float(overrides["r_e"])
-                r_e = math.inf if math.isinf(r_deg) else math.radians(r_deg)
-            else:
-                r_e = p.r_e
-            per_ee.append(Se3MetricParams(p_e=p_e, r_e=r_e))
-        out = replace(out, metric=replace(out.metric, per_ee=tuple(per_ee)))
+    for key in OVERRIDE_KEYS:
+        if key in overrides:
+            try:
+                out = _OVERRIDES[key](out, float(overrides[key]))
+            except ValueError as exc:
+                raise ValueError(f"--set {key}: {exc}") from None
     return out

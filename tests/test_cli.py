@@ -237,7 +237,19 @@ def test_writers_equal_the_per_value_reference(tmp_path, request, fmt, which):
     else:
         cli.write_trace_jsonl(trace, out)
         expected = reference_jsonl(trace)
-    assert out.read_text() == expected
+    got = out.read_text()
+    if got != expected:
+        pytest.fail(first_differing_line(got, expected))
+
+
+def first_differing_line(got: str, want: str) -> str:
+    """Where two texts first differ, as one line of report: pytest's own
+    diff of two whole traces can run for minutes."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g != w:
+            return f"line {i} differs: {g!r} != {w!r}"
+    return f"{len(got_lines)} lines != {len(want_lines)} lines"
 
 
 def test_each_chunk_formats_each_distinct_pattern_once():
@@ -302,6 +314,16 @@ def test_bad_override_key_exits_2(capsys):
     assert run_cli("run", "--scenario", "out_of_range", "--set", "warp=9") == 2
     err = capsys.readouterr().err
     assert "warp" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dt", "abc"), ("p_e", "abc"), ("r_e", "nan"), ("step_distance", "0"),
+])
+def test_rejected_override_value_names_its_key(capsys, key, value):
+    assert run_cli("run", "--scenario", "out_of_range", "--set", f"{key}={value}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --set {key}: ")
+    assert "Traceback" not in err
 
 
 def test_malformed_override_exits_2(capsys):

@@ -96,7 +96,7 @@ def test_identical_rotations_contribute_zero():
     np.testing.assert_allclose(got, expect, atol=1e-12, rtol=0)
 
 
-def test_active_backend_is_a_known_one():
+def test_rotation_free_one_limb_distances_at_t_1_and_0():
     out = grid_distances(
         np.array([1.0, 0.0]),
         segment_coefficients(

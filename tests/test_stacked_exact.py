@@ -169,14 +169,24 @@ def test_distances_equal_se3_distance_on_random_rotations():
 
 # --- grid kernel ---------------------------------------------------------------
 
+# Rotation term of one limb in the per-limb references below.
+ROT_SKIP = 0  # r_e is infinite, rotation ignored
+ROT_ARC = 1  # alpha cos(t w) + beta sin(t w)
+ROT_FLAT = 2  # arc numerically flat: alpha + beta t
+
+# The limbs of quaternion_pairs() on a circular arc and on a flat one.
+ARC_PAIRS = (0, 1, 2, 3, 5)
+FLAT_PAIRS = (4, 6, 7, 8)
+
+
 def reference_grid(ts, coeffs, k):
-    """The grid kernel as a limb-by-limb loop."""
-    ta, tb, tc, alpha, beta, omega, inv_re, rot_mode, _ = coeffs
+    """The grid kernel as a limb-by-limb loop over per-limb coefficients."""
+    ta, tb, tc, alpha, beta, omega, inv_re, rot_mode = coeffs
     acc = None
     for i in range(len(ta)):
         d2 = np.maximum(ta[i] * ts * ts + tb[i] * ts + tc[i], 0.0)
-        if rot_mode[i] != _kernels.ROT_SKIP:
-            if rot_mode[i] == _kernels.ROT_ARC:
+        if rot_mode[i] != ROT_SKIP:
+            if rot_mode[i] == ROT_ARC:
                 rd = alpha[i] * np.cos(ts * omega[i]) + beta[i] * np.sin(ts * omega[i])
             else:
                 rd = alpha[i] + beta[i] * ts
@@ -210,10 +220,33 @@ def reference_coefficients(vs, vf, vy, qs, qf, qy, p_e, r_e):
         c2 = float(np.dot(qf_i, qy[i]))
         alpha[i] = c1
         if om < FLAT_ARC_ANGLE:
-            rot_mode[i], beta[i] = _kernels.ROT_FLAT, c2 - c1
+            rot_mode[i], beta[i] = ROT_FLAT, c2 - c1
         else:
-            rot_mode[i], beta[i] = _kernels.ROT_ARC, (c2 - dot * c1) / math.sin(om)
+            rot_mode[i], beta[i] = ROT_ARC, (c2 - dot * c1) / math.sin(om)
             omega[i] = om
+    return alpha, beta, omega, inv_re, rot_mode
+
+
+def spread(rotation, n):
+    """The kernel's rotation groups as the per-limb (alpha, beta, omega,
+    inv_re, rot_mode) arrays of ``reference_coefficients``, checking the
+    layout on the way: circular group first, each limb in at most one
+    group, rows a full slice exactly when one group spans every limb, and
+    every term a (rows, 1) column."""
+    alpha, beta, omega, inv_re = (np.zeros(n) for _ in range(4))
+    rot_mode = np.zeros(n, dtype=np.int8)
+    assert [g[3] is None for g in rotation] in ([], [False], [True], [False, True])
+    for rows, a, b, om, ire in rotation:
+        limbs = np.arange(n)[rows]
+        assert (rows == slice(None)) == (len(limbs) == n)
+        assert (rot_mode[limbs] == ROT_SKIP).all()
+        for column in (a, b, ire) if om is None else (a, b, om, ire):
+            assert column.shape == (len(limbs), 1)
+        alpha[limbs], beta[limbs], inv_re[limbs] = a[:, 0], b[:, 0], ire[:, 0]
+        if om is None:
+            rot_mode[limbs] = ROT_FLAT
+        else:
+            rot_mode[limbs], omega[limbs] = ROT_ARC, om[:, 0]
     return alpha, beta, omega, inv_re, rot_mode
 
 
@@ -228,11 +261,33 @@ def test_grid_kernel_with_every_limb_rotating(norm_order):
     n = len(quaternion_pairs())
     params = MultiMetricParams.uniform(n, p_e=9.0, r_e=0.4, norm_order=norm_order)
     assert params._columns[2] == slice(None)
-    check_grid_kernel(params, norm_order, 257)
+    arcs, flats = check_grid_kernel(params, norm_order, 257)
+    assert (arcs[0], flats[0]) == (list(ARC_PAIRS), list(FLAT_PAIRS))
 
 
-def check_grid_kernel(params, norm_order, samples):
-    pairs = quaternion_pairs()
+@pytest.mark.parametrize("norm_order", [math.inf, 2.0])
+@pytest.mark.parametrize("kind", [ARC_PAIRS, FLAT_PAIRS], ids=["arc", "flat"])
+def test_grid_kernel_with_one_arc_kind_on_every_limb(norm_order, kind):
+    pairs = [quaternion_pairs()[i] for i in kind]
+    if kind is ARC_PAIRS:  # and generic arcs, where beta's rounding shows
+        rng = np.random.default_rng(12)
+        pairs += [tuple(quat_normalize(rng.normal(size=4)) for _ in range(2)) for _ in range(8)]
+    params = MultiMetricParams.uniform(len(pairs), p_e=9.0, r_e=0.4, norm_order=norm_order)
+    (group,) = check_grid_kernel(params, norm_order, 257, pairs)
+    assert group[0] == slice(None)
+    assert (group[3] is None) == (kind is FLAT_PAIRS)
+
+
+@pytest.mark.parametrize("norm_order", [math.inf, 2.0])
+def test_grid_kernel_with_no_rotating_limb(norm_order):
+    params = MultiMetricParams.uniform(len(quaternion_pairs()), p_e=9.0, norm_order=norm_order)
+    assert len(check_grid_kernel(params, norm_order, 257)) == 0
+
+
+def check_grid_kernel(params, norm_order, samples, pairs=None):
+    """Compare the kernel's coefficients and grid with the references bit
+    for bit; returns its rotation groups."""
+    pairs = pairs or quaternion_pairs()
     start, final = stacks(pairs)
     state = stacked_interp(0.4, start, stacks(pairs, seed=8)[1])
     p_e, r_e, rot = params._columns
@@ -248,11 +303,13 @@ def check_grid_kernel(params, norm_order, samples):
     coeffs = _kernels.segment_coefficients(
         segment, state.translations(), state.quaternions()
     )
-    for got, want in zip(coeffs[3:8], reference_coefficients(*args)):
+    per_limb = spread(coeffs[3], len(pairs))
+    for got, want in zip(per_limb, reference_coefficients(*args)):
         assert bits(got) == bits(want)
     assert bits(_kernels.grid_distances(ts, coeffs, norm_order)) == bits(
-        reference_grid(ts, coeffs, norm_order)
+        reference_grid(ts, (*coeffs[:3], *per_limb), norm_order)
     )
+    return coeffs[3]
 
 
 # --- plant ---------------------------------------------------------------------

@@ -44,3 +44,16 @@ def test_traced_benchmark_names_every_step_layer():
         "cli.export",
     ):
         assert name in layers, name
+
+
+def test_circular_arc_workload_reproduces_its_reference_bytes():
+    # No builtin scenario has a limb on a circular rotation arc, so the
+    # kernel's arc path is gated by this seeded workload's reference output.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "rot_knorm_seeded", "--seed", "7",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    assert lines[-1]["correct"], proc.stdout
