@@ -57,3 +57,18 @@ def test_circular_arc_workload_reproduces_its_reference_bytes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     assert lines[-1]["correct"], proc.stdout
+
+
+def test_oracle_workload_reproduces_its_reference_detail():
+    # The oracle's scan is gated by the suite's detail line at seed 7: every
+    # verdict and the largest grid-step gap must match the stored reference.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "oracle_verify", "--seed", "7",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    detail = next(line["detail"] for line in lines if "detail" in line)
+    assert detail["checks"]["rules"] == ["suite seed 7: detail identical"], proc.stdout
+    assert lines[-1]["correct"], proc.stdout
