@@ -6,6 +6,17 @@ by sine-weight spherical interpolation dots), deliberately avoiding the
 precomputed-coefficient route the library kernels use, so the two
 implementations share no code path beyond quaternion sign alignment.
 
+The scan is bound first, then exact. A cheap lower bound on the distance
+(for a stacked segment, a norm of the limbs' translation-only distances: no
+sines) is computed at every sample; the exact distance is computed only
+where the bound leaves the answer open. Phase 1 looks for the largest
+feasible t and evaluates exactly only samples whose bound is <= 1; phase 2,
+when none is feasible, looks for the nearest sample and evaluates exactly
+only samples whose bound is below the nearest distance known so far. A
+skipped sample's distance is at least its bound, so it can be neither
+feasible nor nearer, and every result is the one a scan that evaluated every
+sample exactly would return, bit for bit.
+
 Suites are deterministic: every instance derives from a fixed seed.
 """
 
@@ -28,6 +39,8 @@ from .metric_core import (
 from .multi_ee import (
     MultiMetricParams,
     MultiPose,
+    _check_names,
+    _check_params,
     clamp_stacked,
     stacked_distance,
     stacked_interp,
@@ -91,7 +104,7 @@ class SuiteResult:
 class _Workspace:
     """Chunk buffers of _CHUNK_MAX samples, reused across chunks and scans.
 
-    Eight float64 buffers of 128 KB and one bool buffer, about 1 MB per
+    Eight float64 buffers of 128 KB and two bool buffers, about 1 MB per
     thread: small enough that a chunk's passes run out of a core's L2 cache
     rather than main memory. Every scan writes into views of these, so once
     a thread has built its workspace a scan allocates no array at all.
@@ -105,6 +118,7 @@ class _Workspace:
         self.limb = np.empty(_CHUNK_MAX)
         self.tmp = tuple(np.empty(_CHUNK_MAX) for _ in range(3))
         self.feasible = np.empty(_CHUNK_MAX, dtype=bool)
+        self.flipped = np.empty(_CHUNK_MAX, dtype=bool)
 
 
 _local = threading.local()
@@ -117,30 +131,95 @@ def _workspace() -> _Workspace:
     return ws
 
 
-def _scan(n_samples: int, chunk_dists) -> tuple[bool, float, float]:
-    """Descending-grid scan; chunk_dists(ts, ws) returns the chunk's distances.
+def _chunk_ts(ws: _Workspace, lo: int, hi: int, n_samples: int) -> np.ndarray:
+    """The grid's t at samples lo..hi-1, descending from t = 1."""
+    ts = np.add(ws.idx[: hi - lo], lo, out=ws.ts[: hi - lo])
+    ts /= n_samples - 1
+    return np.subtract(1.0, ts, out=ts)
 
-    Same return convention as oracle_scan_1d.
+
+def _span(mask: np.ndarray, flipped: np.ndarray) -> tuple[int, int] | None:
+    """(first, last + 1) of the True entries of mask, or None if there are none.
+
+    flipped is scratch of mask's length: argmax of a reversed view would
+    copy it.
+    """
+    first = int(np.argmax(mask))
+    if not mask[first]:
+        return None
+    np.copyto(flipped, mask[::-1])
+    return first, len(mask) - int(np.argmax(flipped))
+
+
+def _scan(n_samples: int, bound, exact) -> tuple[bool, float, float]:
+    """Descending-grid scan, bound first, then exact evaluation.
+
+    bound(ts, ws) returns a lower bound on the distance at every t of a
+    chunk, exact(ts, ws) the distance itself at every t it is given; both
+    may write ws.dists, so a bound is read only before exact is called. The
+    result is the one a single pass of exact over every chunk returns: the
+    first sample (largest t) at distance <= 1, else the first sample of
+    least distance (see oracle_scan_1d).
+
+    Phase 1 bounds each chunk in descending order. A sample whose bound
+    exceeds 1 has a distance above 1, so exact runs only over the span from
+    the first to the last sample whose bound is <= 1, and the first sample
+    there at distance <= 1 is the answer. Each chunk's least bound, and
+    where it falls, is recorded.
+
+    Phase 2 runs only when no sample is feasible. best_dist, the limit,
+    starts just above the exact distance at the sample of least bound, so
+    the nearest distance lies below it. A chunk whose least bound reaches
+    the limit is skipped; in any other chunk exact runs over the span of
+    samples whose bound is below it, and the limit falls to each strictly
+    smaller distance found there. A skipped sample's distance is at least
+    the limit, so it can neither be nearer nor tie the nearest from a
+    later chunk, and within a span argmin keeps the first of equals: ties
+    still go to the larger t. A NaN bound means a NaN distance at that
+    sample; a chunk holding one is skipped, as a full pass's argmin, which
+    returns the NaN, leaves such a chunk out.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     ws = _workspace()
-    best_dist = math.inf
-    best_t = 1.0
+    least = []  # each chunk's least bound
+    seed, seed_bound = None, math.inf  # (lo, hi, j) of the least bound of all
     for lo, hi in _chunk_bounds(n_samples):
+        ts = _chunk_ts(ws, lo, hi, n_samples)
+        lb = bound(ts, ws)
+        j = int(np.argmin(lb))
+        least.append(float(lb[j]))
+        if least[-1] < seed_bound:
+            seed, seed_bound = (lo, hi, j), least[-1]
         m = hi - lo
-        ts = np.add(ws.idx[:m], lo, out=ws.ts[:m])
-        ts /= n_samples - 1
-        np.subtract(1.0, ts, out=ts)
-        dists = chunk_dists(ts, ws)
-        feasible = np.less_equal(dists, 1.0, out=ws.feasible[:m])
+        span = _span(np.less_equal(lb, 1.0, out=ws.feasible[:m]), ws.flipped[:m])
+        if span is None:
+            continue
+        first, last = span
+        dists = exact(ts[first:last], ws)
+        feasible = np.less_equal(dists, 1.0, out=ws.feasible[: last - first])
         if feasible.any():
             j = int(np.argmax(feasible))
-            return True, float(ts[j]), float(dists[j])
+            return True, float(ts[first + j]), float(dists[j])
+
+    if seed is None:  # every distance is inf or NaN
+        return False, 1.0, math.inf
+    lo, hi, j = seed
+    ts = _chunk_ts(ws, lo, hi, n_samples)
+    best_dist = math.nextafter(float(exact(ts[j : j + 1], ws)[0]), math.inf)
+    best_t = 1.0
+    for (lo, hi), lb_least in zip(_chunk_bounds(n_samples), least):
+        if not lb_least < best_dist:
+            continue
+        ts = _chunk_ts(ws, lo, hi, n_samples)
+        lb = bound(ts, ws)
+        m = hi - lo
+        first, last = _span(np.less(lb, best_dist, out=ws.feasible[:m]), ws.flipped[:m])
+        dists = exact(ts[first:last], ws)
         j = int(np.argmin(dists))
         if dists[j] < best_dist:
             best_dist = float(dists[j])
-            best_t = float(ts[j])
+            best_t = float(ts[first + j])
     return False, best_t, best_dist
 
 
@@ -152,6 +231,11 @@ def oracle_scan_1d(
     Returns (feasible, t, dist): the largest feasible t when one exists,
     otherwise the nearest sample (ties to larger t).
     """
+    for name, value in (("y", y), ("s", s), ("f", f), ("p", p)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not p > 0:
+        raise ValueError(f"p must be > 0, got {p}")
 
     def chunk_dists(ts, ws):
         d = np.multiply(ts, f - s, out=ws.dists[: len(ts)])
@@ -161,7 +245,8 @@ def oracle_scan_1d(
         d /= p
         return d
 
-    return _scan(n_samples, chunk_dists)
+    # The distance is as cheap as any bound on it, so it is its own bound.
+    return _scan(n_samples, chunk_dists, chunk_dists)
 
 
 def _limb_constants(start: Pose, final: Pose, target: Pose):
@@ -211,6 +296,29 @@ def _rotation_dot(ts, rev, consts, a, b, c) -> np.ndarray:
     return a
 
 
+def _translation_term(
+    out: np.ndarray, ts: np.ndarray, consts, params: Se3MetricParams, a: np.ndarray
+) -> np.ndarray:
+    """One limb's squared normalized translation distance at every t, into out.
+
+    _chunk_dists_se3 adds the rotation term to exactly these bits, so
+    sqrt(out) is a lower bound on the limb's distance bit for bit.
+    """
+    offset, seg = consts[:2]
+    # The first axis's square goes straight into out: the same bits as
+    # adding it to zeros, since 0.0 + x == x for every x >= +0.
+    np.multiply(ts, seg[0], out=out)
+    np.subtract(offset[0], out, out=out)
+    np.square(out, out=out)
+    for off_ax, seg_ax in zip(offset[1:], seg[1:]):
+        np.multiply(ts, seg_ax, out=a)
+        np.subtract(off_ax, a, out=a)
+        np.square(a, out=a)
+        out += a
+    out /= params.p_e * params.p_e
+    return out
+
+
 def _chunk_dists_se3(
     out: np.ndarray,
     ts: np.ndarray,
@@ -223,19 +331,8 @@ def _chunk_dists_se3(
 
     rev holds 1 - ts.
     """
-    offset, seg = consts[:2]
     a, b, c = (buf[: len(ts)] for buf in tmp)
-    # The first axis's square goes straight into out: the same bits as
-    # adding it to zeros, since 0.0 + x == x for every x >= +0.
-    np.multiply(ts, seg[0], out=out)
-    np.subtract(offset[0], out, out=out)
-    np.square(out, out=out)
-    for off_ax, seg_ax in zip(offset[1:], seg[1:]):
-        np.multiply(ts, seg_ax, out=a)
-        np.subtract(off_ax, a, out=a)
-        np.square(a, out=a)
-        out += a
-    out /= params.p_e * params.p_e
+    _translation_term(out, ts, consts, params, a)
     if not math.isinf(params.r_e):
         rd = _rotation_dot(ts, rev, consts, a, b, c)
         np.minimum(rd, 1.0, out=rd)
@@ -247,6 +344,22 @@ def _chunk_dists_se3(
     return np.sqrt(out, out=out)
 
 
+# The stacked bound is a norm of the limbs' translation-only distances
+# sqrt(T_i) <= d_i: the stacked k-norm of the d_i is at least their 2-norm
+# when k <= 2 and at least their largest when k > 2, so the bound is
+# sqrt(sum T_i) or sqrt(max T_i), one fold pass per limb either way.
+# For k = inf it holds bit for bit: sqrt(max T_i) = max sqrt(T_i), and the
+# exact fold takes the max of sqrt(T_i + R_i) >= sqrt(T_i). For a finite k it
+# holds up to rounding: the bound's sum and square root may round up, and the
+# exact fold's powers, sum and 1/k-th power may round down, by a few ulps in
+# all, plus 2**-53 * ln(sum d_i**k) <= 8e-14 relative for 1/k being rounded.
+# The bound is only tested above 1, where the powers sum to more than about
+# 1, so a power that underflows loses nothing that counts; a sum that
+# overflows is inf, which no bound exceeds. A relative margin of 1e-9 is four
+# orders of magnitude above all of that.
+_FOLD_MARGIN = 1.0 - 1e-9
+
+
 def oracle_scan_stacked(
     target: MultiPose,
     start: MultiPose,
@@ -256,20 +369,39 @@ def oracle_scan_stacked(
 ) -> tuple[bool, float, float]:
     """Dense descending-grid scan of the stacked distance.
 
-    Same return convention as oracle_scan_1d.
+    Same return convention as oracle_scan_1d. The lower bound is a norm of
+    the limbs' translation-only distances (see _FOLD_MARGIN): it needs no
+    sine.
     """
+    _check_names(start, final)
+    _check_names(start, target)
+    _check_params(start, params)
     consts = [
         _limb_constants(s, f, y)
         for s, f, y in zip(start.poses, final.poses, target.poses)
     ]
+    limbs = list(zip(consts, params.per_ee))
     k = params.norm_order
+    fold = np.add if k <= 2 else np.maximum
+
+    def bound(ts, ws):
+        m = len(ts)
+        acc = ws.dists[:m]
+        for i, (c, p) in enumerate(limbs):
+            t2 = _translation_term(ws.limb[:m] if i else acc, ts, c, p, ws.tmp[0][:m])
+            if i:
+                fold(acc, t2, out=acc)
+        np.sqrt(acc, out=acc)
+        if not math.isinf(k):
+            acc *= _FOLD_MARGIN
+        return acc
 
     def chunk_dists(ts, ws):
         m = len(ts)
         rev = np.subtract(1.0, ts, out=ws.rev[:m])
         # Fold limb by limb: running max, or running sum of k-th powers.
         acc = ws.dists[:m]
-        for i, (c, p) in enumerate(zip(consts, params.per_ee)):
+        for i, (c, p) in enumerate(limbs):
             d = _chunk_dists_se3(ws.limb[:m] if i else acc, ts, rev, c, p, ws.tmp)
             if math.isinf(k):
                 if i:
@@ -282,7 +414,7 @@ def oracle_scan_stacked(
             acc **= 1.0 / k
         return acc
 
-    return _scan(n_samples, chunk_dists)
+    return _scan(n_samples, bound, chunk_dists)
 
 
 def _random_pose(rng: np.random.Generator, scale: float = 100.0) -> Pose:
