@@ -5,9 +5,7 @@ unit distance of the current state. Metrics are pre-scaled so the allowed
 deviation is exactly the unit ball; there is no separate radius argument.
 
 Works with any point type: a trajectory function ``traj(t, S, F) -> point``
-and a metric ``d(a, b) -> float`` define the space. Callers with a
-vectorizable space can pass ``grid_eval`` to replace the per-sample Python
-loop with a batch evaluation of the whole grid (see ``multi_ee``).
+and a metric ``d(a, b) -> float`` define the space.
 """
 
 from __future__ import annotations
@@ -15,16 +13,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
 Point = Any
 TrajectoryFn = Callable[[float, Point, Point], Point]
 MetricFn = Callable[[Point, Point], float]
-# (Y, S, F, ts) -> distances from Y to traj(ts[i], S, F); must match the
-# metric to ~1e-12 so either path picks the same grid point.
-GridEvalFn = Callable[[Point, Point, Point, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -139,9 +134,6 @@ def hypersphere_clamp(
     traj: TrajectoryFn,
     d: MetricFn,
     n_samples: int,
-    grid_eval: Optional[GridEvalFn] = None,
-    *,
-    t_min: float = 0.0,
 ) -> ClampOutcome:
     """Clamp the trajectory onto the unit ball centered at ``state``.
 
@@ -149,32 +141,9 @@ def hypersphere_clamp(
     returns a Solution at the first sample within distance 1 of ``state``.
     If no sample qualifies, returns NoSolution carrying the sample of
     minimal distance (ties resolved toward larger t).
-
-    With ``grid_eval`` the distances are computed in batch calls; the
-    outcome is identical to the sequential scan. ``t_min`` orders that
-    work, never the outcome: the samples at or above it are scored first,
-    and the rest only when none of those is feasible. A caller that
-    discards hits below some t passes that t.
     """
     if n_samples < 2:
         raise ValueError(f"sample count must be >= 2, got {n_samples}")
-
-    if grid_eval is not None:
-        ts = grid_parameters(n_samples)
-        j = _floor_index(n_samples, t_min) or n_samples  # none above: all at once
-        dists = _grid_distances(grid_eval, state, start, final, ts[:j])
-        feasible = dists <= 1.0
-        if j < n_samples and not feasible.any():
-            tail = _grid_distances(grid_eval, state, start, final, ts[j:])
-            dists = np.concatenate((dists, tail))
-            feasible = dists <= 1.0
-        if feasible.any():
-            i = int(np.argmax(feasible))
-            t = float(ts[i])
-            return Solution(traj(t, start, final), t, float(dists[i]))
-        i = int(np.argmin(dists))  # first minimum = largest t
-        t = float(ts[i])
-        return NoSolution(traj(t, start, final), t, float(dists[i]))
 
     denom = n_samples - 1
     best_dist = math.inf
@@ -191,11 +160,3 @@ def hypersphere_clamp(
             best_t = t
             best_point = point
     return NoSolution(best_point, best_t, best_dist)
-
-
-def _grid_distances(grid_eval, state, start, final, ts) -> np.ndarray:
-    """``grid_eval`` over ``ts``, shape-checked."""
-    dists = np.asarray(grid_eval(state, start, final, ts), dtype=np.float64)
-    if dists.shape != ts.shape:
-        raise ValueError("grid_eval returned wrong number of distances")
-    return dists

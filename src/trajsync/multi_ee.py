@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .metric_core import ClampOutcome, hypersphere_clamp
+from .metric_core import ClampOutcome, NoSolution, Solution, _floor_index, grid_parameters
 from .se3 import (
     FLAT_ARC_ANGLE,
     Pose,
@@ -332,20 +332,33 @@ class StackedSegment:
             start._v, final._v, start._q, final._q, p_e, r_e, rot
         )
 
-    def grid_eval(self, Y: MultiPose, S: MultiPose, F: MultiPose, ts: np.ndarray) -> np.ndarray:
-        """The ``GridEvalFn`` of this segment (``S`` and ``F`` are its own
-        endpoints): equal to evaluating ``stacked_distance`` against
-        ``stacked_interp`` sample by sample, to within ~1e-12."""
-        _check_names(Y, S)
-        coeffs = _kernels.segment_coefficients(self.constants, Y._v, Y._q)
-        return _kernels.grid_distances(ts, coeffs, self.params.norm_order)
-
     def clamp(self, state: MultiPose, t_min: float = 0.0) -> ClampOutcome:
-        """``clamp_stacked`` of this segment against ``state``."""
-        return hypersphere_clamp(
-            state, self.start, self.final, stacked_interp, self.params.distance,
-            self.n_samples, self.grid_eval, t_min=t_min,
-        )
+        """``clamp_stacked`` of this segment against ``state``: the outcome of
+        ``metric_core.hypersphere_clamp`` over ``stacked_interp`` and
+        ``params.distance``, its distances from the grid kernel (equal to
+        the metric to ~1e-12).
+
+        ``t_min`` orders the work, never the outcome: the samples at or above
+        it are scored first, and the rest only when none of those is within
+        the ball. A caller that discards hits below some t passes that t.
+        """
+        _check_names(state, self.start)
+        n = self.n_samples
+        ts = grid_parameters(n)
+        coeffs = _kernels.segment_coefficients(self.constants, state._v, state._q)
+        k = self.params.norm_order
+        j = _floor_index(n, t_min) or n  # none above: all at once
+        dists = _kernels.grid_distances(ts[:j], coeffs, k)
+        feasible = dists <= 1.0
+        if j < n and not feasible.any():
+            dists = np.concatenate((dists, _kernels.grid_distances(ts[j:], coeffs, k)))
+            feasible = dists <= 1.0
+        hit = bool(feasible.any())
+        # The first feasible sample, or the first minimum: the largest t.
+        i = int(np.argmax(feasible) if hit else np.argmin(dists))
+        t = float(ts[i])
+        outcome = Solution if hit else NoSolution
+        return outcome(stacked_interp(t, self.start, self.final), t, float(dists[i]))
 
 
 def clamp_stacked(
@@ -360,7 +373,7 @@ def clamp_stacked(
     """Hypersphere clamp specialized to stacked LERP/SLERP segments.
 
     ``t_min`` scores the grid at and above it first; the outcome is the
-    same for every ``t_min`` (see ``metric_core.hypersphere_clamp``). The
+    same for every ``t_min`` (see ``StackedSegment.clamp``). The
     segment's constants are built for this call alone; a caller that clamps
     one segment again and again keeps its ``StackedSegment``.
     """

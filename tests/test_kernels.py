@@ -27,7 +27,9 @@ def random_multipose(rng, n):
 
 def grid_eval(state, start, final, params, ts):
     """The segment's batched distances from ``state`` at every sample of ``ts``."""
-    return StackedSegment(start, final, params, len(ts)).grid_eval(state, start, final, ts)
+    constants = StackedSegment(start, final, params, len(ts)).constants
+    coeffs = segment_coefficients(constants, state._v, state._q)
+    return grid_distances(ts, coeffs, params.norm_order)
 
 
 def random_params(rng, n, k):

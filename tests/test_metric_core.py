@@ -166,44 +166,6 @@ def test_clamp_rejects_degenerate_grid():
         clamp1d(0.0, 0.0, 1.0, 1)
 
 
-def test_batch_grid_eval_matches_sequential_scan():
-    def grid_eval(y, s, f, ts):
-        return np.abs(s + ts * (f - s) - y)
-
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        s, f, y = rng.uniform(-10, 10, size=3)
-        n = max(2, int(rng.integers(2, 50)))
-        seq = clamp1d(y, s, f, n)
-        bat = hypersphere_clamp(y, s, f, lerp, dist, n, grid_eval=grid_eval)
-        assert type(seq) is type(bat)
-        if isinstance(seq, Solution):
-            assert bat.t == seq.t
-            assert bat.point == seq.point
-            assert bat.dist == seq.dist
-        else:
-            assert bat.nearest_t == seq.nearest_t
-            assert bat.nearest_point == seq.nearest_point
-            assert bat.nearest_dist == seq.nearest_dist
-
-
-def test_batch_grid_eval_shape_check():
-    with pytest.raises(ValueError):
-        hypersphere_clamp(
-            0.0, 0.0, 1.0, lerp, dist, 5, grid_eval=lambda y, s, f, ts: ts[:2]
-        )
-
-
-def test_floor_first_grid_eval_shape_check():
-    # the samples at and above the floor, then the rest: both are checked
-    for grid_eval in (
-        lambda y, s, f, ts: np.zeros(len(ts) + 1),
-        lambda y, s, f, ts: np.full(len(ts) + (ts[0] < 0.6), 2.0),
-    ):
-        with pytest.raises(ValueError):
-            hypersphere_clamp(0.0, 0.0, 1.0, lerp, dist, 5, grid_eval=grid_eval, t_min=0.6)
-
-
 @pytest.mark.parametrize("n", [2, 708, 1_000_000])
 def test_floor_index_counts_the_samples_at_or_above_the_floor(n):
     ts = grid_parameters(n)

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trajsync import _kernels
 from trajsync.metric_core import NoSolution, Solution, grid_parameters, hypersphere_clamp
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
+    StackedSegment,
     clamp_stacked,
     multi_pose,
     per_ee_distances,
@@ -192,10 +194,10 @@ def test_metric_length_mismatch_rejected():
 # --- stacked clamp -----------------------------------------------------------
 
 def test_clamp_stacked_equals_generic_scan():
+    # The batched floor-first scan against the sequential scan over the same
+    # interpolant and metric: the same outcome and sample for every norm
+    # order, and the same bits under a floor on and off the grid.
     rng = np.random.default_rng(9)
-    params = MultiMetricParams(
-        (Se3MetricParams(20.0, 0.6), Se3MetricParams(35.0, math.inf)),
-    )
 
     def rand_mp():
         return pair(
@@ -203,25 +205,86 @@ def test_clamp_stacked_equals_generic_scan():
             Pose(rng.uniform(-80, 80, 3), quat_normalize(rng.normal(size=4))),
         )
 
-    for _ in range(60):
-        start, final, state = rand_mp(), rand_mp(), rand_mp()
-        n = int(rng.integers(2, 120))
-        fast = clamp_stacked(state, start, final, params, n)
-        slow = hypersphere_clamp(
-            state,
-            start,
-            final,
-            stacked_interp,
-            lambda a, b: stacked_distance(a, b, params),
-            n,
+    seen = set()
+    for k in (1.0, 2.0, 3.5, math.inf):
+        params = MultiMetricParams(
+            (Se3MetricParams(20.0, 0.6), Se3MetricParams(35.0, math.inf)), norm_order=k
         )
-        assert type(fast) is type(slow)
-        if isinstance(fast, Solution):
-            assert fast.t == slow.t
-            assert fast.dist == pytest.approx(slow.dist, abs=1e-9)
-        else:
-            assert fast.nearest_t == slow.nearest_t
-            assert fast.nearest_dist == pytest.approx(slow.nearest_dist, abs=1e-9)
+        for i in range(40):
+            start, final, state = rand_mp(), rand_mp(), rand_mp()
+            if i % 2:  # near the segment, so that some samples are in the ball
+                on_path = stacked_interp(rng.uniform(), start, final)
+                state = MultiPose._of_arrays(
+                    on_path.names, on_path.translations() + rng.uniform(-5, 5, (2, 3)),
+                    on_path.quaternions().copy(),
+                )
+            n = int(rng.integers(2, 120))
+            fast = clamp_stacked(state, start, final, params, n)
+            slow = hypersphere_clamp(state, start, final, stacked_interp, params.distance, n)
+            assert type(fast) is type(slow)
+            seen.add((k, type(fast)))
+            assert outcome_bits(fast)[3:] == outcome_bits(slow)[3:]  # the point
+            if isinstance(fast, Solution):
+                assert fast.t == slow.t
+                assert fast.dist == pytest.approx(slow.dist, abs=1e-9)
+            else:
+                assert fast.nearest_t == slow.nearest_t
+                assert fast.nearest_dist == pytest.approx(slow.nearest_dist, abs=1e-9)
+            on_grid = float(grid_parameters(n)[rng.integers(n)])
+            for t_min in (on_grid, float(rng.uniform())):
+                floored = clamp_stacked(state, start, final, params, n, t_min=t_min)
+                assert outcome_bits(floored) == outcome_bits(fast)
+    assert len(seen) == 8  # a hit and a miss under every norm order
+    with pytest.raises(ValueError):
+        clamp_stacked(state, start, final, params, 1)
+    with pytest.raises(ValueError):
+        hypersphere_clamp(state, start, final, stacked_interp, params.distance, 1)
+    renamed = MultiPose(("a", "c"), state.poses)
+    with pytest.raises(ValueError):
+        clamp_stacked(renamed, start, final, params, 5)
+    with pytest.raises(ValueError):
+        hypersphere_clamp(renamed, start, final, stacked_interp, params.distance, 5)
+
+
+def test_clamp_stacked_tie_resolves_to_larger_t():
+    # A segment that stays put puts every sample at the same distance: the
+    # nearest sample is the first of the equal minima, t = 1.
+    params = MultiMetricParams.uniform(2, p_e=10.0)
+    start, final = pair(pose(0.0), pose(5.0)), pair(pose(0.0), pose(5.0))
+    out = StackedSegment(start, final, params, 7).clamp(pair(pose(30.0), pose(5.0)))
+    assert isinstance(out, NoSolution)
+    assert out.nearest_t == 1.0
+    assert out.nearest_dist == 3.0
+
+
+def test_clamp_stacked_counts_a_distance_of_exactly_one_as_inside():
+    # The sample at t = 0.5 lies at distance 1.0 exactly, and the one above
+    # it outside: it is the hit with or without a floor above it.
+    params = MultiMetricParams.uniform(1, p_e=10.0)
+    one = lambda x: MultiPose(("a",), (pose(x),))
+    for t_min in (0.0, 0.7):
+        out = clamp_stacked(one(40.0), one(0.0), one(100.0), params, 101, t_min=t_min)
+        assert isinstance(out, Solution)
+        assert (out.t, out.dist) == (0.5, 1.0)
+
+
+def test_floored_clamp_computes_the_coefficients_once(monkeypatch):
+    # The only hit lies below the floor, so the tail is scored too; both
+    # parts share one set of coefficients.
+    calls = []
+    coefficients = _kernels.segment_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return coefficients(*args)
+
+    monkeypatch.setattr(_kernels, "segment_coefficients", counted)
+    params = MultiMetricParams.uniform(1, p_e=10.0)
+    one = lambda x: MultiPose(("a",), (pose(x),))
+    out = clamp_stacked(one(24.5), one(0.0), one(100.0), params, 101, t_min=0.5)
+    assert isinstance(out, Solution)
+    assert out.t == grid_parameters(101)[66]  # 0.34
+    assert len(calls) == 1
 
 
 def test_clamp_stacked_solution_is_on_the_interpolant():
