@@ -17,6 +17,11 @@ from trajsync.metric_core import (
     sample_count,
     weighted_euclidean,
 )
+from trajsync.multi_ee import MultiMetricParams, MultiPose, StackedSegment
+from trajsync.se3 import Pose
+
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
 
 # 1D toy space: points are floats, the trajectory is scalar LERP and the
 # metric is plain absolute difference (allowed deviation 1).
@@ -164,6 +169,38 @@ def test_nearest_sample_tie_resolves_to_larger_t():
 def test_clamp_rejects_degenerate_grid():
     with pytest.raises(ValueError):
         clamp1d(0.0, 0.0, 1.0, 1)
+
+
+def test_batch_grid_eval_matches_sequential_scan():
+    # The stacked segment's batched floor-first scan, on one translation-only
+    # limb moving along x with p_e = 1, is this 1D toy space: it picks the
+    # same sample as the sequential scan, with or without a floor.
+    def on_x(x):
+        return MultiPose(("a",), (Pose(np.array([x, 0.0, 0.0]), IDENTITY),))
+
+    def bits(outcome):
+        point, t, d = vars(outcome).values()
+        return type(outcome), point.translations().tobytes(), t, d
+
+    params = MultiMetricParams.uniform(1, p_e=1.0)
+    rng = np.random.default_rng(7)
+    cases = [(*rng.uniform(-10, 10, size=3), int(rng.integers(2, 50))) for _ in range(200)]
+    cases += [(0.0, 0.0, 5.0, 7), (0.0, 4.0, 5.0, 5)]  # equal minima; a distance of exactly 1
+    seen = set()
+    for s, f, y, n in cases:
+        seq = clamp1d(y, s, f, n)
+        segment = StackedSegment(on_x(s), on_x(f), params, n)
+        bat = segment.clamp(on_x(y))
+        assert type(seq) is type(bat)
+        seen.add(type(seq))
+        point, t, d = vars(bat).values()
+        seq_point, seq_t, seq_d = vars(seq).values()
+        assert t == seq_t
+        assert point.translations()[0] == pytest.approx([seq_point, 0.0, 0.0], abs=1e-12)
+        assert d == pytest.approx(seq_d, abs=1e-12)
+        for t_min in (float(grid_parameters(n)[rng.integers(n)]), float(rng.uniform())):
+            assert bits(segment.clamp(on_x(y), t_min)) == bits(bat)
+    assert seen == {Solution, NoSolution}
 
 
 @pytest.mark.parametrize("n", [2, 708, 1_000_000])
