@@ -151,7 +151,7 @@ def _span(mask: np.ndarray, flipped: np.ndarray) -> tuple[int, int] | None:
     return first, len(mask) - int(np.argmax(flipped))
 
 
-def _scan(n_samples: int, bound, exact) -> tuple[bool, float, float]:
+def _scan(n_samples: int, bound, exact=None) -> tuple[bool, float, float]:
     """Descending-grid scan, bound first, then exact evaluation.
 
     bound(ts, ws) returns a lower bound on the distance at every t of a
@@ -159,7 +159,9 @@ def _scan(n_samples: int, bound, exact) -> tuple[bool, float, float]:
     may write ws.dists, so a bound is read only before exact is called. The
     result is the one a single pass of exact over every chunk returns: the
     first sample (largest t) at distance <= 1, else the first sample of
-    least distance (see oracle_scan_1d).
+    least distance (see oracle_scan_1d). exact is None when the bound is
+    the distance itself: the hit is then the span's first sample, and the
+    nearest sample the one of least bound, both read from the bound.
 
     Phase 1 bounds each chunk in descending order. A sample whose bound
     exceeds 1 has a distance above 1, so exact runs only over the span from
@@ -196,6 +198,8 @@ def _scan(n_samples: int, bound, exact) -> tuple[bool, float, float]:
         if span is None:
             continue
         first, last = span
+        if exact is None:
+            return True, float(ts[first]), float(lb[first])
         dists = exact(ts[first:last], ws)
         feasible = np.less_equal(dists, 1.0, out=ws.feasible[: last - first])
         if feasible.any():
@@ -206,6 +210,8 @@ def _scan(n_samples: int, bound, exact) -> tuple[bool, float, float]:
         return False, 1.0, math.inf
     lo, hi, j = seed
     ts = _chunk_ts(ws, lo, hi, n_samples)
+    if exact is None:
+        return False, float(ts[j]), seed_bound
     best_dist = math.nextafter(float(exact(ts[j : j + 1], ws)[0]), math.inf)
     best_t = 1.0
     for (lo, hi), lb_least in zip(_chunk_bounds(n_samples), least):
@@ -246,7 +252,7 @@ def oracle_scan_1d(
         return d
 
     # The distance is as cheap as any bound on it, so it is its own bound.
-    return _scan(n_samples, chunk_dists, chunk_dists)
+    return _scan(n_samples, chunk_dists)
 
 
 def _limb_constants(start: Pose, final: Pose, target: Pose):

@@ -1,6 +1,7 @@
 """The command-line interface: trace export formats, config handling and
 exit codes."""
 
+import functools
 import hashlib
 import json
 import os
@@ -86,8 +87,13 @@ def test_jsonl_rows_mirror_the_csv_columns(tmp_path):
         assert list(row) == CSV_HEADER.split(",")
 
 
-# sha256 of each builtin's json-lines trace; perfbench/run.py --check-only
-# pins the CSV bytes
+# sha256 of each builtin's CSV and json-lines traces
+BUILTIN_CSV_SHA256 = {
+    "out_of_range": "865324924eae583cec4cc8a582f9338915d97c5ea2c6ef02eeec85bd19bcfad7",
+    "nominal_square": "2f470232c10fccaf1ad6bd6342e102e9c8e639b5a7c0aa30513ac3f7aebba99e",
+    "power_loss": "dc25135e77dda6ffa9aa30f8d3f06224afd2cd0a6b38f579e5e47ddae3cde028",
+    "robustness_mix": "cbed3e86f7e9ab3e4a37e0685386c07d4811e84f9d7a5c907f699cd88b166ded",
+}
 BUILTIN_JSONL_SHA256 = {
     "out_of_range": "57dcf8c3853e0e8215c41468e912db496c66b4305be538071439f5481b174da1",
     "nominal_square": "7beffdfd62637a78da601f9c87a076d2378323e3580b206b4219471ae5fb5286",
@@ -96,11 +102,24 @@ BUILTIN_JSONL_SHA256 = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def builtin_trace(name):
+    """One run of a builtin, shared by both formats' pins."""
+    return run_scenario(get_scenario(name))
+
+
 @pytest.mark.parametrize("name", BUILTIN_JSONL_SHA256)
 def test_builtin_jsonl_bytes_are_pinned(tmp_path, name):
     out = tmp_path / "trace.jsonl"
-    cli.write_trace_jsonl(run_scenario(get_scenario(name)), out)
+    cli.write_trace_jsonl(builtin_trace(name), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_JSONL_SHA256[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_CSV_SHA256)
+def test_builtin_csv_bytes_are_pinned(tmp_path, name):
+    out = tmp_path / "trace.csv"
+    cli.write_trace_csv(builtin_trace(name), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_CSV_SHA256[name]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -10,7 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trajsync import _kernels
-from trajsync.metric_core import NoSolution, Solution, grid_parameters, hypersphere_clamp
+from trajsync.metric_core import (
+    ClampConfig,
+    NoSolution,
+    Solution,
+    _floor_index,
+    grid_parameters,
+    hypersphere_clamp,
+    sample_count,
+)
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
@@ -388,3 +396,194 @@ def test_floor_first_scan_keeps_the_outcome(instance):
         assume(hit and whole.t < t_min)
     elif case == "no_hit":
         assume(not hit)
+
+
+# --- rotation-free window ------------------------------------------------------
+
+def whole_grid_clamp(segment, state):
+    """The clamp with every sample scored in one kernel call: the outcome the
+    floor-first scan gives under every floor."""
+    ts = grid_parameters(segment.n_samples)
+    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    dists = _kernels.grid_distances(ts, coeffs, segment.params.norm_order)
+    feasible = dists <= 1.0
+    hit = bool(feasible.any())
+    i = int(np.argmax(feasible) if hit else np.argmin(dists))
+    t = float(ts[i])
+    outcome = Solution if hit else NoSolution
+    return outcome(stacked_interp(t, segment.start, segment.final), t, float(dists[i]))
+
+
+def scored_samples(monkeypatch):
+    """The sample count of every grid kernel call made from now on."""
+    calls = []
+    grid = _kernels.grid_distances
+
+    def counted(ts, coeffs, k):
+        calls.append(len(ts))
+        return grid(ts, coeffs, k)
+
+    monkeypatch.setattr(_kernels, "grid_distances", counted)
+    return calls
+
+
+def along_x(x, n_limbs=1):
+    """n limbs at x, 3 mm apart along y."""
+    names = tuple(f"l{i}" for i in range(n_limbs))
+    return MultiPose(names, tuple(pose(x, 3.0 * i) for i in range(n_limbs)))
+
+
+@st.composite
+def windowed_clamps(draw):
+    """A rotation-free stacked clamp and a floor t_min, the state at a chosen
+    stacked distance r from the path at some t, anywhere or near the floor:
+    off the path at right angles to every limb's motion (so r is the least
+    distance), or in any direction."""
+    n_limbs = draw(st.integers(1, 6))
+    k = draw(st.sampled_from((1.0, 2.0, 3.5, math.inf)))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3, 1e6)))  # mm
+    r = draw(st.sampled_from((0.5, 0.999, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.001, 2.0, 50.0)))
+    tangent = draw(st.booleans())
+    n = draw(st.integers(2, 900) | st.integers(300, 900))
+    j = min(n, draw(st.one_of(st.integers(1, 63), st.sampled_from((64, 65)), st.integers(66, 900))))
+    floor = draw(st.sampled_from(("none", "on_grid", "off_grid")))
+    near_floor = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = tuple(f"l{i}" for i in range(n_limbs))
+
+    def stack(v):
+        return MultiPose(names, tuple(Pose(row, IDENTITY) for row in v))
+
+    v_start = rng.uniform(-scale, scale, (n_limbs, 3))
+    dv = rng.uniform(-scale, scale, (n_limbs, 3))
+    dv[rng.uniform(size=n_limbs) < 0.2] = 0.0  # limbs that stay put
+    p_e = scale * 10.0 ** rng.uniform(-2.5, 0.5, n_limbs)
+    params = MultiMetricParams(tuple(Se3MetricParams(p) for p in p_e), norm_order=k)
+    offset = rng.normal(size=(n_limbs, 3))
+    if tangent:
+        for o, d in zip(offset, dv):
+            if d.any():
+                o -= (o @ d) / (d @ d) * d
+    offset /= np.linalg.norm(offset, axis=1)[:, None]
+    c = rng.uniform(0.1, 1.0, n_limbs)
+    c *= r / np.linalg.norm(c, k)
+    ts = grid_parameters(n)
+    if floor == "none" or j == n:
+        j, t_min = n, 0.0
+    elif floor == "on_grid":
+        t_min = float(ts[j - 1])
+    else:
+        t_min = float(0.5 * (ts[j] + ts[j - 1]))
+    t_state = min(max(ts[j - 1] + rng.uniform(-0.05, 0.1), 0.0), 1.0) if near_floor else rng.uniform()
+    state = stack(v_start + t_state * dv + offset * (c * p_e)[:, None])
+    return StackedSegment(stack(v_start), stack(v_start + dv), params, n), state, t_min
+
+
+@settings(max_examples=800, deadline=None)
+@given(windowed_clamps())
+def test_rotation_free_window_keeps_the_outcome(instance):
+    segment, state, t_min = instance
+    assert outcome_bits(segment.clamp(state, t_min)) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+@pytest.mark.parametrize("t_min", [0.0, 0.5])
+def test_window_top_inside_the_ball_falls_back(monkeypatch, t_min):
+    # Every sample is inside the ball, the window's top too: the window's
+    # first feasible sample is not the hit, t = 1 is.
+    segment = StackedSegment(along_x(0.0), along_x(100.0), MultiMetricParams.uniform(1, 1000.0), 700)
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(along_x(50.0), t_min)
+    assert isinstance(out, Solution)
+    assert out.t == 1.0
+    j = _floor_index(700, t_min) or 700
+    assert calls == [64, j - 64]
+
+
+def test_window_top_within_the_margin_falls_back(monkeypatch):
+    # The window's top reads 1 + 1e-5, above the ball but inside the margin
+    # of this 699 mm segment: the rest of the grid is scored.
+    params = MultiMetricParams.uniform(1, 1.0)
+    segment = StackedSegment(along_x(0.0), along_x(699.0), params, 700)
+    ts = grid_parameters(700)
+    state = along_x(float(ts[636]) * 699.0 - 1.0 - 1e-5)
+    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    top = _kernels.grid_distances(ts[636:], coeffs, math.inf)[0]
+    assert 1.0 < top <= 1.0 + segment._margin
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == [64, 636]
+    assert isinstance(out, Solution) and out.t == ts[637]
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+def test_window_miss_reports_the_nearest_sample_of_the_whole_grid(monkeypatch):
+    # The state is far off the path beside t = 0.3, above the window of the
+    # lowest 64 samples: the window finds no hit, and the nearest sample
+    # comes from the rest of the grid.
+    params = MultiMetricParams.uniform(2, 10.0, norm_order=2.0)
+    segment = StackedSegment(along_x(0.0, 2), along_x(100.0, 2), params, 700)
+    state = MultiPose(("l0", "l1"), (pose(30.0, 50.0), pose(30.0, 53.0)))
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert isinstance(out, NoSolution)
+    assert abs(out.nearest_t - 0.3) < 2e-3
+    assert calls == [64, 636]
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+def test_window_hit_only_below_the_floor_scores_the_tail(monkeypatch):
+    params = MultiMetricParams.uniform(1, 10.0)
+    segment = StackedSegment(along_x(0.0), along_x(100.0), params, 700)
+    state = along_x(20.0)
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state, 0.6)
+    assert isinstance(out, Solution)
+    assert abs(out.t - 0.3) < 2e-3
+    j = _floor_index(700, 0.6)
+    assert calls == [64, j - 64, 700 - j]
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+def test_rotating_stack_with_two_feasible_intervals_returns_the_higher(monkeypatch):
+    # One limb turning about z from 100 to 260 degrees, sensed at the
+    # identity: the relative angle runs 100 -> 180 -> 100 degrees, so under
+    # r_e = 110 degrees t in [0, 0.0625] and [0.9375, 1] are feasible. The
+    # lowest 64 samples hold a hit below a top far outside the ball, yet the
+    # hit is t = 1: a rotating stack scores its whole head.
+    def turned(degrees):
+        q = quat_from_axis_angle(Z, math.radians(degrees))
+        return MultiPose(("a",), (pose(0.0, q=q),))
+
+    params = MultiMetricParams.uniform(1, 10.0, r_e=math.radians(110.0))
+    segment = StackedSegment(turned(100.0), turned(260.0), params, 101)
+    state = MultiPose(("a",), (pose(0.0),))
+    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    lowest = _kernels.grid_distances(grid_parameters(101)[-64:], coeffs, math.inf)
+    assert lowest[0] > 1.4 and (lowest <= 1.0).any()
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert isinstance(out, Solution)
+    assert out.t == 1.0
+    assert calls == [101]
+
+
+@pytest.mark.parametrize("r_e", [math.inf, 0.5])
+def test_steady_tracking_clamp_scores_one_window(monkeypatch, r_e):
+    # Six limbs on a 700-sample segment, the state half a ball off the path
+    # and the floor 3 samples below the hit, as a step after a steady one
+    # sees it. Without rotation one kernel call scores the 64 samples at and
+    # above the floor; with rotation the whole head is scored.
+    params = MultiMetricParams.uniform(6, 10.0, r_e=r_e)
+    start, final = along_x(0.0, 6), along_x(70.0, 6)
+    segment = StackedSegment(start, final, params, 700)
+    assert sample_count(start, final, params.distance, ClampConfig()) == 700
+    state = MultiPose(start.names, tuple(pose(28.0, 3.0 * i, 5.0) for i in range(6)))
+    whole = whole_grid_clamp(segment, state)
+    assert isinstance(whole, Solution)
+    ts = grid_parameters(700)
+    hit = int(np.flatnonzero(ts == whole.t)[0])
+    t_min = float(ts[hit + 3])
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state, t_min)
+    assert outcome_bits(out) == outcome_bits(whole)
+    assert calls == ([64] if math.isinf(r_e) else [hit + 4])
