@@ -309,27 +309,31 @@ def per_ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> t
     return tuple(_ee_distances(x, y, params).tolist())
 
 
-# Samples a rotation-free clamp scores first: the window ts[j - _WINDOW : j]
-# just above the floor j. On robustness_mix a steady tracking hit lies a
-# median of 0 samples above the floor, 98% of them within 32 and 99.5%
-# within 64.
+# Samples a rotation-free clamp under a finite norm order scores first: the
+# window ts[j - _WINDOW : j] just above the floor j. On robustness_mix a
+# steady tracking hit lies a median of 0 samples above the floor, 98% of
+# them within 32 and 99.5% within 64 (measured under the infinity norm,
+# whose clamp now locates its hit instead).
 _WINDOW = 64
 
 
-def _window_margin(ta) -> float:
-    """How far above 1 the window's top sample must read for the window's
-    first feasible sample to be the clamp's hit, on a rotation-free stack
-    whose limbs travel ``ta`` = |dv_i|**2 / p_e_i**2 along the segment.
+def _convexity_margin(ta) -> float:
+    """How far above 1 a sample must read for the first feasible sample
+    below it to be the clamp's hit, on a rotation-free stack whose limbs
+    travel ``ta`` = |dv_i|**2 / p_e_i**2 along the segment.
 
     Without rotation, limb i is at D_i(t) = |dv_i t + sv_i| / p_e_i from the
     state (sv_i = vs_i - vy_i), taking the floats the coefficients are built
     from as exact: the norm of an affine function of t, so convex, and so is
     their k-norm D (k >= 1). Let F be the kernel's reading of D and e a bound
-    on |F - D| where D <= 2. If the window's top t_0 reads F(t_0) > 1 with a
-    feasible sample t_p below it, a sample t' above the window with
-    F(t') <= 1 would give D(t_p), D(t') <= 1 + e, so D(t_0) <= 1 + e by
-    convexity and F(t_0) <= 1 + 2e. A finite F(t_0) above 1 + 2e rules t'
-    out, in the floats as in exact arithmetic.
+    on |F - D| where D <= 2. Take two samples t_0 > t_p, every sample between
+    them read and outside the ball: the window's top and its first feasible
+    sample, or the located pair ts[i - 1], ts[i] of ``_located_hit``, which
+    have none between them. If F(t_0) > 1 and F(t_p) <= 1, a sample t' > t_0
+    with F(t') <= 1 would give D(t_p), D(t') <= 1 + e, so D(t_0) <= 1 + e by
+    convexity and F(t_0) <= 1 + 2e. So F(t_0) above 1 + 2e, inf included,
+    rules t' out, in the floats as in exact arithmetic, and t_p is the
+    grid's first feasible sample: the hit.
 
     The bound e, with eps = 2**-52, a_i = sqrt(ta_i) and c_i = |sv_i| / p_e_i:
     the coefficients (3-term dot products, quotients by the rounded p_e**2)
@@ -345,13 +349,21 @@ def _window_margin(ta) -> float:
     <= 2 + a_i, the triangle inequality at the feasible t_p. So
     e < n (sqrt(8 eps) (2 max_i a_i + 2) + 8 eps), and the margin is twice
     that. F(t_p) <= 1 bounds D(t_p) by 2 only while e is small: past
-    e = 1/8 (limbs that travel some 10**5 balls) the margin is inf. A top
-    that overflows reads inf and never passes, and a NaN coefficient makes
-    every reading NaN, which fails the comparison.
+    e = 1/8 (limbs that travel some 10**5 balls) the margin is inf. A NaN
+    coefficient makes every kernel reading NaN, which fails the comparison.
     """
     eps = 2.0**-52
     e = len(ta) * (math.sqrt(8.0 * eps) * (2.0 * math.sqrt(max(ta.tolist())) + 2.0) + 8.0 * eps)
     return 2.0 * e if e <= 0.125 else math.inf
+
+
+def _reading(limbs, t: float) -> float:
+    """The grid kernel's infinity-norm distance at t of rotation-free limbs,
+    each ``(ta, tb, tc)``, in the kernel's own operations: ((ta t) t + tb t)
+    + tc per limb, clamped at 0, the largest, its root. Every one rounds as
+    numpy's does, so the reading equals ``_kernels.grid_distances`` bit for
+    bit where no coefficient is NaN (Python's max would pass a NaN over)."""
+    return math.sqrt(max(0.0, *[a * t * t + b * t + c for a, b, c in limbs]))
 
 
 class StackedSegment:
@@ -376,9 +388,8 @@ class StackedSegment:
         self.constants = _kernels.segment_constants(
             start._v, final._v, start._q, final._q, p_e, r_e, rot
         )
-        # None where no window is scored: with rotation, or on a grid no
-        # longer than the window.
-        self._margin = None if rot or n_samples <= _WINDOW else _window_margin(self.constants[3])
+        # None with rotation, where D is not convex in t.
+        self._margin = None if rot else _convexity_margin(self.constants[3])
 
     def clamp(self, state: MultiPose, t_min: float = 0.0) -> ClampOutcome:
         """``clamp_stacked`` of this segment against ``state``: the outcome of
@@ -386,22 +397,33 @@ class StackedSegment:
         ``params.distance``, its distances from the grid kernel (equal to
         the metric to ~1e-12).
 
-        ``t_min`` orders the work, never the outcome: the samples at or above
-        it are scored first, and the rest only when none of those is within
-        the ball. A caller that discards hits below some t passes that t.
-        Without rotation, the ``_WINDOW`` samples at and just above the floor
-        are scored before the rest of those: when the window's top sample
-        lies clear of the ball and one below it inside, the ball's interval
-        of t ends in the window (see ``_window_margin``), and no other sample
-        is scored. Otherwise the rest of the grid is scored as above.
+        Without rotation under the infinity norm, the hit is first located
+        in closed form and certified by two samples read as the kernel
+        reads them (``_located_hit``); a certified hit calls no kernel.
+        Otherwise the grid is scored, and ``t_min`` orders that work, never
+        the outcome: the samples at or above it are scored first, and the
+        rest only when none of those is within the ball. A caller that
+        discards hits below some t passes that t. Without rotation under a
+        finite norm order, the ``_WINDOW`` samples at and just above the
+        floor are scored before the rest of those: when the window's top
+        sample lies clear of the ball and one below it inside, the ball's
+        interval of t ends in the window (see ``_convexity_margin``), and no
+        other sample is scored. Otherwise the rest of the grid is scored as
+        above.
         """
         _check_names(state, self.start)
-        n = self.n_samples
-        ts = grid_parameters(n)
         coeffs = _kernels.segment_coefficients(self.constants, state._v, state._q)
         k = self.params.norm_order
+        window = self._margin is not None
+        if window and math.isinf(k):
+            hit = self._located_hit(coeffs)
+            if hit is not None:
+                return hit
+            window = False
+        n = self.n_samples
+        ts = grid_parameters(n)
         j = _floor_index(n, t_min) or n  # none above: all at once
-        lo = 0 if self._margin is None else max(j - _WINDOW, 0)
+        lo = max(j - _WINDOW, 0) if window else 0
         dists = _kernels.grid_distances(ts[lo:j], coeffs, k)
         feasible = dists <= 1.0
         top = float(dists[0])
@@ -419,6 +441,50 @@ class StackedSegment:
         outcome = Solution if hit else NoSolution
         return outcome(stacked_interp(t, self.start, self.final), t, float(dists[i]))
 
+    def _located_hit(self, coeffs) -> Solution | None:
+        """The infinity-norm clamp's hit without the grid kernel, or None.
+
+        Under the infinity norm a rotation-free stack is within the ball
+        where ta_i t**2 + tb_i t + tc_i <= 1 for every limb i: an interval
+        of t, whose top is the least of the limbs' upper roots (and 1). The
+        roots only propose i, the index of the highest sample at or below
+        that top; ``_reading`` then reads ts[i] and ts[i - 1] bit for bit as
+        the kernel would. ts[i] is the hit when it reads inside the ball and
+        either i = 0 or ts[i - 1] reads above 1 + margin (see
+        ``_convexity_margin``; while the margin is finite every limb travels
+        under 1.5e6 balls, so a sample next to a feasible one reads finite).
+        Anything else returns None: an empty interval (a miss), a proposal
+        off by a rounding, a non-finite coefficient, or an infinite margin.
+        """
+        ta, tb, tc = (c.tolist() for c in coeffs[:3])
+        # ta is finite wherever the margin is; a NaN or inf anywhere in tb or
+        # tc makes this sum one too, and Python's max would hide a NaN.
+        if not math.isfinite(sum(tb) + sum(tc)):
+            return None
+        limbs = list(zip(ta, tb, tc))
+        top = 1.0
+        for a, b, c in limbs:
+            if a > 0.0:
+                disc = b * b - 4.0 * a * (c - 1.0)
+                if disc < 0.0:
+                    return None  # never inside its ball
+                s = math.sqrt(disc)
+                # the upper root, in the form without cancellation
+                top = min(top, (s - b) / (2.0 * a) if b <= 0.0 else 2.0 * (1.0 - c) / (b + s))
+            elif b > 0.0:
+                top = min(top, (1.0 - c) / b)
+        if not top >= 0.0:
+            return None
+        last = self.n_samples - 1
+        i = math.ceil((1.0 - top) * last)
+        t = 1.0 - i / last  # ts[i] bit for bit, as in _floor_index
+        dist = _reading(limbs, t)
+        if not dist <= 1.0:
+            return None
+        if i and not _reading(limbs, 1.0 - (i - 1) / last) > 1.0 + self._margin:
+            return None
+        return Solution(stacked_interp(t, self.start, self.final), t, dist)
+
 
 def clamp_stacked(
     state: MultiPose,
@@ -431,10 +497,12 @@ def clamp_stacked(
 ) -> ClampOutcome:
     """Hypersphere clamp specialized to stacked LERP/SLERP segments.
 
+    Without rotation under the infinity norm the hit is located in closed
+    form and certified by two samples, with no grid scored. Otherwise
     ``t_min`` orders the work, never the outcome: the grid at and above it
-    is scored first, and without rotation the 64 samples just above it
-    before the rest (see ``StackedSegment.clamp``). The
-    segment's constants are built for this call alone; a caller that clamps
-    one segment again and again keeps its ``StackedSegment``.
+    is scored first, and without rotation under a finite norm order the 64
+    samples just above it before the rest (see ``StackedSegment.clamp``).
+    The segment's constants are built for this call alone; a caller that
+    clamps one segment again and again keeps its ``StackedSegment``.
     """
     return StackedSegment(start, final, params, n_samples).clamp(state, t_min)

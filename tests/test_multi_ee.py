@@ -29,7 +29,9 @@ from trajsync.multi_ee import (
     stacked_distance,
     stacked_interp,
 )
+from trajsync.scenarios import get_scenario
 from trajsync.se3 import Pose, Se3MetricParams, quat_from_axis_angle, quat_normalize, se3_interp
+from trajsync.sim import run_scenario
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -398,7 +400,7 @@ def test_floor_first_scan_keeps_the_outcome(instance):
         assume(not hit)
 
 
-# --- rotation-free window ------------------------------------------------------
+# --- rotation-free clamps: the located hit and the window ---------------------
 
 def whole_grid_clamp(segment, state):
     """The clamp with every sample scored in one kernel call: the outcome the
@@ -436,18 +438,24 @@ def along_x(x, n_limbs=1):
 @st.composite
 def windowed_clamps(draw):
     """A rotation-free stacked clamp and a floor t_min, the state at a chosen
-    stacked distance r from the path at some t, anywhere or near the floor:
-    off the path at right angles to every limb's motion (so r is the least
-    distance), or in any direction."""
+    stacked distance r from the path at some t_state, off the path at right
+    angles to every limb's motion (so r is the least distance, and r near 1
+    makes the ball tangent to the path) or in any direction.
+
+    t_state lies anywhere, on a grid sample, near the floor or below it, at
+    t = 1, or where the ball's interval of t would end just above t = 0.
+    Some limbs stay put, and some stacks travel so many balls that the
+    convexity margin is infinite."""
     n_limbs = draw(st.integers(1, 6))
     k = draw(st.sampled_from((1.0, 2.0, 3.5, math.inf)))
     scale = draw(st.sampled_from((1e-3, 1.0, 1e3, 1e6)))  # mm
-    r = draw(st.sampled_from((0.5, 0.999, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.001, 2.0, 50.0)))
+    r = draw(st.sampled_from((0.0, 0.5, 0.999, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.001, 2.0, 50.0)))
     tangent = draw(st.booleans())
     n = draw(st.integers(2, 900) | st.integers(300, 900))
     j = min(n, draw(st.one_of(st.integers(1, 63), st.sampled_from((64, 65)), st.integers(66, 900))))
     floor = draw(st.sampled_from(("none", "on_grid", "off_grid")))
-    near_floor = draw(st.booleans())
+    where = draw(st.sampled_from(("anywhere", "on_sample", "near_floor", "below_floor", "one", "zero")))
+    far = draw(st.booleans()) and draw(st.booleans())  # some 10**7 balls of travel
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     names = tuple(f"l{i}" for i in range(n_limbs))
 
@@ -457,7 +465,7 @@ def windowed_clamps(draw):
     v_start = rng.uniform(-scale, scale, (n_limbs, 3))
     dv = rng.uniform(-scale, scale, (n_limbs, 3))
     dv[rng.uniform(size=n_limbs) < 0.2] = 0.0  # limbs that stay put
-    p_e = scale * 10.0 ** rng.uniform(-2.5, 0.5, n_limbs)
+    p_e = scale * 10.0 ** (rng.uniform(-7.5, -6.5, n_limbs) if far else rng.uniform(-2.5, 0.5, n_limbs))
     params = MultiMetricParams(tuple(Se3MetricParams(p) for p in p_e), norm_order=k)
     offset = rng.normal(size=(n_limbs, 3))
     if tangent:
@@ -474,12 +482,28 @@ def windowed_clamps(draw):
         t_min = float(ts[j - 1])
     else:
         t_min = float(0.5 * (ts[j] + ts[j - 1]))
-    t_state = min(max(ts[j - 1] + rng.uniform(-0.05, 0.1), 0.0), 1.0) if near_floor else rng.uniform()
+    if where == "on_sample":
+        t_state = ts[rng.integers(n)]
+    elif where == "near_floor":
+        t_state = min(max(ts[j - 1] + rng.uniform(-0.05, 0.1), 0.0), 1.0)
+    elif where == "below_floor":
+        t_state = max(ts[j - 1] - rng.uniform(0.0, 0.5), 0.0)
+    elif where == "one":
+        t_state = 1.0
+    elif where == "zero":
+        # behind the start by the half-width of the tightest limb's interval
+        # (exact for a tangent state under k = inf), less up to one grid step
+        travel = np.linalg.norm(dv, axis=1) / p_e
+        moving = travel > 0.0
+        half = np.sqrt(np.maximum(1.0 - c * c, 0.0))[moving] / travel[moving]
+        t_state = -(half.min() if moving.any() else 0.0) + rng.uniform() / (n - 1)
+    else:
+        t_state = rng.uniform()
     state = stack(v_start + t_state * dv + offset * (c * p_e)[:, None])
     return StackedSegment(stack(v_start), stack(v_start + dv), params, n), state, t_min
 
 
-@settings(max_examples=800, deadline=None)
+@settings(max_examples=1200, deadline=None)
 @given(windowed_clamps())
 def test_rotation_free_window_keeps_the_outcome(instance):
     segment, state, t_min = instance
@@ -490,7 +514,8 @@ def test_rotation_free_window_keeps_the_outcome(instance):
 def test_window_top_inside_the_ball_falls_back(monkeypatch, t_min):
     # Every sample is inside the ball, the window's top too: the window's
     # first feasible sample is not the hit, t = 1 is.
-    segment = StackedSegment(along_x(0.0), along_x(100.0), MultiMetricParams.uniform(1, 1000.0), 700)
+    params = MultiMetricParams.uniform(1, 1000.0, norm_order=2.0)
+    segment = StackedSegment(along_x(0.0), along_x(100.0), params, 700)
     calls = scored_samples(monkeypatch)
     out = segment.clamp(along_x(50.0), t_min)
     assert isinstance(out, Solution)
@@ -502,12 +527,12 @@ def test_window_top_inside_the_ball_falls_back(monkeypatch, t_min):
 def test_window_top_within_the_margin_falls_back(monkeypatch):
     # The window's top reads 1 + 1e-5, above the ball but inside the margin
     # of this 699 mm segment: the rest of the grid is scored.
-    params = MultiMetricParams.uniform(1, 1.0)
+    params = MultiMetricParams.uniform(1, 1.0, norm_order=2.0)
     segment = StackedSegment(along_x(0.0), along_x(699.0), params, 700)
     ts = grid_parameters(700)
     state = along_x(float(ts[636]) * 699.0 - 1.0 - 1e-5)
     coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
-    top = _kernels.grid_distances(ts[636:], coeffs, math.inf)[0]
+    top = _kernels.grid_distances(ts[636:], coeffs, 2.0)[0]
     assert 1.0 < top <= 1.0 + segment._margin
     calls = scored_samples(monkeypatch)
     out = segment.clamp(state)
@@ -532,7 +557,7 @@ def test_window_miss_reports_the_nearest_sample_of_the_whole_grid(monkeypatch):
 
 
 def test_window_hit_only_below_the_floor_scores_the_tail(monkeypatch):
-    params = MultiMetricParams.uniform(1, 10.0)
+    params = MultiMetricParams.uniform(1, 10.0, norm_order=2.0)
     segment = StackedSegment(along_x(0.0), along_x(100.0), params, 700)
     state = along_x(20.0)
     calls = scored_samples(monkeypatch)
@@ -567,23 +592,181 @@ def test_rotating_stack_with_two_feasible_intervals_returns_the_higher(monkeypat
     assert calls == [101]
 
 
-@pytest.mark.parametrize("r_e", [math.inf, 0.5])
-def test_steady_tracking_clamp_scores_one_window(monkeypatch, r_e):
-    # Six limbs on a 700-sample segment, the state half a ball off the path
-    # and the floor 3 samples below the hit, as a step after a steady one
-    # sees it. Without rotation one kernel call scores the 64 samples at and
-    # above the floor; with rotation the whole head is scored.
-    params = MultiMetricParams.uniform(6, 10.0, r_e=r_e)
+def steady_tracking(r_e, norm_order, off):
+    """Six limbs on a 70 mm segment at the default sample count, the state
+    ``off`` mm beside the path and the floor 3 samples below the hit, as a
+    step after a steady one sees it: (segment, state, t_min, the whole
+    grid's outcome, hit index)."""
+    params = MultiMetricParams.uniform(6, 10.0, r_e=r_e, norm_order=norm_order)
     start, final = along_x(0.0, 6), along_x(70.0, 6)
-    segment = StackedSegment(start, final, params, 700)
-    assert sample_count(start, final, params.distance, ClampConfig()) == 700
-    state = MultiPose(start.names, tuple(pose(28.0, 3.0 * i, 5.0) for i in range(6)))
+    n = sample_count(start, final, params.distance, ClampConfig())
+    segment = StackedSegment(start, final, params, n)
+    state = MultiPose(start.names, tuple(pose(28.0, 3.0 * i, off) for i in range(6)))
     whole = whole_grid_clamp(segment, state)
     assert isinstance(whole, Solution)
-    ts = grid_parameters(700)
+    ts = grid_parameters(n)
     hit = int(np.flatnonzero(ts == whole.t)[0])
-    t_min = float(ts[hit + 3])
+    return segment, state, float(ts[hit + 3]), whole, hit
+
+
+@pytest.mark.parametrize("r_e", [math.inf, 0.5])
+def test_steady_tracking_clamp_scores_one_window(monkeypatch, r_e):
+    # Under the 2-norm (1715 samples), without rotation one kernel call
+    # scores the 64 samples at and above the floor; with rotation the whole
+    # head is scored.
+    segment, state, t_min, whole, hit = steady_tracking(r_e, 2.0, 2.0)
     calls = scored_samples(monkeypatch)
     out = segment.clamp(state, t_min)
     assert outcome_bits(out) == outcome_bits(whole)
     assert calls == ([64] if math.isinf(r_e) else [hit + 4])
+
+
+def test_certified_steady_hit_calls_no_kernel(monkeypatch):
+    # The same step under the infinity norm, half a ball off the path: the
+    # located hit is certified by two scalar readings.
+    segment, state, t_min, whole, _ = steady_tracking(math.inf, math.inf, 5.0)
+    assert segment.n_samples == 700
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state, t_min)
+    assert outcome_bits(out) == outcome_bits(whole)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_min", [0.0, 0.5])
+def test_hit_at_t_one_calls_no_kernel(monkeypatch, t_min):
+    # Every sample is inside the ball: t = 1 is the hit, with no sample
+    # above it to read.
+    segment = StackedSegment(along_x(0.0), along_x(100.0), MultiMetricParams.uniform(1, 1000.0), 700)
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(along_x(50.0), t_min)
+    assert isinstance(out, Solution)
+    assert out.t == 1.0
+    assert calls == []
+
+
+def test_located_hit_at_a_distance_of_exactly_one_calls_no_kernel(monkeypatch):
+    # ts[50] = 0.5 lies at distance 1.0 exactly and ts[49] at 1.1: the
+    # located sample is inside the ball, and certified.
+    params = MultiMetricParams.uniform(1, 10.0)
+    segment = StackedSegment(along_x(0.0), along_x(100.0), params, 101)
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(along_x(40.0))
+    assert isinstance(out, Solution)
+    assert (out.t, out.dist) == (0.5, 1.0)
+    assert calls == []
+
+
+def test_located_reading_below_zero_is_clamped_as_the_kernel_clamps(monkeypatch):
+    # The state sits within 1e-12 mm of the segment's end, where the
+    # quadratic's rounding reads -9.1e-13: the hit is t = 1 at distance 0.
+    one = lambda v: MultiPose(("a",), (Pose(np.array(v), IDENTITY),))
+    segment = StackedSegment(
+        one([-94.5, 50.7, 7.6]), one([-34.1, 57.7, -39.4]), MultiMetricParams.uniform(1, 1.0), 101
+    )
+    state = one([-34.1000000000001, 57.6999999999993, -39.4000000000002])
+    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    ta, tb, tc, _ = coeffs
+    assert ta[0] + tb[0] + tc[0] < 0.0
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == []
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+    assert (out.t, out.dist) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_min", [0.0, 0.6])
+def test_infinity_norm_miss_scores_head_then_tail(monkeypatch, t_min):
+    # The state is far off the path beside t = 0.3: no limb's interval
+    # meets its ball, so the grid is scored as without the closed form.
+    params = MultiMetricParams.uniform(2, 10.0)
+    segment = StackedSegment(along_x(0.0, 2), along_x(100.0, 2), params, 700)
+    state = MultiPose(("l0", "l1"), (pose(30.0, 50.0), pose(30.0, 53.0)))
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state, t_min)
+    assert isinstance(out, NoSolution)
+    assert abs(out.nearest_t - 0.3) < 2e-3
+    j = _floor_index(700, t_min) or 700
+    assert calls == [j] + ([700 - j] if j < 700 else [])
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+def test_located_sample_within_the_margin_falls_back(monkeypatch):
+    # The interval's top lies just below ts[636], so ts[637] is located and
+    # reads inside the ball, but ts[636] reads 1 + 1e-5, inside the margin
+    # of this 699 mm segment: the grid is scored.
+    segment = StackedSegment(along_x(0.0), along_x(699.0), MultiMetricParams.uniform(1, 1.0), 700)
+    ts = grid_parameters(700)
+    state = along_x(float(ts[636]) * 699.0 - 1.0 - 1e-5)
+    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    above, located = _kernels.grid_distances(ts[636:638], coeffs, math.inf)
+    assert 1.0 < above <= 1.0 + segment._margin and located <= 1.0
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == [700]
+    assert isinstance(out, Solution) and out.t == ts[637]
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+def test_infinite_margin_never_certifies(monkeypatch):
+    # A limb that travels 2e6 balls: the margin is inf, so the lone feasible
+    # sample ts[350], half a ball beside the path, is found by the grid.
+    segment = StackedSegment(along_x(0.0), along_x(2e6), MultiMetricParams.uniform(1, 1.0), 701)
+    assert segment._margin == math.inf
+    ts = grid_parameters(701)
+    state = MultiPose(("l0",), (pose(float(ts[350]) * 2e6, 0.5),))
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == [701]
+    assert isinstance(out, Solution) and out.t == ts[350]
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+@pytest.mark.parametrize("off, certified", [(4.0, True), (12.0, False)])
+def test_static_limb_bounds_the_located_hit(monkeypatch, off, certified):
+    # Limb l1 stays put (ta = tb = 0): 0.4 balls from the state it leaves
+    # the hit to the moving limb, 1.2 balls away it makes every sample miss.
+    params = MultiMetricParams.uniform(2, 10.0)
+    start = MultiPose(("l0", "l1"), (pose(0.0), pose(0.0, 50.0)))
+    final = MultiPose(("l0", "l1"), (pose(100.0), pose(0.0, 50.0)))
+    segment = StackedSegment(start, final, params, 700)
+    state = MultiPose(("l0", "l1"), (pose(30.0), pose(0.0, 50.0 + off)))
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert isinstance(out, Solution if certified else NoSolution)
+    assert calls == ([] if certified else [700])
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_state_falls_back_to_the_grid(monkeypatch, bad):
+    # A NaN or inf coordinate, through the unvalidated library path: the
+    # kernel's readings, not Python's max, decide the outcome.
+    params = MultiMetricParams.uniform(2, 10.0)
+    segment = StackedSegment(along_x(0.0, 2), along_x(100.0, 2), params, 700)
+    v = np.array([[30.0, 0.0, 0.0], [30.0, 3.0, bad]])
+    state = MultiPose._of_arrays(("l0", "l1"), v, np.tile(IDENTITY, (2, 1)))
+    whole = whole_grid_clamp(segment, state)
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == [700]
+    assert type(out) is type(whole) is NoSolution
+    assert outcome_bits(out)[1:3] == outcome_bits(whole)[1:3]  # t and dist
+
+
+def test_robustness_mix_scores_the_grid_only_on_misses(monkeypatch):
+    # Every hit of the builtin fault barrage (six rotation-free limbs under
+    # the infinity norm) is certified in closed form; a miss scores at most
+    # the head and the tail.
+    misses = []
+    clamp = StackedSegment.clamp
+
+    def observed(self, state, t_min=0.0):
+        out = clamp(self, state, t_min)
+        misses.append(isinstance(out, NoSolution))
+        return out
+
+    calls = scored_samples(monkeypatch)
+    monkeypatch.setattr(StackedSegment, "clamp", observed)
+    run_scenario(get_scenario("robustness_mix"))
+    assert len(misses) > 6000
+    assert 0 < len(calls) <= 2 * sum(misses)
