@@ -119,6 +119,8 @@ _BLOCK = 1 << 14
 
 
 def _grid_block(ts, coeffs, k):
+    # scalar_inf_distance repeats this block's operations for rotation-free
+    # limbs under k = inf, in this order, and must change with it.
     ta, tb, tc, rotation = coeffs
     d2 = np.multiply(ta[:, None], ts)
     d2 *= ts
@@ -144,3 +146,14 @@ def _grid_block(ts, coeffs, k):
     if k != 1.0:
         acc **= 1.0 / k
     return acc
+
+
+def scalar_inf_distance(limbs, t: float) -> float:
+    """``_grid_block``'s infinity-norm distance at one sample t of
+    rotation-free limbs, each ``(ta, tb, tc)`` as Python floats: ((ta t) t
+    + tb t) + tc per limb, clamped at 0, the largest, its root. These are
+    ``_grid_block``'s operations in its order, and each rounds as numpy's
+    does, so the result equals ``grid_distances`` at t bit for bit where no
+    coefficient is NaN (Python's max would pass a NaN over). The two must
+    change together."""
+    return math.sqrt(max(0.0, *[a * t * t + b * t + c for a, b, c in limbs]))

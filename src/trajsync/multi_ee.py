@@ -310,10 +310,11 @@ def per_ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> t
 
 
 # Samples a rotation-free clamp under a finite norm order scores first: the
-# window ts[j - _WINDOW : j] just above the floor j. On robustness_mix a
-# steady tracking hit lies a median of 0 samples above the floor, 98% of
-# them within 32 and 99.5% within 64 (measured under the infinity norm,
-# whose clamp now locates its hit instead).
+# window ts[j - _WINDOW : j] just above the floor j. Its size comes from
+# robustness_mix under the infinity norm, whose clamp now locates its hit
+# instead: a steady tracking hit lay a median of 0 samples above the floor,
+# 98% of them within 32 and 99.5% within 64. No builtin scenario stacks
+# with a finite norm order without rotation.
 _WINDOW = 64
 
 
@@ -357,15 +358,6 @@ def _convexity_margin(ta) -> float:
     return 2.0 * e if e <= 0.125 else math.inf
 
 
-def _reading(limbs, t: float) -> float:
-    """The grid kernel's infinity-norm distance at t of rotation-free limbs,
-    each ``(ta, tb, tc)``, in the kernel's own operations: ((ta t) t + tb t)
-    + tc per limb, clamped at 0, the largest, its root. Every one rounds as
-    numpy's does, so the reading equals ``_kernels.grid_distances`` bit for
-    bit where no coefficient is NaN (Python's max would pass a NaN over)."""
-    return math.sqrt(max(0.0, *[a * t * t + b * t + c for a, b, c in limbs]))
-
-
 class StackedSegment:
     """The stacked LERP/SLERP segment ``start -> final`` under ``params``,
     clamped on ``n_samples`` grid points, with its kernel constants: built
@@ -380,6 +372,8 @@ class StackedSegment:
     ):
         _check_names(start, final)
         _check_params(start, params)
+        if n_samples < 2:  # as grid_parameters, which a located hit never calls
+            raise ValueError(f"sample count must be >= 2, got {n_samples}")
         self.start = start
         self.final = final
         self.params = params
@@ -448,11 +442,12 @@ class StackedSegment:
         where ta_i t**2 + tb_i t + tc_i <= 1 for every limb i: an interval
         of t, whose top is the least of the limbs' upper roots (and 1). The
         roots only propose i, the index of the highest sample at or below
-        that top; ``_reading`` then reads ts[i] and ts[i - 1] bit for bit as
-        the kernel would. ts[i] is the hit when it reads inside the ball and
-        either i = 0 or ts[i - 1] reads above 1 + margin (see
-        ``_convexity_margin``; while the margin is finite every limb travels
-        under 1.5e6 balls, so a sample next to a feasible one reads finite).
+        that top; ``_kernels.scalar_inf_distance`` then reads ts[i] and
+        ts[i - 1] bit for bit as the grid kernel would. ts[i] is the hit
+        when it reads inside the ball and either i = 0 or ts[i - 1] reads
+        above 1 + margin (see ``_convexity_margin``; while the margin is
+        finite every limb travels under 1.5e6 balls, so a sample next to a
+        feasible one reads finite).
         Anything else returns None: an empty interval (a miss), a proposal
         off by a rounding, a non-finite coefficient, or an infinite margin.
         """
@@ -478,10 +473,11 @@ class StackedSegment:
         last = self.n_samples - 1
         i = math.ceil((1.0 - top) * last)
         t = 1.0 - i / last  # ts[i] bit for bit, as in _floor_index
-        dist = _reading(limbs, t)
+        reading = _kernels.scalar_inf_distance
+        dist = reading(limbs, t)
         if not dist <= 1.0:
             return None
-        if i and not _reading(limbs, 1.0 - (i - 1) / last) > 1.0 + self._margin:
+        if i and not reading(limbs, 1.0 - (i - 1) / last) > 1.0 + self._margin:
             return None
         return Solution(stacked_interp(t, self.start, self.final), t, dist)
 

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from trajsync._kernels import grid_distances, segment_coefficients, segment_constants
+from trajsync._kernels import (
+    grid_distances,
+    scalar_inf_distance,
+    segment_coefficients,
+    segment_constants,
+)
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
@@ -114,3 +119,32 @@ def test_rotation_free_one_limb_distances_at_t_1_and_0():
     assert out.shape == (2,)
     assert out[0] == pytest.approx(math.sqrt(3.0))
     assert out[1] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_scalar_infinity_norm_reading_matches_the_grid_bit_for_bit(n):
+    # Rotation-free limbs at many scales, some static, the state on the path
+    # at a grid sample (where a limb's quadratic can round below 0, and the
+    # clamp at 0 decides the reading when every limb's does) or off it.
+    rng = np.random.default_rng(7 + n)
+    ts = np.linspace(1.0, 0.0, 701)
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    below_zero = 0
+    for _ in range(40):
+        scale = 10.0 ** rng.uniform(-3.0, 6.0)
+        vs = rng.uniform(-scale, scale, (n, 3))
+        vf = vs + rng.uniform(-scale, scale, (n, 3))
+        static = rng.uniform(size=n) < 0.2
+        vf[static] = vs[static]
+        off = scale * rng.choice([0.0, 1e-3, 1.0])
+        vy = vs + ts[rng.integers(len(ts))] * (vf - vs) + rng.uniform(-off, off, (n, 3))
+        p_e = scale * 10.0 ** rng.uniform(-3.0, 0.0, n)
+        constants = segment_constants(vs, vf, identity, identity, p_e, np.full(n, math.inf), [])
+        ta, tb, tc, rotation = segment_coefficients(constants, vy, identity)
+        assert rotation == []
+        grid = grid_distances(ts, (ta, tb, tc, rotation), math.inf)
+        limbs = list(zip(ta.tolist(), tb.tolist(), tc.tolist()))
+        scalar = np.array([scalar_inf_distance(limbs, t) for t in ts.tolist()])
+        assert scalar.tobytes() == grid.tobytes()
+        below_zero += any(a * t * t + b * t + c < 0.0 for a, b, c in limbs for t in ts.tolist())
+    assert below_zero > 0

@@ -278,6 +278,15 @@ def test_clamp_stacked_counts_a_distance_of_exactly_one_as_inside():
         assert (out.t, out.dist) == (0.5, 1.0)
 
 
+@pytest.mark.parametrize("n_samples", [-1, 0, 1])
+def test_rotation_free_infinity_norm_clamp_rejects_fewer_than_two_samples(n_samples):
+    # The state is at the segment's end, where the hit at t = 1 is located
+    # without reading the grid: the segment checks the count itself.
+    params = MultiMetricParams.uniform(1, 10.0)
+    with pytest.raises(ValueError, match="sample count"):
+        clamp_stacked(along_x(100.0), along_x(0.0), along_x(100.0), params, n_samples)
+
+
 def test_floored_clamp_computes_the_coefficients_once(monkeypatch):
     # The only hit lies below the floor, so the tail is scored too; both
     # parts share one set of coefficients.
