@@ -9,6 +9,15 @@ segment. For a LERP/SLERP segment both terms collapse to closed forms in t:
 
 so the whole grid reduces to a few transcendental ops per sample. Limbs
 with finite r_e form one group per arc kind, their terms (rows, 1) columns.
+
+The translation coefficients are Python floats, one (a, b, c) per limb, so
+a clamp that locates its hit in closed form reads them as they are; the grid
+makes columns of them. Every 3-term dot product among them is ``_dot3``,
+((x0 y0 + x2 y2) + x1 y1) + 0.0: the order in which numpy's
+``einsum("ij,ij->i")`` sums a row of 3 (numpy 2.4 on x86-64), which the
+coefficients were first computed with, so they keep its bits
+(``tests/test_kernels.py`` pins the two equal). The + 0.0 is einsum's own, as
+it sums into a zeroed output: it turns a sum of -0.0 into +0.0.
 """
 
 from __future__ import annotations
@@ -28,12 +37,14 @@ def segment_constants(vs, vf, qs, qf, p_e, r_e, rot):
     Pose inputs are (n, 3) / (n, 4) arrays; p_e and r_e are (n,). ``rot``
     selects the rows whose rotation counts (finite r_e): a list of rows,
     empty if none, or a full slice if all (``MultiMetricParams._columns``).
-    Returns (vs, dv, pe2, ta, groups), one group per arc kind present.
+    Returns (translation, groups): per limb the Python floats (vs, dv, pe2,
+    ta), vs and dv as 3-tuples and ta = |dv|**2 / pe2, and one group per
+    arc kind present.
     """
-    dv = vf - vs
-    pe2 = p_e * p_e
-    ta = np.einsum("ij,ij->i", dv, dv) / pe2
-    ta.flags.writeable = False
+    translation = []
+    for s, f, p in zip(vs.tolist(), vf.tolist(), p_e.tolist()):
+        dv, pe2 = (f[0] - s[0], f[1] - s[1], f[2] - s[2]), p * p
+        translation.append((tuple(s), dv, pe2, _dot3(dv, dv) / pe2))
     arcs, flats = [], []
     if rot:
         rows = zip(
@@ -52,7 +63,13 @@ def segment_constants(vs, vf, qs, qf, p_e, r_e, rot):
             else:
                 arcs.append((i, sign, 1.0 / re, dot, math.sin(om), om))
     groups = tuple(_group(qs, qf, members, len(vs)) for members in (arcs, flats) if members)
-    return vs, dv, pe2, ta, groups
+    return tuple(translation), groups
+
+
+def _dot3(x, y) -> float:
+    """x . y of two 3-sequences of floats, summed as numpy's einsum sums
+    them (see the module docstring)."""
+    return ((x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]) + 0.0
 
 
 def _group(qs, qf, members, n):
@@ -72,18 +89,19 @@ def segment_coefficients(segment, vy, qy):
     """Per-limb closed-form coefficients of one stacked segment against the
     sensed state ``(vy, qy)``, (n, 3) / (n, 4) arrays.
 
-    ``segment`` is the segment's ``segment_constants``. Returns (ta, tb, tc,
-    rotation): the translation part of the squared distance is
-    ta t^2 + tb t + tc, and ``rotation`` holds one (rows, alpha, beta,
-    omega, inv_re) per group, each a (rows, 1) column, omega None on a flat
-    arc: the slerp dot against q_y is alpha cos(t omega) + beta sin(t omega),
-    or alpha + beta t. The quaternion sign alignment matches ``se3.slerp``
-    exactly.
+    ``segment`` is the segment's ``segment_constants``. Returns (limbs,
+    rotation): ``limbs`` holds one (ta, tb, tc) of Python floats per limb,
+    the translation part of its squared distance being ta t^2 + tb t + tc,
+    and ``rotation`` one (rows, alpha, beta, omega, inv_re) per group, each
+    a (rows, 1) column, omega None on a flat arc: the slerp dot against q_y
+    is alpha cos(t omega) + beta sin(t omega), or alpha + beta t. The
+    quaternion sign alignment matches ``se3.slerp`` exactly.
     """
-    vs, dv, pe2, ta, groups = segment
-    sv = vs - vy
-    tb = 2.0 * np.einsum("ij,ij->i", dv, sv) / pe2
-    tc = np.einsum("ij,ij->i", sv, sv) / pe2
+    translation, groups = segment
+    limbs = []
+    for (s, dv, pe2, ta), y in zip(translation, vy.tolist()):
+        sv = (s[0] - y[0], s[1] - y[1], s[2] - y[2])
+        limbs.append((ta, 2.0 * _dot3(dv, sv) / pe2, _dot3(sv, sv) / pe2))
     rotation = []
     for rows, qs_g, qf_g, signs, arc, inv_re in groups:
         qy_g = qy[rows]
@@ -94,11 +112,12 @@ def segment_coefficients(segment, vy, qy):
         else:
             dots, sines, omega = arc
             rotation.append((rows, c1, (c2 - dots * c1) / sines, omega, inv_re))
-    return ta, tb, tc, rotation
+    return limbs, rotation
 
 
 def grid_distances(ts, coeffs, k):
-    """Stacked distance at every sample of the grid ts (norm order k).
+    """Stacked distance at every sample of the grid ts (norm order k), from
+    ``segment_coefficients``' ``coeffs``.
 
     Evaluates every limb at every sample of a block of samples as one
     (n, block) array; each element takes the same operations as a
@@ -106,10 +125,12 @@ def grid_distances(ts, coeffs, k):
     blocking.
     """
     k = float(k)
+    limbs, rotation = coeffs
+    columns = (*np.array(limbs).T[:, :, None], rotation)  # ta, tb, tc as (n, 1)
     if len(ts) <= _BLOCK:
-        return _grid_block(ts, coeffs, k)
+        return _grid_block(ts, columns, k)
     return np.concatenate(
-        [_grid_block(ts[i : i + _BLOCK], coeffs, k) for i in range(0, len(ts), _BLOCK)]
+        [_grid_block(ts[i : i + _BLOCK], columns, k) for i in range(0, len(ts), _BLOCK)]
     )
 
 
@@ -118,14 +139,14 @@ def grid_distances(ts, coeffs, k):
 _BLOCK = 1 << 14
 
 
-def _grid_block(ts, coeffs, k):
+def _grid_block(ts, columns, k):
     # scalar_inf_distance repeats this block's operations for rotation-free
     # limbs under k = inf, in this order, and must change with it.
-    ta, tb, tc, rotation = coeffs
-    d2 = np.multiply(ta[:, None], ts)
+    ta, tb, tc, rotation = columns
+    d2 = np.multiply(ta, ts)
     d2 *= ts
-    d2 += np.multiply(tb[:, None], ts)
-    d2 += tc[:, None]
+    d2 += np.multiply(tb, ts)
+    d2 += tc
     np.maximum(d2, 0.0, out=d2)
     for rows, alpha, beta, omega, inv_re in rotation:
         if omega is None:
@@ -150,10 +171,10 @@ def _grid_block(ts, coeffs, k):
 
 def scalar_inf_distance(limbs, t: float) -> float:
     """``_grid_block``'s infinity-norm distance at one sample t of
-    rotation-free limbs, each ``(ta, tb, tc)`` as Python floats: ((ta t) t
-    + tb t) + tc per limb, clamped at 0, the largest, its root. These are
-    ``_grid_block``'s operations in its order, and each rounds as numpy's
-    does, so the result equals ``grid_distances`` at t bit for bit where no
-    coefficient is NaN (Python's max would pass a NaN over). The two must
-    change together."""
+    rotation-free limbs, each ``(ta, tb, tc)`` of ``segment_coefficients``:
+    ((ta t) t + tb t) + tc per limb, clamped at 0, the largest, its root.
+    These are ``_grid_block``'s operations in its order, and each rounds as
+    numpy's does, so the result equals ``grid_distances`` at t bit for bit
+    where no coefficient is NaN (Python's max would pass a NaN over). The
+    two must change together."""
     return math.sqrt(max(0.0, *[a * t * t + b * t + c for a, b, c in limbs]))

@@ -309,15 +309,6 @@ def per_ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> t
     return tuple(_ee_distances(x, y, params).tolist())
 
 
-# Samples a rotation-free clamp under a finite norm order scores first: the
-# window ts[j - _WINDOW : j] just above the floor j. Its size comes from
-# robustness_mix under the infinity norm, whose clamp now locates its hit
-# instead: a steady tracking hit lay a median of 0 samples above the floor,
-# 98% of them within 32 and 99.5% within 64. No builtin scenario stacks
-# with a finite norm order without rotation.
-_WINDOW = 64
-
-
 def _convexity_margin(ta) -> float:
     """How far above 1 a sample must read for the first feasible sample
     below it to be the clamp's hit, on a rotation-free stack whose limbs
@@ -327,14 +318,13 @@ def _convexity_margin(ta) -> float:
     state (sv_i = vs_i - vy_i), taking the floats the coefficients are built
     from as exact: the norm of an affine function of t, so convex, and so is
     their k-norm D (k >= 1). Let F be the kernel's reading of D and e a bound
-    on |F - D| where D <= 2. Take two samples t_0 > t_p, every sample between
-    them read and outside the ball: the window's top and its first feasible
-    sample, or the located pair ts[i - 1], ts[i] of ``_located_hit``, which
-    have none between them. If F(t_0) > 1 and F(t_p) <= 1, a sample t' > t_0
-    with F(t') <= 1 would give D(t_p), D(t') <= 1 + e, so D(t_0) <= 1 + e by
-    convexity and F(t_0) <= 1 + 2e. So F(t_0) above 1 + 2e, inf included,
-    rules t' out, in the floats as in exact arithmetic, and t_p is the
-    grid's first feasible sample: the hit.
+    on |F - D| where D <= 2. Take the located pair t_0 = ts[i - 1] and
+    t_p = ts[i] of ``_located_hit``, with no sample between them. If
+    F(t_0) > 1 and F(t_p) <= 1, a sample t' > t_0 with F(t') <= 1 would give
+    D(t_p), D(t') <= 1 + e, so D(t_0) <= 1 + e by convexity and
+    F(t_0) <= 1 + 2e. So F(t_0) above 1 + 2e, inf included, rules t' out, in
+    the floats as in exact arithmetic, and t_p is the grid's first feasible
+    sample: the hit.
 
     The bound e, with eps = 2**-52, a_i = sqrt(ta_i) and c_i = |sv_i| / p_e_i:
     the coefficients (3-term dot products, quotients by the rounded p_e**2)
@@ -354,7 +344,7 @@ def _convexity_margin(ta) -> float:
     coefficient makes every kernel reading NaN, which fails the comparison.
     """
     eps = 2.0**-52
-    e = len(ta) * (math.sqrt(8.0 * eps) * (2.0 * math.sqrt(max(ta.tolist())) + 2.0) + 8.0 * eps)
+    e = len(ta) * (math.sqrt(8.0 * eps) * (2.0 * math.sqrt(max(ta)) + 2.0) + 8.0 * eps)
     return 2.0 * e if e <= 0.125 else math.inf
 
 
@@ -382,8 +372,10 @@ class StackedSegment:
         self.constants = _kernels.segment_constants(
             start._v, final._v, start._q, final._q, p_e, r_e, rot
         )
-        # None with rotation, where D is not convex in t.
-        self._margin = None if rot else _convexity_margin(self.constants[3])
+        # None with rotation, where D is not convex in t, and under a finite
+        # norm order, whose clamp always scores the grid.
+        located = not rot and math.isinf(params.norm_order)
+        self._margin = _convexity_margin([ta for *_, ta in self.constants[0]]) if located else None
 
     def clamp(self, state: MultiPose, t_min: float = 0.0) -> ClampOutcome:
         """``clamp_stacked`` of this segment against ``state``: the outcome of
@@ -397,45 +389,31 @@ class StackedSegment:
         Otherwise the grid is scored, and ``t_min`` orders that work, never
         the outcome: the samples at or above it are scored first, and the
         rest only when none of those is within the ball. A caller that
-        discards hits below some t passes that t. Without rotation under a
-        finite norm order, the ``_WINDOW`` samples at and just above the
-        floor are scored before the rest of those: when the window's top
-        sample lies clear of the ball and one below it inside, the ball's
-        interval of t ends in the window (see ``_convexity_margin``), and no
-        other sample is scored. Otherwise the rest of the grid is scored as
-        above.
+        discards hits below some t passes that t.
         """
         _check_names(state, self.start)
         coeffs = _kernels.segment_coefficients(self.constants, state._v, state._q)
-        k = self.params.norm_order
-        window = self._margin is not None
-        if window and math.isinf(k):
-            hit = self._located_hit(coeffs)
+        if self._margin is not None:
+            hit = self._located_hit(coeffs[0])
             if hit is not None:
                 return hit
-            window = False
+        k = self.params.norm_order
         n = self.n_samples
         ts = grid_parameters(n)
         j = _floor_index(n, t_min) or n  # none above: all at once
-        lo = max(j - _WINDOW, 0) if window else 0
-        dists = _kernels.grid_distances(ts[lo:j], coeffs, k)
+        dists = _kernels.grid_distances(ts[:j], coeffs, k)
         feasible = dists <= 1.0
-        top = float(dists[0])
-        if lo and not (1.0 + self._margin < top < math.inf and feasible.any()):
-            dists = np.concatenate((_kernels.grid_distances(ts[:lo], coeffs, k), dists))
-            feasible = dists <= 1.0
-            lo = 0
         if j < n and not feasible.any():
             dists = np.concatenate((dists, _kernels.grid_distances(ts[j:], coeffs, k)))
             feasible = dists <= 1.0
         hit = bool(feasible.any())
         # The first feasible sample, or the first minimum: the largest t.
         i = int(np.argmax(feasible) if hit else np.argmin(dists))
-        t = float(ts[lo + i])
+        t = float(ts[i])
         outcome = Solution if hit else NoSolution
         return outcome(stacked_interp(t, self.start, self.final), t, float(dists[i]))
 
-    def _located_hit(self, coeffs) -> Solution | None:
+    def _located_hit(self, limbs) -> Solution | None:
         """The infinity-norm clamp's hit without the grid kernel, or None.
 
         Under the infinity norm a rotation-free stack is within the ball
@@ -450,13 +428,12 @@ class StackedSegment:
         feasible one reads finite).
         Anything else returns None: an empty interval (a miss), a proposal
         off by a rounding, a non-finite coefficient, or an infinite margin.
+        ``limbs`` are ``segment_coefficients``' per-limb (ta, tb, tc).
         """
-        ta, tb, tc = (c.tolist() for c in coeffs[:3])
         # ta is finite wherever the margin is; a NaN or inf anywhere in tb or
         # tc makes this sum one too, and Python's max would hide a NaN.
-        if not math.isfinite(sum(tb) + sum(tc)):
+        if not math.isfinite(sum([b + c for _, b, c in limbs])):
             return None
-        limbs = list(zip(ta, tb, tc))
         top = 1.0
         for a, b, c in limbs:
             if a > 0.0:
@@ -496,8 +473,7 @@ def clamp_stacked(
     Without rotation under the infinity norm the hit is located in closed
     form and certified by two samples, with no grid scored. Otherwise
     ``t_min`` orders the work, never the outcome: the grid at and above it
-    is scored first, and without rotation under a finite norm order the 64
-    samples just above it before the rest (see ``StackedSegment.clamp``).
+    is scored first (see ``StackedSegment.clamp``).
     The segment's constants are built for this call alone; a caller that
     clamps one segment again and again keeps its ``StackedSegment``.
     """

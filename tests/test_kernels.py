@@ -140,11 +140,70 @@ def test_scalar_infinity_norm_reading_matches_the_grid_bit_for_bit(n):
         vy = vs + ts[rng.integers(len(ts))] * (vf - vs) + rng.uniform(-off, off, (n, 3))
         p_e = scale * 10.0 ** rng.uniform(-3.0, 0.0, n)
         constants = segment_constants(vs, vf, identity, identity, p_e, np.full(n, math.inf), [])
-        ta, tb, tc, rotation = segment_coefficients(constants, vy, identity)
+        limbs, rotation = segment_coefficients(constants, vy, identity)
         assert rotation == []
-        grid = grid_distances(ts, (ta, tb, tc, rotation), math.inf)
-        limbs = list(zip(ta.tolist(), tb.tolist(), tc.tolist()))
+        grid = grid_distances(ts, (limbs, rotation), math.inf)
         scalar = np.array([scalar_inf_distance(limbs, t) for t in ts.tolist()])
         assert scalar.tobytes() == grid.tobytes()
         below_zero += any(a * t * t + b * t + c < 0.0 for a, b, c in limbs for t in ts.tolist())
     assert below_zero > 0
+
+
+def einsum_coefficients(vs, vf, vy, p_e):
+    """(ta, tb, tc) of every row as numpy's einsum formulas give them."""
+    with np.errstate(all="ignore"):  # inf and NaN are wanted here
+        dv, sv, pe2 = vf - vs, vs - vy, p_e * p_e
+        return (
+            np.einsum("ij,ij->i", dv, dv) / pe2,
+            2.0 * np.einsum("ij,ij->i", dv, sv) / pe2,
+            np.einsum("ij,ij->i", sv, sv) / pe2,
+        )
+
+
+def same_bits(a, b):
+    """Elementwise: equal bit for bit, or both NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+def awkward_rows(rng, n):
+    """(n, 3) rows at one random scale each, from subnormal products to
+    overflowing ones, with ±0.0, subnormals, ±1e-200, ±1e308, ±inf and NaN
+    mixed in; a tenth of the rows are made of zeros and tiny values only,
+    whose products round to ±0.0."""
+    rows = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-165.0, 155.0, (n, 1))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-200, -1e-200,
+                        1e308, -1e308, math.inf, -math.inf, math.nan])
+    mixed = rng.uniform(size=(n, 3)) < 0.1
+    rows[mixed] = rng.choice(special, mixed.sum())
+    tiny = rng.uniform(size=n) < 0.1
+    rows[tiny] = rng.choice(special[:8], (tiny.sum(), 3))
+    return rows
+
+
+def test_scalar_coefficients_equal_the_einsum_formulas_bit_for_bit():
+    # The per-limb Python coefficients against the array formulas they
+    # replace: 3-term dots in einsum's order, its + 0.0 (rows of zeros and
+    # underflowing products, where a sum of -0.0 shows) and (2 x) / pe2, not
+    # 2 (x / pe2) (dots near overflow, quotients in the subnormal range).
+    rng = np.random.default_rng(19)
+    n = 240_000
+    vs, vf, vy = (awkward_rows(rng, n) for _ in range(3))
+    p_e = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    constants = segment_constants(vs, vf, identity, identity, p_e, np.full(n, math.inf), [])
+    limbs, rotation = segment_coefficients(constants, vy, identity)
+    assert rotation == []
+    for got, want in zip(np.array(limbs).T, einsum_coefficients(vs, vf, vy, p_e)):
+        assert same_bits(got, want).all()
+    # Random stacks, rotation groups among them: the translation part is
+    # the same whichever limbs rotate.
+    for _ in range(300):
+        k = int(rng.integers(1, 7))
+        params = random_params(rng, k, math.inf)
+        start, final, state = (random_multipose(rng, k) for _ in range(3))
+        segment = StackedSegment(start, final, params, 2)
+        limbs, rotation = segment_coefficients(segment.constants, state._v, state._q)
+        p_e = params._columns[0]
+        want = einsum_coefficients(start._v, final._v, state._v, p_e)
+        assert same_bits(np.array(limbs).T, want).all()

@@ -303,13 +303,14 @@ def check_grid_kernel(params, norm_order, samples, pairs=None):
     coeffs = _kernels.segment_coefficients(
         segment, state.translations(), state.quaternions()
     )
-    per_limb = spread(coeffs[3], len(pairs))
+    limbs, rotation = coeffs
+    per_limb = spread(rotation, len(pairs))
     for got, want in zip(per_limb, reference_coefficients(*args)):
         assert bits(got) == bits(want)
     assert bits(_kernels.grid_distances(ts, coeffs, norm_order)) == bits(
-        reference_grid(ts, (*coeffs[:3], *per_limb), norm_order)
+        reference_grid(ts, (*zip(*limbs), *per_limb), norm_order)
     )
-    return coeffs[3]
+    return rotation
 
 
 # --- plant ---------------------------------------------------------------------
