@@ -111,22 +111,6 @@ def weighted_euclidean(x1, x2, delta_e) -> float:
     return float(np.linalg.norm((x1 - x2) / delta_e))
 
 
-def _floor_index(n_samples: int, t_min: float) -> int:
-    """The number of leading samples of ``grid_parameters(n_samples)`` at or
-    above ``t_min``: those samples are ``ts[:j]``, and ``ts[j:] < t_min``."""
-    if not t_min > 0.0:
-        return n_samples
-    last = n_samples - 1
-    j = min(max(int((1.0 - t_min) * last) + 1, 0), n_samples)
-    # 1.0 - i / last is ts[i] bit for bit (the same two IEEE operations); the
-    # estimate can be one off where they round across t_min.
-    while j < n_samples and 1.0 - j / last >= t_min:
-        j += 1
-    while j > 0 and 1.0 - (j - 1) / last < t_min:
-        j -= 1
-    return j
-
-
 def hypersphere_clamp(
     state: Point,
     start: Point,

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .metric_core import ClampOutcome, NoSolution, Solution, _floor_index, grid_parameters
+from .metric_core import ClampOutcome, NoSolution, Solution, grid_parameters
 from .se3 import (
     FLAT_ARC_ANGLE,
     Pose,
@@ -400,7 +400,7 @@ class StackedSegment:
         k = self.params.norm_order
         n = self.n_samples
         ts = grid_parameters(n)
-        j = _floor_index(n, t_min) or n  # none above: all at once
+        j = (np.count_nonzero(ts >= t_min) if t_min > 0.0 else 0) or n  # none above: all at once
         dists = _kernels.grid_distances(ts[:j], coeffs, k)
         feasible = dists <= 1.0
         if j < n and not feasible.any():
@@ -449,7 +449,7 @@ class StackedSegment:
             return None
         last = self.n_samples - 1
         i = math.ceil((1.0 - top) * last)
-        t = 1.0 - i / last  # ts[i] bit for bit, as in _floor_index
+        t = 1.0 - i / last  # ts[i] bit for bit: the same two IEEE operations
         reading = _kernels.scalar_inf_distance
         dist = reading(limbs, t)
         if not dist <= 1.0:
@@ -465,16 +465,14 @@ def clamp_stacked(
     final: MultiPose,
     params: MultiMetricParams,
     n_samples: int,
-    *,
-    t_min: float = 0.0,
 ) -> ClampOutcome:
     """Hypersphere clamp specialized to stacked LERP/SLERP segments.
 
     Without rotation under the infinity norm the hit is located in closed
-    form and certified by two samples, with no grid scored. Otherwise
-    ``t_min`` orders the work, never the outcome: the grid at and above it
-    is scored first (see ``StackedSegment.clamp``).
+    form and certified by two samples, with no grid scored. Otherwise the
+    whole grid is scored in one kernel call.
     The segment's constants are built for this call alone; a caller that
-    clamps one segment again and again keeps its ``StackedSegment``.
+    clamps one segment again and again, or scores a floor first, keeps its
+    ``StackedSegment`` (see ``StackedSegment.clamp``).
     """
-    return StackedSegment(start, final, params, n_samples).clamp(state, t_min)
+    return StackedSegment(start, final, params, n_samples).clamp(state)

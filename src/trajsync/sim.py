@@ -19,6 +19,7 @@ interleaved or repeated in one process.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -254,9 +255,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         )
     # ClampConfig's default: the largest grid any scenario uses, and the
     # clamp oracle's; each clamp allocates arrays of up to this many samples
-    if scenario.clamp.max_samples > 1_000_000:
+    if scenario.clamp.max_samples > ClampConfig.max_samples:
         errors.append(
-            f"clamp.max_samples: must be <= 1000000, got {scenario.clamp.max_samples}"
+            f"clamp.max_samples: must be <= {ClampConfig.max_samples}, "
+            f"got {scenario.clamp.max_samples}"
         )
     if not scenario.limbs:
         errors.append("limbs: must not be empty")
@@ -459,7 +461,7 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
     sensed = true
     next_sample = [0.0] * n
 
-    faults = [(d, *_active_steps(d, dt)) for d in scenario.disturbances]
+    faults = [(d, *_active_steps(d, dt, n_steps)) for d in scenario.disturbances]
     changes = {k for _, on, off in faults for k in (on, off)}
     # The plant constants change only when a fault starts or ends.
     plant = _plant_constants(limbs, (), dt)
@@ -555,22 +557,15 @@ def _records(steps: list[tuple], metric: MultiMetricParams) -> list[TraceRecord]
     ]
 
 
-def _active_steps(d: Disturbance, dt: float) -> tuple[int, int]:
-    """The steps k at which ``d.active(k * dt)`` holds, as the run [on, off);
-    one run, since k * dt only grows with k."""
+def _active_steps(d: Disturbance, dt: float, n_steps: int) -> tuple[int, int]:
+    """The steps k < n_steps at which ``d.active(k * dt)`` holds, as the run
+    [on, off): one run, since k * dt only grows with k. A bound that no step
+    reaches reads n_steps."""
 
-    def first(holds, guess: float) -> int:
-        k = max(int(guess), 0)
-        while k > 0 and holds(k - 1):
-            k -= 1
-        while not holds(k):
-            k += 1
-        return k
+    def first(x: float) -> int:  # the first step k with k * dt >= x
+        return bisect.bisect_left(range(n_steps), x, key=lambda k: k * dt)
 
-    end = d.start + d.duration
-    on = first(lambda k: d.start <= k * dt, d.start / dt)
-    off = first(lambda k: not k * dt < end, end / dt)
-    return on, max(on, off)
+    return first(d.start), first(d.start + d.duration)
 
 
 class _DelayLine:

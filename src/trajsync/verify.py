@@ -151,7 +151,7 @@ def _span(mask: np.ndarray, flipped: np.ndarray) -> tuple[int, int] | None:
     return first, len(mask) - int(np.argmax(flipped))
 
 
-def _scan(n_samples: int, bound, exact=None) -> tuple[bool, float, float]:
+def _scan(n_samples: int, bound, exact) -> tuple[bool, float, float]:
     """Descending-grid scan, bound first, then exact evaluation.
 
     bound(ts, ws) returns a lower bound on the distance at every t of a
@@ -159,9 +159,7 @@ def _scan(n_samples: int, bound, exact=None) -> tuple[bool, float, float]:
     may write ws.dists, so a bound is read only before exact is called. The
     result is the one a single pass of exact over every chunk returns: the
     first sample (largest t) at distance <= 1, else the first sample of
-    least distance (see oracle_scan_1d). exact is None when the bound is
-    the distance itself: the hit is then the span's first sample, and the
-    nearest sample the one of least bound, both read from the bound.
+    least distance (see oracle_scan_1d).
 
     Phase 1 bounds each chunk in descending order. A sample whose bound
     exceeds 1 has a distance above 1, so exact runs only over the span from
@@ -198,8 +196,6 @@ def _scan(n_samples: int, bound, exact=None) -> tuple[bool, float, float]:
         if span is None:
             continue
         first, last = span
-        if exact is None:
-            return True, float(ts[first]), float(lb[first])
         dists = exact(ts[first:last], ws)
         feasible = np.less_equal(dists, 1.0, out=ws.feasible[: last - first])
         if feasible.any():
@@ -210,8 +206,6 @@ def _scan(n_samples: int, bound, exact=None) -> tuple[bool, float, float]:
         return False, 1.0, math.inf
     lo, hi, j = seed
     ts = _chunk_ts(ws, lo, hi, n_samples)
-    if exact is None:
-        return False, float(ts[j]), seed_bound
     best_dist = math.nextafter(float(exact(ts[j : j + 1], ws)[0]), math.inf)
     best_t = 1.0
     for (lo, hi), lb_least in zip(_chunk_bounds(n_samples), least):
@@ -252,7 +246,7 @@ def oracle_scan_1d(
         return d
 
     # The distance is as cheap as any bound on it, so it is its own bound.
-    return _scan(n_samples, chunk_dists)
+    return _scan(n_samples, chunk_dists, chunk_dists)
 
 
 def _limb_constants(start: Pose, final: Pose, target: Pose):
@@ -469,9 +463,7 @@ def _perturbed_target(
     return MultiPose(start.names, tuple(poses))
 
 
-def run_clamp_oracle_suite(
-    n_instances: int = 1000, seed: int = 20260821, oracle_samples: int = ORACLE_SAMPLES
-) -> SuiteResult:
+def run_clamp_oracle_suite(n_instances: int = 1000, seed: int = 20260821) -> SuiteResult:
     """Randomized clamp instances vs the dense oracle.
 
     For every instance the clamp's t must land within one of its own grid
@@ -480,8 +472,6 @@ def run_clamp_oracle_suite(
     """
     if n_instances < 1:
         raise ValueError(f"n_instances must be at least 1, got {n_instances}")
-    if oracle_samples < 2:
-        raise ValueError(f"oracle_samples must be at least 2, got {oracle_samples}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     # Weighted toward the cheap strata; the oracle's dense scan costs grow
@@ -528,7 +518,7 @@ def run_clamp_oracle_suite(
         metric = lambda a, b: abs(a - b) / p
         n = sample_count(s, f, metric, cfg)
         got = hypersphere_clamp(y, s, f, lerp1, metric, n)
-        want_feasible, want_t, _ = oracle_scan_1d(y, s, f, p, oracle_samples)
+        want_feasible, want_t, _ = oracle_scan_1d(y, s, f, p)
         check(f"1d[{i}]", got, want_feasible, want_t, n)
 
     for n_ee, count in se3_counts.items():
@@ -553,9 +543,7 @@ def run_clamp_oracle_suite(
             cfg = ClampConfig()
             n = sample_count(start, final, params.distance, cfg)
             got = clamp_stacked(target, start, final, params, n)
-            want_feasible, want_t, _ = oracle_scan_stacked(
-                target, start, final, params, oracle_samples
-            )
+            want_feasible, want_t, _ = oracle_scan_stacked(target, start, final, params)
             check(f"se3x{n_ee}[{i}]", got, want_feasible, want_t, n)
 
     wall = time.perf_counter() - t0

@@ -11,7 +11,6 @@ from trajsync.metric_core import (
     ClampConfig,
     NoSolution,
     Solution,
-    _floor_index,
     grid_parameters,
     hypersphere_clamp,
     sample_count,
@@ -201,18 +200,6 @@ def test_batch_grid_eval_matches_sequential_scan():
         for t_min in (float(grid_parameters(n)[rng.integers(n)]), float(rng.uniform())):
             assert bits(segment.clamp(on_x(y), t_min)) == bits(bat)
     assert seen == {Solution, NoSolution}
-
-
-@pytest.mark.parametrize("n", [2, 708, 1_000_000])
-def test_floor_index_counts_the_samples_at_or_above_the_floor(n):
-    ts = grid_parameters(n)
-    rng = np.random.default_rng(n)
-    picks = np.unique(np.r_[0, n // 2, n - 2, n - 1, rng.integers(0, n, 100)])
-    floors = [0.0, -0.0, 1.0, 2.0, 5e-324, *rng.uniform(0.0, 1.0, 100)]
-    for t in ts[picks]:
-        floors += [t, np.nextafter(t, 2.0), np.nextafter(t, -1.0)]
-    for t_min in map(float, floors):
-        assert _floor_index(n, t_min) == np.count_nonzero(ts >= t_min), t_min
 
 
 @given(

@@ -14,7 +14,6 @@ from trajsync.metric_core import (
     ClampConfig,
     NoSolution,
     Solution,
-    _floor_index,
     grid_parameters,
     hypersphere_clamp,
     sample_count,
@@ -242,7 +241,7 @@ def test_clamp_stacked_equals_generic_scan():
                 assert fast.nearest_dist == pytest.approx(slow.nearest_dist, abs=1e-9)
             on_grid = float(grid_parameters(n)[rng.integers(n)])
             for t_min in (on_grid, float(rng.uniform())):
-                floored = clamp_stacked(state, start, final, params, n, t_min=t_min)
+                floored = StackedSegment(start, final, params, n).clamp(state, t_min)
                 assert outcome_bits(floored) == outcome_bits(fast)
     assert len(seen) == 8  # a hit and a miss under every norm order
     with pytest.raises(ValueError):
@@ -273,7 +272,7 @@ def test_clamp_stacked_counts_a_distance_of_exactly_one_as_inside():
     params = MultiMetricParams.uniform(1, p_e=10.0)
     one = lambda x: MultiPose(("a",), (pose(x),))
     for t_min in (0.0, 0.7):
-        out = clamp_stacked(one(40.0), one(0.0), one(100.0), params, 101, t_min=t_min)
+        out = StackedSegment(one(0.0), one(100.0), params, 101).clamp(one(40.0), t_min)
         assert isinstance(out, Solution)
         assert (out.t, out.dist) == (0.5, 1.0)
 
@@ -302,10 +301,10 @@ def test_floored_clamp_computes_the_coefficients_once(monkeypatch):
     monkeypatch.setattr(_kernels, "segment_coefficients", counted)
     params = MultiMetricParams.uniform(1, p_e=10.0, norm_order=2.0)
     one = lambda x: MultiPose(("a",), (pose(x),))
-    out = clamp_stacked(one(24.5), one(0.0), one(100.0), params, 101, t_min=0.5)
+    out = StackedSegment(one(0.0), one(100.0), params, 101).clamp(one(24.5), 0.5)
     assert isinstance(out, Solution)
     assert out.t == grid_parameters(101)[66]  # 0.34
-    j = _floor_index(101, 0.5)
+    j = np.count_nonzero(grid_parameters(101) >= 0.5) or 101
     assert scored == [j, 101 - j]
     assert len(calls) == 1
 
@@ -401,7 +400,7 @@ def outcome_bits(out):
 def test_floor_first_scan_keeps_the_outcome(instance):
     case, state, start, final, params, n, t_min = instance
     whole = clamp_stacked(state, start, final, params, n)
-    floored = clamp_stacked(state, start, final, params, n, t_min=t_min)
+    floored = StackedSegment(start, final, params, n).clamp(state, t_min)
     assert outcome_bits(floored) == outcome_bits(whole)
     # count the example only when it realises the case it was built for
     hit = isinstance(whole, Solution)
@@ -411,6 +410,20 @@ def test_floor_first_scan_keeps_the_outcome(instance):
         assume(hit and whole.t < t_min)
     elif case == "no_hit":
         assume(not hit)
+
+
+@pytest.mark.parametrize("t_min", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("x", [20.0, 200.0])  # a hit, a miss
+def test_floor_with_no_sample_above_scores_the_whole_grid(monkeypatch, t_min, x):
+    # No sample lies at or above these floors, so the scan is the one of no
+    # floor: the whole grid in one call, with the same outcome.
+    params = MultiMetricParams.uniform(2, 10.0, norm_order=2.0)
+    segment = StackedSegment(along_x(0.0, 2), along_x(100.0, 2), params, 700)
+    state = along_x(x, 2)
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state, t_min)
+    assert calls == [700]
+    assert outcome_bits(out) == outcome_bits(segment.clamp(state, 0.0))
 
 
 # --- rotation-free clamps: the located hit and the scan -----------------------
@@ -539,7 +552,7 @@ def test_window_top_inside_the_ball_falls_back(monkeypatch, t_min):
     out = segment.clamp(state, t_min)
     assert isinstance(out, Solution)
     assert out.t == 1.0
-    assert calls == [_floor_index(700, t_min) or 700]
+    assert calls == [np.count_nonzero(grid_parameters(700) >= t_min) or 700]
     assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
 
 
@@ -583,7 +596,7 @@ def test_window_hit_only_below_the_floor_scores_the_tail(monkeypatch):
     out = segment.clamp(state, 0.6)
     assert isinstance(out, Solution)
     assert abs(out.t - 0.3) < 2e-3
-    j = _floor_index(700, 0.6)
+    j = np.count_nonzero(grid_parameters(700) >= 0.6) or 700
     assert calls == [j, 700 - j]
     assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
 
@@ -703,7 +716,7 @@ def test_infinity_norm_miss_scores_head_then_tail(monkeypatch, t_min):
     out = segment.clamp(state, t_min)
     assert isinstance(out, NoSolution)
     assert abs(out.nearest_t - 0.3) < 2e-3
-    j = _floor_index(700, t_min) or 700
+    j = np.count_nonzero(grid_parameters(700) >= t_min) or 700
     assert calls == [j] + ([700 - j] if j < 700 else [])
     assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
 

@@ -22,6 +22,7 @@ from trajsync.sim import (
     Scenario,
     ScenarioValidationError,
     _CHUNK_STEPS,
+    _active_steps,
     SpeedProgram,
     _plant_constants,
     limb_step,
@@ -145,6 +146,26 @@ def test_disturbance_activity_window_is_half_open():
     assert d.active(1.0)
     assert d.active(2.99)
     assert not d.active(3.0)
+
+
+def test_active_steps_are_the_steps_at_which_the_disturbance_is_active():
+    # The run [on, off) of steps is what the loop applies a fault over;
+    # Disturbance.active at each step's time k * dt is its definition.
+    rng = np.random.default_rng(3)
+    cases = [(0.1, 1.0, 0.3, 0.4), (0.1, 1.0, 0.0, 1.0), (1 / 3, 2.0, 1 / 3, 1 / 3)]
+    for _ in range(2000):
+        dt = float(rng.choice([0.001, 0.01, 0.1, 1 / 3, rng.uniform(1e-3, 0.5)]))
+        horizon = dt * float(rng.uniform(1.0, 300.0))
+        start = float(rng.uniform(0.0, horizon))
+        if rng.uniform() < 0.5:  # on a step's time, as scenarios write it
+            start = int(start / dt) * dt
+        cases.append((dt, horizon, start, float(rng.uniform(1e-9, 1.2 * horizon - start))))
+    for dt, horizon, start, duration in cases:
+        n_steps = int(round(horizon / dt))
+        d = Disturbance(DisturbanceKind.BLOCK, "arm", start=start, duration=duration)
+        on, off = _active_steps(d, dt, n_steps)
+        want = {k for k in range(n_steps) if d.active(k * dt)}
+        assert set(range(on, off)) == want, (dt, horizon, start, duration)
 
 
 def test_disturbance_targeting_all_limbs():

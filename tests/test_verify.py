@@ -180,8 +180,6 @@ def test_oracle_scans_reject_fewer_than_two_samples(n):
     [
         ({"n_instances": 0}, "n_instances"),
         ({"n_instances": -3}, "n_instances"),
-        ({"n_instances": 5, "oracle_samples": 1}, "oracle_samples"),
-        ({"n_instances": 5, "oracle_samples": 0}, "oracle_samples"),
     ],
 )
 def test_clamp_oracle_suite_rejects_degenerate_sizes(kwargs, name):
