@@ -272,6 +272,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             errors.append(
                 f"limbs[{i}].name: must not contain a comma, quote or line break, got {limb.name!r}"
             )
+        # a fault targeting ALL_LIMBS hits every limb
+        if limb.name == ALL_LIMBS:
+            errors.append(f"limbs[{i}].name: {ALL_LIMBS!r} is reserved for faults on every limb")
         if not (math.isfinite(limb.max_ee_speed) and limb.max_ee_speed > 0):
             errors.append(
                 f"{prefix}.max_ee_speed: must be finite and > 0, got {limb.max_ee_speed}"

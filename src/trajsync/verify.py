@@ -6,16 +6,12 @@ by sine-weight spherical interpolation dots), deliberately avoiding the
 precomputed-coefficient route the library kernels use, so the two
 implementations share no code path beyond quaternion sign alignment.
 
-The scan is bound first, then exact. A cheap lower bound on the distance
-(for a stacked segment, a norm of the limbs' translation-only distances: no
-sines) is computed at every sample; the exact distance is computed only
-where the bound leaves the answer open. Phase 1 looks for the largest
-feasible t and evaluates exactly only samples whose bound is <= 1; phase 2,
-when none is feasible, looks for the nearest sample and evaluates exactly
-only samples whose bound is below the nearest distance known so far. A
-skipped sample's distance is at least its bound, so it can be neither
-feasible nor nearer, and every result is the one a scan that evaluated every
-sample exactly would return, bit for bit.
+The scan looks for the largest t of the grid inside the ball, bound first,
+then exact. A cheap lower bound on the distance (for a stacked segment, a
+norm of the limbs' translation-only distances: no sines) is computed at
+every sample; the exact distance only at samples whose bound is <= 1. A
+skipped sample's distance exceeds 1, so the result is the one a scan that
+evaluated every sample exactly would return.
 
 Suites are deterministic: every instance derives from a fixed seed.
 """
@@ -31,7 +27,6 @@ import numpy as np
 
 from .metric_core import (
     ClampConfig,
-    NoSolution,
     Solution,
     hypersphere_clamp,
     sample_count,
@@ -64,7 +59,7 @@ ORACLE_SAMPLES = 1_000_000
 # usually resolve close to t = 1, and stop at _CHUNK_MAX. The cap keeps each
 # workspace buffer at 128 KB, so a chunk's working set stays in a core's L2
 # cache through the ~25 elementwise passes per limb. Sweep of the cap on a
-# 2-core Xeon (2 MB L2 per core), numpy 2.4, least time of a full infeasible
+# 2-core Xeon (2 MB L2 per core), numpy 2.4, best time of a full infeasible
 # 10^6-sample scan, over two runs of interleaved caps:
 #     cap        1 limb      2 limbs     6 limbs   (sine arcs)
 #       8 192    29 ms       56 ms       161-166 ms
@@ -151,85 +146,45 @@ def _span(mask: np.ndarray, flipped: np.ndarray) -> tuple[int, int] | None:
     return first, len(mask) - int(np.argmax(flipped))
 
 
-def _scan(n_samples: int, bound, exact) -> tuple[bool, float, float]:
+def _scan(n_samples: int, bound, exact) -> float | None:
     """Descending-grid scan, bound first, then exact evaluation.
 
     bound(ts, ws) returns a lower bound on the distance at every t of a
     chunk, exact(ts, ws) the distance itself at every t it is given; both
-    may write ws.dists, so a bound is read only before exact is called. The
-    result is the one a single pass of exact over every chunk returns: the
-    first sample (largest t) at distance <= 1, else the first sample of
-    least distance (see oracle_scan_1d).
+    may write ws.dists, so a bound is read only before exact is called.
 
-    Phase 1 bounds each chunk in descending order. A sample whose bound
-    exceeds 1 has a distance above 1, so exact runs only over the span from
-    the first to the last sample whose bound is <= 1, and the first sample
-    there at distance <= 1 is the answer. Each chunk's least bound, and
-    where it falls, is recorded.
-
-    Phase 2 runs only when no sample is feasible. best_dist, the limit,
-    starts just above the exact distance at the sample of least bound, so
-    the nearest distance lies below it. A chunk whose least bound reaches
-    the limit is skipped; in any other chunk exact runs over the span of
-    samples whose bound is below it, and the limit falls to each strictly
-    smaller distance found there. A skipped sample's distance is at least
-    the limit, so it can neither be nearer nor tie the nearest from a
-    later chunk, and within a span argmin keeps the first of equals: ties
-    still go to the larger t. A NaN bound means a NaN distance at that
-    sample; a chunk holding one is skipped, as a full pass's argmin, which
-    returns the NaN, leaves such a chunk out.
+    Each chunk is bounded in descending order. A sample whose bound exceeds
+    1 has a distance above 1, so exact runs only over the span from the
+    first to the last sample whose bound is <= 1, and the first sample there
+    at distance <= 1 is the answer: the largest t of the grid inside the
+    ball, which a pass of exact over every sample would find. None means no
+    sample is inside.
     """
     if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     ws = _workspace()
-    least = []  # each chunk's least bound
-    seed, seed_bound = None, math.inf  # (lo, hi, j) of the least bound of all
     for lo, hi in _chunk_bounds(n_samples):
         ts = _chunk_ts(ws, lo, hi, n_samples)
-        lb = bound(ts, ws)
-        j = int(np.argmin(lb))
-        least.append(float(lb[j]))
-        if least[-1] < seed_bound:
-            seed, seed_bound = (lo, hi, j), least[-1]
         m = hi - lo
-        span = _span(np.less_equal(lb, 1.0, out=ws.feasible[:m]), ws.flipped[:m])
+        span = _span(np.less_equal(bound(ts, ws), 1.0, out=ws.feasible[:m]), ws.flipped[:m])
         if span is None:
             continue
         first, last = span
         dists = exact(ts[first:last], ws)
         feasible = np.less_equal(dists, 1.0, out=ws.feasible[: last - first])
-        if feasible.any():
-            j = int(np.argmax(feasible))
-            return True, float(ts[first + j]), float(dists[j])
-
-    if seed is None:  # every distance is inf or NaN
-        return False, 1.0, math.inf
-    lo, hi, j = seed
-    ts = _chunk_ts(ws, lo, hi, n_samples)
-    best_dist = math.nextafter(float(exact(ts[j : j + 1], ws)[0]), math.inf)
-    best_t = 1.0
-    for (lo, hi), lb_least in zip(_chunk_bounds(n_samples), least):
-        if not lb_least < best_dist:
-            continue
-        ts = _chunk_ts(ws, lo, hi, n_samples)
-        lb = bound(ts, ws)
-        m = hi - lo
-        first, last = _span(np.less(lb, best_dist, out=ws.feasible[:m]), ws.flipped[:m])
-        dists = exact(ts[first:last], ws)
-        j = int(np.argmin(dists))
-        if dists[j] < best_dist:
-            best_dist = float(dists[j])
-            best_t = float(ts[first + j])
-    return False, best_t, best_dist
+        j = int(np.argmax(feasible))
+        if feasible[j]:
+            return float(ts[first + j])
+    return None
 
 
 def oracle_scan_1d(
     y: float, s: float, f: float, p: float, n_samples: int = ORACLE_SAMPLES
-) -> tuple[bool, float, float]:
+) -> float | None:
     """Dense descending-grid scan of |y - lerp(t)| / p.
 
-    Returns (feasible, t, dist): the largest feasible t when one exists,
-    otherwise the nearest sample (ties to larger t).
+    Returns the largest t of the grid at distance <= 1, or None if there is
+    none.
     """
     for name, value in (("y", y), ("s", s), ("f", f), ("p", p)):
         if not math.isfinite(value):
@@ -345,16 +300,16 @@ def _chunk_dists_se3(
 
 
 # The stacked bound is a norm of the limbs' translation-only distances
-# sqrt(T_i) <= d_i: the stacked k-norm of the d_i is at least their 2-norm
-# when k <= 2 and at least their largest when k > 2, so the bound is
+# sqrt(T_i) <= d_i: the stacked k-norm of the d_i is >= their 2-norm when
+# k <= 2 and >= their largest when k > 2, so the bound is
 # sqrt(sum T_i) or sqrt(max T_i), one fold pass per limb either way.
 # For k = inf it holds bit for bit: sqrt(max T_i) = max sqrt(T_i), and the
 # exact fold takes the max of sqrt(T_i + R_i) >= sqrt(T_i). For a finite k it
 # holds up to rounding: the bound's sum and square root may round up, and the
 # exact fold's powers, sum and 1/k-th power may round down, by a few ulps in
 # all, plus 2**-53 * ln(sum d_i**k) <= 8e-14 relative for 1/k being rounded.
-# The bound is only tested above 1, where the powers sum to more than about
-# 1, so a power that underflows loses nothing that counts; a sum that
+# A bound only rules a sample out above 1, where the powers sum to more than
+# about 1, so a power that underflows loses nothing that counts; a sum that
 # overflows is inf, which no bound exceeds. A relative margin of 1e-9 is four
 # orders of magnitude above all of that.
 _FOLD_MARGIN = 1.0 - 1e-9
@@ -366,7 +321,7 @@ def oracle_scan_stacked(
     final: MultiPose,
     params: MultiMetricParams,
     n_samples: int = ORACLE_SAMPLES,
-) -> tuple[bool, float, float]:
+) -> float | None:
     """Dense descending-grid scan of the stacked distance.
 
     Same return convention as oracle_scan_1d. The lower bound is a norm of
@@ -471,7 +426,7 @@ def run_clamp_oracle_suite(n_instances: int = 1000, seed: int = 20260821) -> Sui
     must agree.
     """
     if n_instances < 1:
-        raise ValueError(f"n_instances must be at least 1, got {n_instances}")
+        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     # Weighted toward the cheap strata; the oracle's dense scan costs grow
@@ -487,16 +442,16 @@ def run_clamp_oracle_suite(n_instances: int = 1000, seed: int = 20260821) -> Sui
     max_dt = 0.0
     failures: list[str] = []
 
-    def check(label, got, want_feasible, want_t, n):
+    def check(label, got, want_t, n):
         nonlocal checked, max_dt
         checked += 1
-        if isinstance(got, Solution) != want_feasible:
+        if isinstance(got, Solution) == (want_t is None):
             failures.append(
                 f"{label}: verdict mismatch (clamp "
                 f"{'Solution' if isinstance(got, Solution) else 'NoSolution'}, "
-                f"oracle {'feasible' if want_feasible else 'infeasible'})"
+                f"oracle {'infeasible' if want_t is None else 'feasible'})"
             )
-        elif isinstance(got, Solution):
+        elif want_t is not None:
             dt = abs(got.t - want_t)
             max_dt = max(max_dt, dt * (n - 1))
             if dt > 1.0 / (n - 1) + 1e-12:
@@ -518,8 +473,7 @@ def run_clamp_oracle_suite(n_instances: int = 1000, seed: int = 20260821) -> Sui
         metric = lambda a, b: abs(a - b) / p
         n = sample_count(s, f, metric, cfg)
         got = hypersphere_clamp(y, s, f, lerp1, metric, n)
-        want_feasible, want_t, _ = oracle_scan_1d(y, s, f, p)
-        check(f"1d[{i}]", got, want_feasible, want_t, n)
+        check(f"1d[{i}]", got, oracle_scan_1d(y, s, f, p), n)
 
     for n_ee, count in se3_counts.items():
         for i in range(count):
@@ -543,8 +497,7 @@ def run_clamp_oracle_suite(n_instances: int = 1000, seed: int = 20260821) -> Sui
             cfg = ClampConfig()
             n = sample_count(start, final, params.distance, cfg)
             got = clamp_stacked(target, start, final, params, n)
-            want_feasible, want_t, _ = oracle_scan_stacked(target, start, final, params)
-            check(f"se3x{n_ee}[{i}]", got, want_feasible, want_t, n)
+            check(f"se3x{n_ee}[{i}]", got, oracle_scan_stacked(target, start, final, params), n)
 
     wall = time.perf_counter() - t0
     if failures:

@@ -413,6 +413,21 @@ def test_limb_name_that_a_csv_row_cannot_hold_exits_2(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def test_limb_named_like_the_every_limb_fault_target_exits_2(tmp_path, capsys):
+    # A fault on "ALL" hits every limb, so a limb of that name would take
+    # every other limb down with its own faults.
+    cfg = tmp_path / "scenario.json"
+    out = tmp_path / "trace.csv"
+    run_cli("run", "--scenario", "power_loss", "--dump-config", str(cfg))
+    cfg.write_text(cfg.read_text().replace('"quad1"', '"ALL"'))
+    capsys.readouterr()
+    assert run_cli("run", "--scenario", str(cfg), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "limbs[1].name: 'ALL' is reserved" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_directory_as_scenario_exits_2(tmp_path, capsys):
     assert run_cli("run", "--scenario", str(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -1,8 +1,10 @@
 """The clamp oracle's dense scan against a plain per-sample evaluation."""
 
+import json
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,29 +19,27 @@ from trajsync.se3 import Pose, Se3MetricParams, quat_from_axis_angle, quat_mul
 from trajsync import verify
 from trajsync.verify import oracle_scan_1d, oracle_scan_stacked, run_clamp_oracle_suite
 
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
 # Enough samples to cross the scan's chunk boundaries.
 N_SAMPLES = 20_001
 
 
 def reference_scan(dist_at, n):
-    """Same contract as the oracle, one sample at a time."""
-    best_dist, best_t = math.inf, 1.0
+    """Same contract as the oracle, one sample at a time: the first t at
+    distance <= 1, or None."""
     for i in range(n):
         t = 1.0 - i / (n - 1)
-        d = dist_at(t)
-        if d <= 1.0:
-            return True, t, d
-        if d < best_dist:
-            best_dist, best_t = d, t
-    return False, best_t, best_dist
+        if dist_at(t) <= 1.0:
+            return t
+    return None
 
 
 def assert_matches_reference(got, want, feasible):
-    assert got[0] is want[0] is feasible
-    assert got[1] == want[1]
-    assert got[2] == pytest.approx(want[2], abs=1e-9)
-    # A feasible hit past the first chunk, or a full scan of every chunk.
-    assert got[1] < 0.5
+    assert got == want
+    assert (got is not None) is feasible
+    # A feasible hit past the first chunk.
+    assert not feasible or got < 0.5
 
 
 @pytest.mark.parametrize("y, feasible", [(32.5, True), (1.0, False)])
@@ -129,7 +129,7 @@ def scan_under(schedule, monkeypatch, scan, *args):
 def test_oracle_scan_1d_does_not_depend_on_the_chunk_schedule(y, feasible, monkeypatch):
     args = (y, 10.0, 110.0, 4.0, SCHEDULE_SAMPLES)
     got = [scan_under(sched, monkeypatch, oracle_scan_1d, *args) for sched in SCHEDULES]
-    assert got[0][0] is feasible
+    assert (got[0] is not None) is feasible
     assert got[1] == got[0] and got[2] == got[0]
 
 
@@ -140,31 +140,83 @@ def test_oracle_scan_stacked_does_not_depend_on_the_chunk_schedule(
 ):
     args = (*instance(("inf", "flat", "sine"), norm_order, far), SCHEDULE_SAMPLES)
     got = [scan_under(sched, monkeypatch, oracle_scan_stacked, *args) for sched in SCHEDULES]
-    assert got[0][0] is not far
+    assert (got[0] is None) is far
     # A hit several (8, 32) chunks in, or a full scan of all of them.
-    assert got[0][1] < 0.5
+    assert far or got[0] < 0.5
     assert got[1] == got[0] and got[2] == got[0]
 
 
 def test_warm_oracle_scan_allocates_no_arrays():
     # Every chunk pass writes into the thread's workspace; a scan that made
     # fresh temporaries would show them in the traced peak. One scan per
-    # route: an infeasible stacked scan (both phases), a feasible one (phase
-    # 1 stops at an exact span) and the 1-D scan.
+    # route: an infeasible stacked scan (every chunk bounded), a feasible one
+    # (it stops at an exact span) and the 1-D scan.
     scans = [
         (oracle_scan_stacked, instance(("inf", "flat", "sine"), 3.5, far=True), False),
         (oracle_scan_stacked, instance(("inf", "flat", "sine"), 3.5, far=False), True),
         (oracle_scan_1d, (32.5, 10.0, 110.0, 4.0), True),
     ]
     for scan, args, feasible in scans:
-        assert scan(*args)[0] is feasible  # builds this thread's workspace
+        assert (scan(*args) is not None) is feasible  # builds this thread's workspace
         tracemalloc.start()
         try:
-            assert scan(*args)[0] is feasible
+            assert (scan(*args) is not None) is feasible
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 1024, scan.__name__
+
+
+def scan_counting_exact(monkeypatch, scan, *args):
+    """scan(*args), and the bounds of the samples each exact call was given."""
+    seen = []
+    real = verify._scan
+
+    def counting(n, bound, exact):
+        def counted(ts, ws):
+            seen.append(bound(ts, verify._Workspace()).copy())
+            return exact(ts, ws)
+
+        return real(n, bound, counted)
+
+    monkeypatch.setattr(verify, "_scan", counting)
+    return scan(*args), seen
+
+
+@pytest.mark.parametrize("norm_order", [math.inf, 2.0, 3.5])
+def test_a_scan_whose_every_bound_exceeds_one_evaluates_nothing_exactly(
+    norm_order, monkeypatch
+):
+    args = (*instance(("inf", "sine"), norm_order, far=True), SCHEDULE_SAMPLES)
+    assert scan_counting_exact(monkeypatch, oracle_scan_stacked, *args) == (None, [])
+
+
+def rotated_off(norm_order):
+    """An instance whose target lies on the path at t = 0.3 but is turned
+    90 degrees about y: some bounds are <= 1, no distance is."""
+    target, start, final, params = instance(("inf", "sine"), norm_order, far=False)
+    turn = quat_from_axis_angle((0.0, 1.0, 0.0), math.radians(90.0))
+    on_path = stacked_interp(0.3, start, final)
+    poses = tuple(Pose(pose.v, quat_mul(turn, pose.q)) for pose in on_path.poses)
+    return MultiPose(target.names, poses), start, final, params
+
+
+@pytest.mark.parametrize("norm_order", [math.inf, 2.0, 3.5])
+def test_a_scan_with_no_hit_evaluates_only_samples_bounded_by_one(norm_order, monkeypatch):
+    args = rotated_off(norm_order)
+    got, seen = scan_counting_exact(monkeypatch, oracle_scan_stacked, *args, SCHEDULE_SAMPLES)
+    assert got is None
+    assert dense_reference_scan(SCHEDULE_SAMPLES, dense_dists_stacked(*args)) is None
+    assert seen and all((bounds <= 1.0).all() for bounds in seen)
+
+
+@pytest.mark.parametrize("seed", ["1", "7", "20260821"])
+def test_clamp_oracle_suite_reproduces_its_reference_detail(seed):
+    # Every verdict and the largest grid-step gap of the benchmark's reference.
+    reference = json.loads(REFERENCES.read_text())["oracle_verify"][seed]
+    result = run_clamp_oracle_suite(reference["instances"], int(seed))
+    assert result.passed
+    assert result.detail == reference["detail"]
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -226,24 +278,11 @@ def test_oracle_scan_stacked_rejects_differing_names():
         oracle_scan_stacked(target, start, renamed, params, SCHEDULE_SAMPLES)
 
 
-def dense_reference_scan(n, chunk_dists):
-    """The oracle's scan with no bound: chunk_dists(ts) scores every sample.
-
-    Chunks follow verify._chunk_bounds, so a chunk holding a NaN distance is
-    passed over exactly as the oracle passes it over.
-    """
-    best_dist, best_t = math.inf, 1.0
-    for lo, hi in verify._chunk_bounds(n):
-        ts = 1.0 - np.arange(lo, hi, dtype=np.float64) / (n - 1)
-        dists = chunk_dists(ts)
-        feasible = dists <= 1.0
-        if feasible.any():
-            j = int(np.argmax(feasible))
-            return True, float(ts[j]), float(dists[j])
-        j = int(np.argmin(dists))
-        if dists[j] < best_dist:
-            best_dist, best_t = float(dists[j]), float(ts[j])
-    return False, best_t, best_dist
+def dense_reference_scan(n, dists_at):
+    """The oracle's scan with no bound: dists_at(ts) scores every sample."""
+    ts = 1.0 - np.arange(n, dtype=np.float64) / (n - 1)
+    feasible = dists_at(ts) <= 1.0
+    return float(ts[np.argmax(feasible)]) if feasible.any() else None
 
 
 def dense_dists_1d(y, s, f, p):
@@ -293,8 +332,11 @@ def line_instance(targets, p_e, norm_order, length=2048.0):
     return target, start, final, MultiMetricParams(per_ee, norm_order=norm_order)
 
 
-def case(args, id, n=DYADIC_SAMPLES, expected=None):
-    """args, and the (feasible, t) the scan must return if it is known."""
+UNKNOWN = object()
+
+
+def case(args, id, n=DYADIC_SAMPLES, expected=UNKNOWN):
+    """args, and the t the scan must return (None: no hit) if it is known."""
     return pytest.param(args, n, expected, id=id)
 
 
@@ -307,41 +349,41 @@ STACKED_CASES = [
     for k in NORM_ORDERS
     for far in (False, True)
 ] + [
-    # Samples 1000 and 1001 are equally near: the larger t must win.
-    case(line_instance([(1000.5, 10.0)], 4.0, k), f"tie-k{k}", expected=(False, 1001 / 2048))
+    # Samples 1000 and 1001 tie as the nearest, both outside the ball: no hit.
+    case(line_instance([(1000.5, 10.0)], 4.0, k), f"tie-k{k}", expected=None)
     for k in NORM_ORDERS
 ] + [
     # Limb 0 is at distance exactly 1.0 at x = 1000, limb 1 at 0.0.
     case(line_instance([(1000.0, 4.0), (1000.0, 0.0)], 4.0, k), f"exactly-one-k{k}",
-         expected=(True, 1000 / 2048))
+         expected=1000 / 2048)
     for k in NORM_ORDERS
 ] + [
     # Squares overflow to inf at every sample but x = 0.5e160.
     case(line_instance([(0.5e160, 0.5e150)], 1e150, 3.5, 1e160), "squares-overflow-feasible",
-         expected=(True, 0.5)),
+         expected=0.5),
     case(line_instance([(0.5e160, 2e150)], 1e150, math.inf, 1e160), "squares-overflow-far",
-         expected=(False, 0.5)),
+         expected=None),
     # d**3.5 overflows to inf farther than about 1e88 from x = 0.5e91.
     case(line_instance([(0.5e91, 5.0)], 1.0, 3.5, 1e91), "power-overflows",
-         expected=(False, 0.5)),
+         expected=None),
     # The offset itself overflows: inf everywhere.
     case(line_instance([(1e308, 0.0)], 1.0, math.inf, -1e308), "offset-overflows",
-         expected=(False, 1.0)),
+         expected=None),
 ]
 ONE_D_CASES = [
     case((32.5, 10.0, 110.0, 4.0), "feasible", SCHEDULE_SAMPLES),
     case((1.0, 10.0, 110.0, 4.0), "far", SCHEDULE_SAMPLES),
-    case((1000.5, 0.0, 2048.0, 0.25), "tie", expected=(False, 1001 / 2048)),
-    case((1004.0, 0.0, 2048.0, 4.0), "exactly-one", expected=(True, 1008 / 2048)),
+    case((1000.5, 0.0, 2048.0, 0.25), "tie", expected=None),
+    case((1004.0, 0.0, 2048.0, 4.0), "exactly-one", expected=1008 / 2048),
     # f - s overflows: inf at every t > 0, NaN at t = 0.
-    case((0.0, -1e308, 1e308, 1.0), "overflows", expected=(False, 1.0)),
+    case((0.0, -1e308, 1e308, 1.0), "overflows", expected=None),
 ]
 
 
 def assert_equals_reference(got, want, expected):
     assert got == want and repr(got) == repr(want)
-    if expected is not None:
-        assert got[:2] == expected
+    if expected is not UNKNOWN:
+        assert got == expected
 
 
 # The overflow cases overflow on purpose.
@@ -372,36 +414,27 @@ def test_oracle_scan_1d_equals_the_dense_reference(args, n, expected, schedule, 
     assert_equals_reference(got, dense_reference_scan(n, dense_dists_1d(*args)), expected)
 
 
-def fold_rounds_below_bound(ys, p_e, k):
-    """Whether, for limbs at these y offsets from a sample, the exact fold
-    of their distances there rounds below the translation-only bound."""
+def bound_rounds_above_the_fold(ys, p_e):
+    """Whether, for limbs at these y offsets from a sample, the 2-norm bound
+    there rounds above 1 while the exact fold of their distances is <= 1."""
     t2 = np.square(np.array(ys))
     t2 /= p_e * p_e
-    bound = np.sqrt(t2.sum(keepdims=True) if k <= 2 else t2.max(keepdims=True))
+    bound = np.sqrt(t2.sum(keepdims=True))
     d = np.sqrt(t2)
-    d **= k
+    d **= 2.0
     fold = d.sum(keepdims=True)
-    fold **= 1.0 / k
-    return fold[0] < bound[0]
+    fold **= 0.5
+    return bound[0] > 1.0 >= fold[0]
 
 
 @TWO_SCHEDULES
-@pytest.mark.parametrize(
-    "k, p_e, ys_of",
-    [
-        (3.5, 1.0, lambda i: [2.0 + i / 1024]),  # bound: the largest limb
-        (2.0, 3.0, lambda i: [2.0 + i / 256, 3.125]),  # bound: the 2-norm
-    ],
-    ids=["largest-limb", "two-norm"],
-)
-def test_oracle_scan_stacked_equals_the_dense_reference_where_the_fold_rounds_down(
-    k, p_e, ys_of, schedule, monkeypatch
-):
-    # The nearest sample, x = 1024, is one where the finite-k bound exceeds
-    # the distance unless it keeps its margin. Which offsets round so
-    # depends on the host's pow, so they are searched for.
-    ys = next(ys for ys in map(ys_of, range(1, 4096)) if fold_rounds_below_bound(ys, p_e, k))
-    args = line_instance([(1024.0, y) for y in ys], p_e, k)
+def test_oracle_scan_stacked_keeps_a_hit_whose_bound_rounds_above_one(schedule, monkeypatch):
+    # Limbs 3 and 4 off a 2-norm ball of radius 5, nudged until the bound at
+    # x = 1024 rounds above 1 and the distance does not: only the bound's
+    # margin keeps that sample, the only one inside, from being skipped.
+    nudged = ([3.0 + i * 2**-50, 4.0 + j * 2**-50] for i in range(64) for j in range(-64, 64))
+    ys = next(ys for ys in nudged if bound_rounds_above_the_fold(ys, 5.0))
+    args = line_instance([(1024.0, y) for y in ys], 5.0, 2.0)
     got = scan_under(schedule, monkeypatch, oracle_scan_stacked, *args, DYADIC_SAMPLES)
     want = dense_reference_scan(DYADIC_SAMPLES, dense_dists_stacked(*args))
-    assert_equals_reference(got, want, (False, 0.5))
+    assert_equals_reference(got, want, 0.5)
