@@ -11,10 +11,12 @@ so the whole grid reduces to a few transcendental ops per sample. Limbs
 with finite r_e form one group per arc kind, their terms (rows, 1) columns.
 
 The translation coefficients are Python floats, one (a, b, c) per limb, so
-a clamp that locates its hit in closed form reads them as they are; the grid
-makes columns of them. Every 3-term dot product among them is ``_dot3``,
-((x0 y0 + x2 y2) + x1 y1) + 0.0: the order in which numpy's
-``einsum("ij,ij->i")`` sums a row of 3 (numpy 2.4 on x86-64), which the
+a clamp that locates its hit in closed form reads them as they are, its two
+certifying samples in one pass over the limbs (``scalar_inf_distances``,
+``_grid_block``'s operations); the grid makes columns of them. Every 3-term
+dot product among them is ``_dot3``, written inline in the per-step
+``segment_coefficients``: ((x0 y0 + x2 y2) + x1 y1) + 0.0, the order in which
+numpy's ``einsum("ij,ij->i")`` sums a row of 3 (numpy 2.4 on x86-64), which the
 coefficients were first computed with, so they keep its bits
 (``tests/test_kernels.py`` pins the two equal). The + 0.0 is einsum's own, as
 it sums into a zeroed output: it turns a sum of -0.0 into +0.0.
@@ -37,14 +39,14 @@ def segment_constants(vs, vf, qs, qf, p_e, r_e, rot):
     Pose inputs are (n, 3) / (n, 4) arrays; p_e and r_e are (n,). ``rot``
     selects the rows whose rotation counts (finite r_e): a list of rows,
     empty if none, or a full slice if all (``MultiMetricParams._columns``).
-    Returns (translation, groups): per limb the Python floats (vs, dv, pe2,
-    ta), vs and dv as 3-tuples and ta = |dv|**2 / pe2, and one group per
-    arc kind present.
+    Returns (translation, groups): per limb the 8 Python floats of vs, dv,
+    pe2 and ta = |dv|**2 / pe2, in that order, and one group per arc kind
+    present.
     """
     translation = []
     for s, f, p in zip(vs.tolist(), vf.tolist(), p_e.tolist()):
         dv, pe2 = (f[0] - s[0], f[1] - s[1], f[2] - s[2]), p * p
-        translation.append((tuple(s), dv, pe2, _dot3(dv, dv) / pe2))
+        translation.append((*s, *dv, pe2, _dot3(dv, dv) / pe2))
     arcs, flats = [], []
     if rot:
         rows = zip(
@@ -99,9 +101,10 @@ def segment_coefficients(segment, vy, qy):
     """
     translation, groups = segment
     limbs = []
-    for (s, dv, pe2, ta), y in zip(translation, vy.tolist()):
-        sv = (s[0] - y[0], s[1] - y[1], s[2] - y[2])
-        limbs.append((ta, 2.0 * _dot3(dv, sv) / pe2, _dot3(sv, sv) / pe2))
+    for (s0, s1, s2, d0, d1, d2, pe2, ta), (y0, y1, y2) in zip(translation, vy.tolist()):
+        s0, s1, s2 = s0 - y0, s1 - y1, s2 - y2
+        tb = 2.0 * (((d0 * s0 + d2 * s2) + d1 * s1) + 0.0) / pe2
+        limbs.append((ta, tb, (((s0 * s0 + s2 * s2) + s1 * s1) + 0.0) / pe2))
     rotation = []
     for rows, qs_g, qf_g, signs, arc, inv_re in groups:
         qy_g = qy[rows]
@@ -140,7 +143,7 @@ _BLOCK = 1 << 14
 
 
 def _grid_block(ts, columns, k):
-    # scalar_inf_distance repeats this block's operations for rotation-free
+    # scalar_inf_distances repeats this block's operations for rotation-free
     # limbs under k = inf, in this order, and must change with it.
     ta, tb, tc, rotation = columns
     d2 = np.multiply(ta, ts)
@@ -169,12 +172,20 @@ def _grid_block(ts, columns, k):
     return acc
 
 
-def scalar_inf_distance(limbs, t: float) -> float:
-    """``_grid_block``'s infinity-norm distance at one sample t of
-    rotation-free limbs, each ``(ta, tb, tc)`` of ``segment_coefficients``:
-    ((ta t) t + tb t) + tc per limb, clamped at 0, the largest, its root.
-    These are ``_grid_block``'s operations in its order, and each rounds as
-    numpy's does, so the result equals ``grid_distances`` at t bit for bit
-    where no coefficient is NaN (Python's max would pass a NaN over). The
-    two must change together."""
-    return math.sqrt(max(0.0, *[a * t * t + b * t + c for a, b, c in limbs]))
+def scalar_inf_distances(limbs, t: float, u: float) -> tuple[float, float]:
+    """``_grid_block``'s infinity-norm distances at the samples t and u of
+    rotation-free limbs, each ``(ta, tb, tc)`` of ``segment_coefficients``,
+    in one pass: ((ta t) t + tb t) + tc per limb, their max with 0.0 (moved
+    only by a larger square, so -0.0 reads +0.0 as in numpy), its root.
+    Each operation rounds as numpy's does, so both equal ``grid_distances``
+    bit for bit where no coefficient is NaN (the comparison passes a NaN
+    over). The two must change together."""
+    dt = du = 0.0
+    for a, b, c in limbs:
+        x = a * t * t + b * t + c
+        if x > dt:
+            dt = x
+        x = a * u * u + b * u + c
+        if x > du:
+            du = x
+    return math.sqrt(dt), math.sqrt(du)

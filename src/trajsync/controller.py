@@ -367,7 +367,10 @@ def handle_no_solution(
 
     if strategy is RecoveryStrategy.NEAREST_SAMPLE:
         command = outcome.nearest_point
-        new = _evolve(state, mode=Mode.TRACKING, last_command=command)
+        new = _evolve(
+            state, mode=Mode.TRACKING, last_command=command,
+            segment_t=outcome.nearest_t, command_segment=state.segment_index,
+        )
         return new, command
 
     if strategy is RecoveryStrategy.RESTART_TO_F:

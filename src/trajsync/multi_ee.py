@@ -420,8 +420,9 @@ class StackedSegment:
         where ta_i t**2 + tb_i t + tc_i <= 1 for every limb i: an interval
         of t, whose top is the least of the limbs' upper roots (and 1). The
         roots only propose i, the index of the highest sample at or below
-        that top; ``_kernels.scalar_inf_distance`` then reads ts[i] and
-        ts[i - 1] bit for bit as the grid kernel would. ts[i] is the hit
+        that top; ``_kernels.scalar_inf_distances`` then reads ts[i] and
+        ts[i - 1] in one pass, bit for bit as the grid kernel would (the
+        second unused when i = 0). ts[i] is the hit
         when it reads inside the ball and either i = 0 or ts[i - 1] reads
         above 1 + margin (see ``_convexity_margin``; while the margin is
         finite every limb travels under 1.5e6 balls, so a sample next to a
@@ -431,30 +432,30 @@ class StackedSegment:
         ``limbs`` are ``segment_coefficients``' per-limb (ta, tb, tc).
         """
         # ta is finite wherever the margin is; a NaN or inf anywhere in tb or
-        # tc makes this sum one too, and Python's max would hide a NaN.
+        # tc makes this sum one too, and the reading's comparisons pass a NaN over.
         if not math.isfinite(sum([b + c for _, b, c in limbs])):
             return None
         top = 1.0
         for a, b, c in limbs:
+            root = top  # then top = min(top, root), without the call
             if a > 0.0:
                 disc = b * b - 4.0 * a * (c - 1.0)
                 if disc < 0.0:
                     return None  # never inside its ball
                 s = math.sqrt(disc)
                 # the upper root, in the form without cancellation
-                top = min(top, (s - b) / (2.0 * a) if b <= 0.0 else 2.0 * (1.0 - c) / (b + s))
+                root = (s - b) / (2.0 * a) if b <= 0.0 else 2.0 * (1.0 - c) / (b + s)
             elif b > 0.0:
-                top = min(top, (1.0 - c) / b)
+                root = (1.0 - c) / b
+            if root < top:
+                top = root
         if not top >= 0.0:
             return None
         last = self.n_samples - 1
         i = math.ceil((1.0 - top) * last)
         t = 1.0 - i / last  # ts[i] bit for bit: the same two IEEE operations
-        reading = _kernels.scalar_inf_distance
-        dist = reading(limbs, t)
-        if not dist <= 1.0:
-            return None
-        if i and not reading(limbs, 1.0 - (i - 1) / last) > 1.0 + self._margin:
+        dist, above = _kernels.scalar_inf_distances(limbs, t, 1.0 - (i - 1) / last)
+        if not dist <= 1.0 or i and not above > 1.0 + self._margin:
             return None
         return Solution(stacked_interp(t, self.start, self.final), t, dist)
 

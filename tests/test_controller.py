@@ -337,6 +337,21 @@ def test_floored_miss_under_nearest_sample_emits_the_floor_point():
     assert command.quaternions().tobytes() == floor_point.quaternions().tobytes()
 
 
+def test_nearest_sample_reports_the_segment_and_t_of_its_command():
+    # The step before completed segment 0, so the state still reports t = 1
+    # on segment 0; the miss on segment 1 must report where its sample lies.
+    path = line_path(0.0, 5.0, 100.0)
+    state = ControllerState.initial(one(0.0))
+    state, _ = step_tracking(state, one(0.0), path, METRIC1, CFG)
+    assert (state.segment_index, state.command_segment, state.segment_t) == (1, 0, 1.0)
+    state, command = step_tracking(
+        state, one(50.0, 30.0), path, METRIC1, CFG, strategy=RecoveryStrategy.NEAREST_SAMPLE
+    )
+    assert state.command_segment == 1 and 0.0 < state.segment_t < 1.0
+    point = stacked_interp(state.segment_t, *path.segment(state.command_segment))
+    assert point.translations().tobytes() == command.translations().tobytes()
+
+
 def test_restart_reaching_the_end_of_the_last_segment_advances():
     # An override segment is left at t = 1 even on the last segment of a
     # non-looping path, where a plain tracking hit holds its segment.

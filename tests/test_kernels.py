@@ -7,7 +7,7 @@ import pytest
 
 from trajsync._kernels import (
     grid_distances,
-    scalar_inf_distance,
+    scalar_inf_distances,
     segment_coefficients,
     segment_constants,
 )
@@ -142,11 +142,36 @@ def test_scalar_infinity_norm_reading_matches_the_grid_bit_for_bit(n):
         constants = segment_constants(vs, vf, identity, identity, p_e, np.full(n, math.inf), [])
         limbs, rotation = segment_coefficients(constants, vy, identity)
         assert rotation == []
-        grid = grid_distances(ts, (limbs, rotation), math.inf)
-        scalar = np.array([scalar_inf_distance(limbs, t) for t in ts.tolist()])
-        assert scalar.tobytes() == grid.tobytes()
+        assert_reads_the_grid(limbs, ts)
         below_zero += any(a * t * t + b * t + c < 0.0 for a, b, c in limbs for t in ts.tolist())
     assert below_zero > 0
+
+
+def assert_reads_the_grid(limbs, ts):
+    """The two-sample reading at every (ts[i], ts[i - 1]) equals the grid's
+    distances there bit for bit."""
+    grid = grid_distances(ts, (limbs, []), math.inf)
+    samples = ts.tolist()
+    above = samples[-1:] + samples  # ts[i - 1], and a spare sample at i = 0
+    pairs = np.array([scalar_inf_distances(limbs, t, u) for t, u in zip(samples, above)])
+    assert pairs[:, 0].tobytes() == grid.tobytes()
+    assert pairs[1:, 1].tobytes() == grid[:-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "limbs",
+    [
+        [(-0.0, -0.0, -0.0)],  # a square of -0.0, which the grid reads +0.0
+        [(-0.0, -0.0, -0.0), (0.0, 0.0, -0.0), (-5e-324, -1e-300, -0.0)],
+        [(-1.0, 0.5, -2.0), (-0.0, -0.0, -0.0)],  # below 0 everywhere, and -0.0
+        [(-1.0, 0.5, -2.0)] * 3,  # tied limbs below 0
+        [(1.0, -1.0, 0.25), (4.0, -4.0, 1.0), (1.0, -1.0, 0.25)],  # tied, 0 at t = 0.5
+        [(2.0, -3.0, 1.25), (0.0, 0.0, 0.5), (2.0, -3.0, 1.25), (0.0, 0.0, 0.0)],
+    ],
+    ids=["minus-zero", "signed-zeros", "negative-and-minus-zero", "tied-negative", "tied-zero", "tied"],
+)
+def test_scalar_infinity_norm_reading_keeps_the_grids_zeros_and_ties(limbs):
+    assert_reads_the_grid(limbs, np.linspace(1.0, 0.0, 11))
 
 
 def einsum_coefficients(vs, vf, vy, p_e):

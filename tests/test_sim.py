@@ -7,9 +7,10 @@ import pickle
 import numpy as np
 import pytest
 
+from trajsync import _kernels
 from trajsync.controller import PathSpec, RecoveryStrategy
 from trajsync.metric_core import ClampConfig
-from trajsync.multi_ee import MultiMetricParams, MultiPose, per_ee_distances
+from trajsync.multi_ee import MultiMetricParams, MultiPose, per_ee_distances, stacked_interp
 from trajsync.scenarios import BUILTIN_SCENARIOS, get_scenario
 from trajsync.se3 import Pose, Se3MetricParams, quat_from_axis_angle
 from trajsync.sim import (
@@ -508,3 +509,31 @@ def test_trace_record_is_frozen_slotted_and_pickles():
         assert got.names == want.names
         assert got.translations().tobytes() == want.translations().tobytes()
         assert got.quaternions().tobytes() == want.quaternions().tobytes()
+
+
+def test_nearest_sample_trace_names_the_interpolant_of_every_command():
+    # Under NEAREST_SAMPLE a miss emits the nearest sample and stays in
+    # tracking, so every row's (segment, t) must give back its command.
+    base = get_scenario("robustness_mix")
+    program = dataclasses.replace(base.program, strategy=RecoveryStrategy.NEAREST_SAMPLE)
+    trace = run_scenario(dataclasses.replace(base, program=program))
+    assert {record.mode for record in trace} == {"tracking"}
+    for record in trace:
+        point = stacked_interp(record.t, *program.path.segment(record.segment))
+        assert point.translations().tobytes() == record.command.translations().tobytes()
+        assert point.quaternions().tobytes() == record.command.quaternions().tobytes()
+
+
+# Grid-kernel calls of one run of each builtin: a rotation-free infinity-norm
+# clamp locates its hit without the kernel, so the six-limb runs call it only
+# on misses and on the rare proposal the closed form cannot certify.
+KERNEL_CALLS = {"nominal_square": 0, "power_loss": 2, "robustness_mix": 32, "out_of_range": 440}
+
+
+@pytest.mark.parametrize("which", sorted(KERNEL_CALLS))
+def test_builtin_runs_call_the_grid_kernel_no_more_than_they_need(which, monkeypatch):
+    calls = []
+    grid = _kernels.grid_distances
+    monkeypatch.setattr(_kernels, "grid_distances", lambda *a: calls.append(1) or grid(*a))
+    run_scenario(get_scenario(which))
+    assert len(calls) <= KERNEL_CALLS[which]
