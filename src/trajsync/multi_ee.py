@@ -37,10 +37,10 @@ class MultiPose:
     """Ordered poses of n named end effectors (the stacked state).
 
     Stored as read-only (n, 3) translation and (n, 4) unit-quaternion arrays;
-    the ``Pose`` objects of ``poses`` are built on first use.
+    ``poses`` wraps their rows as ``Pose`` objects on every call.
     """
 
-    __slots__ = ("names", "_v", "_q", "_poses")
+    __slots__ = ("names", "_v", "_q")
 
     def __init__(self, names: Sequence[str], poses: Sequence[Pose]):
         names = tuple(names)
@@ -53,23 +53,22 @@ class MultiPose:
             raise ValueError(f"end-effector names must be unique: {names}")
         v = np.stack([p.v for p in poses])
         q = np.stack([p.q for p in poses])
-        self._init(names, v, q, poses)
+        self._init(names, v, q)
 
     @classmethod
     def _of_arrays(cls, names: tuple[str, ...], v: np.ndarray, q: np.ndarray) -> "MultiPose":
         """Wrap (n, 3) translations and (n, 4) unit quaternions as they are,
         unchecked; the arrays become read-only and belong to the result."""
         mp = object.__new__(cls)
-        mp._init(names, v, q, None)
+        mp._init(names, v, q)
         return mp
 
-    def _init(self, names, v, q, poses) -> None:
+    def _init(self, names, v, q) -> None:
         v.setflags(write=False)
         q.setflags(write=False)
         _set_names(self, names)
         _set_v(self, v)
         _set_q(self, q)
-        _set_poses(self, poses)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MultiPose is immutable: cannot set {name!r}")
@@ -89,10 +88,7 @@ class MultiPose:
 
     @property
     def poses(self) -> tuple[Pose, ...]:
-        if self._poses is None:
-            poses = tuple(Pose._trusted(v, q) for v, q in zip(self._v, self._q))
-            _set_poses(self, poses)
-        return self._poses
+        return tuple(Pose._trusted(v, q) for v, q in zip(self._v, self._q))
 
     def pose_of(self, name: str) -> Pose:
         return self.poses[self.names.index(name)]
@@ -103,10 +99,7 @@ class MultiPose:
         q = self._q.copy()
         v[i] = pose.v
         q[i] = pose.q
-        out = MultiPose._of_arrays(self.names, v, q)
-        if self._poses is not None:
-            _set_poses(out, self._poses[:i] + (pose,) + self._poses[i + 1 :])
-        return out
+        return MultiPose._of_arrays(self.names, v, q)
 
     def translations(self) -> np.ndarray:
         """(n, 3) read-only array of translations."""
@@ -118,7 +111,7 @@ class MultiPose:
 
 
 # The slots' own setters, which __setattr__ refuses to reach.
-_set_names, _set_v, _set_q, _set_poses = (
+_set_names, _set_v, _set_q = (
     MultiPose.__dict__[slot].__set__ for slot in MultiPose.__slots__
 )
 

@@ -330,12 +330,12 @@ def _object(make: Callable, view: Callable | None = None, **table: _Kind) -> _Ki
 # A pose list (a MultiPose) is a list of {"name", "v", "q"} entries.
 _POSE_ENTRIES = _list(_object(
     lambda name, v, q: (name, Pose(v, q)),
-    lambda entry: (entry[0], entry[1].v, entry[1].q),
+    lambda entry: entry,
     name=_TEXT, v=_vector(3), q=_vector(4),
 ))
 _POSES = _Kind(
     lambda value, path: _built(multi_pose, path, _POSE_ENTRIES.read(value, path)),
-    lambda mp: _POSE_ENTRIES.write(zip(mp.names, mp.poses)),
+    lambda mp: _POSE_ENTRIES.write(zip(mp.names, mp.translations(), mp.quaternions())),
 )
 
 # The program is an object tagged by its "type".

@@ -37,7 +37,7 @@ from .controller import (
 )
 from .metric_core import ClampConfig
 from .multi_ee import MultiMetricParams, MultiPose, _chunk_distances, _slerp_rows
-from .se3 import Pose, _rowdot
+from .se3 import _rowdot, _unit_rows
 
 ALL_LIMBS = "ALL"
 
@@ -171,6 +171,8 @@ Program = Union[PathProgram, SpeedProgram]
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's config. ``seed`` is a label: no code reads it, so it does not change a run."""
+
     name: str
     limbs: tuple[LimbModel, ...]
     initial: MultiPose
@@ -265,6 +267,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     names = [limb.name for limb in scenario.limbs]
     if len(set(names)) != len(names):
         errors.append(f"limbs: duplicate names in {names}")
+    initial = dict(zip(scenario.initial.names, scenario.initial.translations()))
     for i, limb in enumerate(scenario.limbs):
         prefix = f"limbs[{i}].{limb.name}" if limb.name else f"limbs[{i}]"
         # a CSV trace row holds the name as a bare cell
@@ -297,9 +300,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             errors += _coordinate_errors(
                 f"{prefix}.workspace.{corner}", getattr(limb.workspace, corner)[None]
             )
-        if limb.name in scenario.initial.names:
-            if not limb.workspace.contains(scenario.initial.pose_of(limb.name).v):
-                errors.append(f"{prefix}.workspace: initial pose outside workspace")
+        if limb.name in initial and not limb.workspace.contains(initial[limb.name]):
+            errors.append(f"{prefix}.workspace: initial pose outside workspace")
     if tuple(names) != scenario.initial.names:
         errors.append(
             f"initial: pose names {scenario.initial.names} do not match limbs {tuple(names)}"
@@ -389,11 +391,9 @@ def limb_step(plant: tuple, current: MultiPose, command: MultiPose) -> MultiPose
     fraction of its remaining error, capped at max_ee_speed * dt (scaled by
     the slowdowns that target it), with the translation clipped to its
     workspace box. Blockage, freeze and power-off hold a limb's pose
-    exactly; when every limb is held, ``current`` itself comes back.
+    exactly, also when they hold every limb.
     """
     held, caps, fracs, frac_col, lower, upper = plant
-    if held is True:
-        return current
     dv = (command._v - current._v) * frac_col
     lengths = np.sqrt(_rowdot(dv, dv)).tolist()
     # Scaling by exactly 1.0 leaves a row that is under its cap unchanged.
@@ -408,8 +408,8 @@ def limb_step(plant: tuple, current: MultiPose, command: MultiPose) -> MultiPose
 
 def _plant_constants(limbs: tuple[LimbModel, ...], active, dt: float) -> tuple:
     """What ``limb_step`` needs of the limbs, the faults ``active`` (any
-    sequence) and dt: the held rows (None if none, True if all), the speed
-    caps, the pursuit fractions (a list and an (n, 1) column) and the
+    sequence) and dt: the held rows (an (n, 1) mask, None if none), the
+    speed caps, the pursuit fractions (a list and an (n, 1) column) and the
     workspace bounds."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -427,9 +427,7 @@ def _plant_constants(limbs: tuple[LimbModel, ...], active, dt: float) -> tuple:
             moving.append(i)
         caps.append(speed * dt)
     held = None
-    if not moving:
-        held = True
-    elif len(moving) < len(limbs):
+    if len(moving) < len(limbs):
         held = np.ones((len(limbs), 1), dtype=bool)
         held[moving] = False
     fracs = [min(1.0, limb.tracking_gain * dt) for limb in limbs]
@@ -486,15 +484,16 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
             for d, on, off in faults:
                 if not on < off == k:
                     continue
-                for j, limb in enumerate(limbs):
-                    if not d.targets(limb.name):
-                        continue
-                    if d.kind in _OFFSET_KINDS:
-                        p = true.poses[j]
-                        true = true.replace_pose(
-                            limb.name, Pose(limb.workspace.clip(p.v + d.offset), p.q)
-                        )
-                    if d.kind in _FREEZE_KINDS or d.kind in _OFFSET_KINDS:
+                targeted = [j for j, limb in enumerate(limbs) if d.targets(limb.name)]
+                if d.kind in _OFFSET_KINDS:
+                    # Renormalised as Pose(v, q) renormalises its quaternion.
+                    v, q = true._v.copy(), true._q.copy()
+                    for j in targeted:
+                        v[j] = limbs[j].workspace.clip(v[j] + d.offset)
+                    q[targeted] = _unit_rows(q[targeted])
+                    true = MultiPose._of_arrays(names, v, q)
+                if d.kind in _FREEZE_KINDS or d.kind in _OFFSET_KINDS:
+                    for j in targeted:
                         next_sample[j] = now
             active = [d for d, on, off in faults if on <= k < off]
             plant = _plant_constants(limbs, active, dt)

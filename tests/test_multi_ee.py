@@ -63,10 +63,11 @@ def test_multipose_is_read_only_from_both_constructors():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 5.0
-        for name in ("names", "_v", "_q", "_poses", "other"):
+        for name in ("names", "_v", "_q", "other"):
             with pytest.raises(AttributeError):
                 setattr(mp, name, None)
-    # the lazily built poses are still set through the slots
+    # the rows are the whole state: poses and replace_pose go through them
+    assert MultiPose.__slots__ == ("names", "_v", "_q")
     assert wrapped.poses[1].v[0] == 0.0
     assert wrapped.replace_pose("b", pose(7.0)).poses[1].v[0] == 7.0
 

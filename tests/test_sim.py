@@ -12,7 +12,7 @@ from trajsync.controller import PathSpec, RecoveryStrategy
 from trajsync.metric_core import ClampConfig
 from trajsync.multi_ee import MultiMetricParams, MultiPose, per_ee_distances, stacked_interp
 from trajsync.scenarios import BUILTIN_SCENARIOS, get_scenario
-from trajsync.se3 import Pose, Se3MetricParams, quat_from_axis_angle
+from trajsync.se3 import Pose, Se3MetricParams, quat_from_axis_angle, quat_normalize
 from trajsync.sim import (
     ALL_LIMBS,
     Box,
@@ -32,6 +32,7 @@ from trajsync.sim import (
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+Z_AXIS = np.array([0.0, 0.0, 1.0])
 BIG_BOX = Box(np.full(3, -1e6), np.full(3, 1e6))
 
 
@@ -117,7 +118,8 @@ def test_blockage_holds_the_pose_exactly():
     d = Disturbance(DisturbanceKind.BLOCK, "arm", start=0.0, duration=1.0)
     p = pose(3.0)
     out = plant_step((l,), stack(p), stack(pose(100.0)), [d], 0.1).poses[0]
-    assert out is p
+    assert out.v.tobytes() == p.v.tobytes()
+    assert out.q.tobytes() == p.q.tobytes()
 
 
 def test_slowdown_scales_the_speed_cap():
@@ -308,6 +310,33 @@ def test_freeze_holds_sensed_then_jumps_on_restore():
     assert jump[2] == -40.0
 
 
+def test_a_restore_renormalises_the_quaternion_as_pose_does():
+    # One more normalisation moves this unit quaternion by an ulp. The block
+    # pins the limb at its initial pose, taken as it is, until the displace
+    # restores it, so the restored pose must be Pose(clip(v + offset), q)
+    # bit for bit.
+    q = Pose(np.zeros(3), quat_from_axis_angle(np.array([1.0, 1.0, 1.0]), 0.9)).q
+    assert quat_normalize(q).tobytes() != q.tobytes()
+    box = Box(np.full(3, -50.0), np.full(3, 50.0))
+    v = np.array([10.0, 0.0, 0.0])
+    end = Pose(np.array([40.0, 0.0, 0.0]), quat_from_axis_angle(Z_AXIS, 0.4))
+    offset = np.array([0.0, 70.0, -3.0])
+    sc = single_limb_scenario(
+        limbs=(limb(box=box),),
+        initial=MultiPose._of_arrays(("arm",), v[None], q[None]),
+        program=PathProgram(PathSpec((stack(Pose(v, q)), stack(end)))),
+        metric=MultiMetricParams.uniform(1, p_e=10.0, r_e=0.5),
+        disturbances=(
+            Disturbance(DisturbanceKind.BLOCK, "arm", start=0.0, duration=0.5),
+            Disturbance(DisturbanceKind.DISPLACE, "arm", start=0.0, duration=0.5, offset=offset),
+        ),
+    )
+    restored = next(r for r in run_scenario(sc) if r.time >= 0.5).sensed.poses[0]
+    want = Pose(box.clip(v + offset), q)
+    assert restored.v.tobytes() == want.v.tobytes()
+    assert restored.q.tobytes() == want.q.tobytes()
+
+
 def test_displace_offsets_the_plant_at_window_end():
     sc = single_limb_scenario(
         disturbances=(
@@ -451,10 +480,12 @@ def test_plant_constants_follow_the_active_set():
     # though the constants of every interval exist side by side.
     limbs = (limb("a", speed=40.0), limb("b", speed=40.0, gain=10.0))
     current = MultiPose(("a", "b"), (pose(0.0), pose(0.0, 5.0)))
-    command = MultiPose(("a", "b"), (pose(30.0), pose(10.0, 5.0)))
+    turned = Pose(np.array([10.0, 5.0, 0.0]), quat_from_axis_angle(Z_AXIS, 0.3))
+    command = MultiPose(("a", "b"), (pose(30.0), turned))
     block = Disturbance(DisturbanceKind.BLOCK, "a", 0.0, 1.0)
     slow = Disturbance(DisturbanceKind.SLOWDOWN, ALL_LIMBS, 0.0, 1.0, factor=0.25)
-    intervals = ((), (block,), (slow,), ())
+    freeze = Disturbance(DisturbanceKind.FREEZE, ALL_LIMBS, 0.0, 1.0)
+    intervals = ((), (block,), (slow,), (freeze,), ())
     plants = [_plant_constants(limbs, active, 0.02) for active in intervals]
     results = []
     for plant, active in zip(plants, intervals):
@@ -463,8 +494,12 @@ def test_plant_constants_follow_the_active_set():
         assert got.translations().tobytes() == fresh.translations().tobytes()
         assert got.quaternions().tobytes() == fresh.quaternions().tobytes()
         results.append(got.translations().tobytes())
-    # the block holds limb a, the slowdown shortens both steps
-    assert len(set(results)) == 3 and results[0] == results[3]
+    # the block holds limb a, the slowdown shortens both steps, the freeze
+    # holds every limb exactly
+    assert len(set(results)) == 4 and results[0] == results[4]
+    held = limb_step(plants[3], current, command)
+    assert held.translations().tobytes() == current.translations().tobytes()
+    assert held.quaternions().tobytes() == current.quaternions().tobytes()
 
 
 def test_validate_bounds_coordinates_and_the_norm_order():
@@ -513,15 +548,24 @@ def test_trace_record_is_frozen_slotted_and_pickles():
 
 def test_nearest_sample_trace_names_the_interpolant_of_every_command():
     # Under NEAREST_SAMPLE a miss emits the nearest sample and stays in
-    # tracking, so every row's (segment, t) must give back its command.
+    # tracking, so every row's (segment, t) must give back its command. Under
+    # the default strategy the tracking rows do too, and a recovering row
+    # repeats the (segment, t) of the row before it.
     base = get_scenario("robustness_mix")
-    program = dataclasses.replace(base.program, strategy=RecoveryStrategy.NEAREST_SAMPLE)
-    trace = run_scenario(dataclasses.replace(base, program=program))
-    assert {record.mode for record in trace} == {"tracking"}
-    for record in trace:
-        point = stacked_interp(record.t, *program.path.segment(record.segment))
-        assert point.translations().tobytes() == record.command.translations().tobytes()
-        assert point.quaternions().tobytes() == record.command.quaternions().tobytes()
+    for strategy, modes in (
+        (RecoveryStrategy.NEAREST_SAMPLE, {"tracking"}),
+        (base.program.strategy, {"tracking", "recovering"}),
+    ):
+        program = dataclasses.replace(base.program, strategy=strategy)
+        trace = run_scenario(dataclasses.replace(base, program=program))
+        assert {record.mode for record in trace} == modes
+        for before, record in zip([None, *trace], trace):
+            if record.mode == "recovering":
+                assert (record.t, record.segment) == (before.t, before.segment)
+                continue
+            point = stacked_interp(record.t, *program.path.segment(record.segment))
+            assert point.translations().tobytes() == record.command.translations().tobytes()
+            assert point.quaternions().tobytes() == record.command.quaternions().tobytes()
 
 
 # Grid-kernel calls of one run of each builtin: a rotation-free infinity-norm
