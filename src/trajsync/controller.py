@@ -282,7 +282,7 @@ def step_tracking(
     if sensed.names != path.names:
         raise ValueError(f"state names {sensed.names} do not match path {path.names}")
     if state.mode is Mode.RECOVERING:
-        return _step_recovery(state, sensed, path, metric, cfg)
+        return _step_recovery(state, sensed, metric, cfg)
 
     start, final = _active_segment(state, path)
     outcome, segment = _clamp(
@@ -363,7 +363,7 @@ def handle_no_solution(
             resume_t_floor=state.t_floor,
             t_floor=0.0,
         )
-        return _step_recovery(entering, sensed, path, metric, cfg)
+        return _step_recovery(entering, sensed, metric, cfg)
 
     if strategy is RecoveryStrategy.NEAREST_SAMPLE:
         command = outcome.nearest_point
@@ -385,11 +385,7 @@ def handle_no_solution(
 
 
 def _step_recovery(
-    state: ControllerState,
-    sensed: MultiPose,
-    path: PathSpec,
-    metric: MultiMetricParams,
-    cfg: ClampConfig,
+    state: ControllerState, sensed: MultiPose, metric: MultiMetricParams, cfg: ClampConfig
 ) -> tuple[ControllerState, MultiPose]:
     rec_start, rec_final = state.recovery_path
     hit, segment = _clamp(

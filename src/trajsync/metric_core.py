@@ -29,7 +29,9 @@ class ClampConfig:
     ``step_distance`` is the spacing between consecutive samples measured by
     the metric (0.01 gives about 100 samples per unit-ball radius).
     ``enforce_monotonic_t`` is consumed by the controller layer, not by the
-    raw clamp.
+    raw clamp. It is off here, so also in ``Scenario``'s default and in a
+    JSON config that leaves out ``clamp`` or the key; ``step_tracking`` and
+    ``step_speed`` called with ``cfg=None`` turn it on.
     """
 
     step_distance: float = 0.01

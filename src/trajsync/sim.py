@@ -80,6 +80,9 @@ class LimbModel:
     max_ee_speed caps translation, mm/s. tracking_gain is the first-order
     pursuit rate, 1/s. sensor_period and command_latency are seconds; zero
     means every-step sampling and immediate command application.
+    command_latency delays commands by round(latency / dt) steps, halves to
+    even. A sensor_period that is not a multiple of dt refreshes at the
+    first step at or after each due time, counted from the last refresh.
     """
 
     name: str
@@ -255,6 +258,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             f"horizon: horizon / dt must be <= {_MAX_STEPS} steps, "
             f"got {scenario.horizon / scenario.dt:.6g}"
         )
+    # the step count the run takes, once dt and horizon are valid
+    n_steps = 0 if errors else int(round(scenario.horizon / scenario.dt))
     # ClampConfig's default: the largest grid any scenario uses, and the
     # clamp oracle's; each clamp allocates arrays of up to this many samples
     if scenario.clamp.max_samples > ClampConfig.max_samples:
@@ -362,6 +367,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"{prefix}: interval [{d.start}, {d.start + d.duration}] "
                 f"exceeds horizon {scenario.horizon}"
             )
+        elif n_steps and math.isfinite(d.start) and d.start >= 0 and d.duration > 0:
+            # the run applies a fault only at the steps of _active_steps
+            on, off = _active_steps(d, scenario.dt, n_steps)
+            if on == off:
+                errors.append(
+                    f"{prefix}: interval [{d.start}, {d.start + d.duration}] "
+                    f"holds no control step (dt {scenario.dt})"
+                )
         if d.kind is DisturbanceKind.SLOWDOWN:
             if d.factor is None or not (0.0 < d.factor < 1.0):
                 errors.append(f"{prefix}.factor: slowdown needs factor in (0,1), got {d.factor}")

@@ -397,6 +397,26 @@ def test_unreadable_config_exits_2_with_its_name(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+def test_fault_window_that_holds_no_control_step_exits_2(tmp_path, capsys):
+    # at dt 0.02 the window [1.001, 1.006) holds no step, so the run would
+    # never apply the fault
+    cfg = tmp_path / "scenario.json"
+    out = tmp_path / "trace.csv"
+    run_cli("run", "--scenario", "nominal_square", "--set", "horizon=4", "--dump-config", str(cfg))
+    data = json.loads(cfg.read_text())
+    data["disturbances"] = [
+        {"kind": "displace", "target": "quad1", "start": 1.001, "duration": 0.005,
+         "offset": [0.0, 0.0, -40.0]}
+    ]
+    cfg.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("run", "--scenario", str(cfg), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "disturbances[0]: interval" in err and "holds no control step" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["a,b", "a\nb", 'a"b', "a\rb"])
 def test_limb_name_that_a_csv_row_cannot_hold_exits_2(tmp_path, capsys, name):
     cfg = tmp_path / "scenario.json"

@@ -109,6 +109,16 @@ def test_infinite_allowances_survive_json():
     assert math.isinf(redone.metric.norm_order)
 
 
+def test_a_config_without_clamp_leaves_the_monotonic_floor_off():
+    # ClampConfig's default, unlike step_tracking's cfg=None default
+    data = scenario_to_dict(get_scenario("robustness_mix"))
+    assert data["clamp"]["enforce_monotonic_t"] is True
+    del data["clamp"]
+    assert scenario_from_dict(data).clamp.enforce_monotonic_t is False
+    data["clamp"] = {"step_distance": 0.01}
+    assert scenario_from_dict(data).clamp.enforce_monotonic_t is False
+
+
 def test_apply_overrides_scalar_fields():
     sc = get_scenario("nominal_square")
     out = apply_overrides(sc, {"dt": "0.05", "horizon": "10", "step_distance": "0.02"})

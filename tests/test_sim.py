@@ -213,6 +213,23 @@ def test_validate_rejects_disturbance_past_horizon():
     assert any("exceeds horizon" in e for e in errors)
 
 
+def _brief_displace(duration):
+    """nominal_square at a 4 s horizon with one displace on quad1 from
+    1.001 s; at dt 0.02 a 0.005 s window holds no step, a 0.02 s one does."""
+    fault = Disturbance(
+        DisturbanceKind.DISPLACE, "quad1", start=1.001, duration=duration,
+        offset=np.array([0.0, 0.0, -40.0]),
+    )
+    return dataclasses.replace(get_scenario("nominal_square"), horizon=4.0, disturbances=(fault,))
+
+
+def test_validate_rejects_a_fault_window_that_holds_no_control_step():
+    errors = validate_scenario(_brief_displace(0.005))
+    assert [e.split(":")[0] for e in errors] == ["disturbances[0]"]
+    assert "holds no control step" in errors[0]
+    assert validate_scenario(_brief_displace(0.02)) == []
+
+
 def test_validate_rejects_initial_pose_outside_workspace():
     box = Box(np.ones(3), np.full(3, 2.0))
     sc = single_limb_scenario(limbs=(limb(box=box),))
@@ -285,6 +302,24 @@ def test_command_latency_delays_the_plant():
         assert lag_trace[k + 3].sensed.poses[0].v[0] == pytest.approx(
             crisp_trace[k].sensed.poses[0].v[0], abs=1e-9
         )
+
+
+def test_sensor_period_off_the_step_grid_refreshes_at_the_first_step_due():
+    # dt=0.02, period=0.03: due at 0.03 after the step-0 refresh, so step 2
+    # (0.04) refreshes, the next is due at 0.07, so step 4, and so on
+    sc = single_limb_scenario(limbs=(limb(sensor_period=0.03),), horizon=0.4)
+    xs = [r.sensed.poses[0].v[0] for r in run_scenario(sc)]
+    refreshed = [k for k in range(1, len(xs)) if xs[k] != xs[k - 1]]
+    assert refreshed == list(range(2, len(xs), 2))
+
+
+def test_command_latency_rounds_to_whole_steps():
+    # dt=0.02: 0.025 s is round(1.25) = 1 step, the same lag as 0.02 s
+    runs = [
+        run_scenario(single_limb_scenario(limbs=(limb(command_latency=lat),), horizon=1.0))
+        for lat in (0.025, 0.02)
+    ]
+    assert [r.sensed.poses[0].v[0] for r in runs[0]] == [r.sensed.poses[0].v[0] for r in runs[1]]
 
 
 def test_freeze_holds_sensed_then_jumps_on_restore():

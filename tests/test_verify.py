@@ -1,5 +1,6 @@
 """The clamp oracle's dense scan against a plain per-sample evaluation."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -438,3 +439,29 @@ def test_oracle_scan_stacked_keeps_a_hit_whose_bound_rounds_above_one(schedule, 
     got = scan_under(schedule, monkeypatch, oracle_scan_stacked, *args, DYADIC_SAMPLES)
     want = dense_reference_scan(DYADIC_SAMPLES, dense_dists_stacked(*args))
     assert_equals_reference(got, want, 0.5)
+
+
+# --- metric-axiom suite ------------------------------------------------------
+
+def off_by_one(dist):
+    """d + 1: d(a, a) = 1, so every triple breaks identity."""
+    return lambda x, y, params: dist(x, y, params) + 1.0
+
+
+def scaled_by_call(dist):
+    """d scaled by a factor that grows with each call: d(a, a) stays 0, and
+    d(a, b) != d(b, a) whenever d(a, b) > 0, so every triple breaks symmetry."""
+    calls = itertools.count(1)
+    return lambda x, y, params: dist(x, y, params) * next(calls)
+
+
+@pytest.mark.parametrize("family", ["weighted_euclidean", "se3_distance", "stacked_distance"])
+@pytest.mark.parametrize("breaker", [off_by_one, scaled_by_call])
+def test_metric_axiom_suite_reports_a_broken_family(family, breaker, monkeypatch):
+    n = 20
+    monkeypatch.setattr(verify, family, breaker(getattr(verify, family)))
+    result = verify.run_metric_axiom_suite(n_triples=n)
+    assert result.passed is False
+    # The broken family fails all n of its triples, so n violations in all
+    # leaves none to the other two.
+    assert result.detail.startswith(f"{n} violations over {3 * n} triples")
