@@ -24,6 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # small but real run: single limb climbing for 2 simulated seconds
 FAST = ["--set", "horizon=2", "--set", "dt=0.1"]
+# 20 steps of nominal_square at its own dt, 0.02 s: at dt 0.1 its command
+# latencies of 0.02 and 0.04 s would round to no step, which a run rejects
+SQUARE_FAST = ["--set", "horizon=0.4"]
 
 
 def run_cli(*argv):
@@ -50,9 +53,9 @@ def test_csv_header_is_the_documented_contract(tmp_path):
 
 def test_csv_has_one_row_per_limb_per_step(tmp_path):
     out = tmp_path / "trace.csv"
-    run_cli("run", "--scenario", "nominal_square", *FAST, "--output", str(out))
+    run_cli("run", "--scenario", "nominal_square", *SQUARE_FAST, "--output", str(out))
     lines = read_lines(out)
-    # 2 s at dt=0.1 is 20 steps; six limbs
+    # 0.4 s at dt=0.02 is 20 steps; six limbs
     assert len(lines) == 1 + 20 * 6
     row = lines[1].split(",")
     assert len(row) == len(CSV_HEADER.split(","))
@@ -125,8 +128,8 @@ def test_builtin_csv_bytes_are_pinned(tmp_path, name):
 def test_repeated_runs_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    run_cli("run", "--scenario", "nominal_square", *FAST, "--output", str(a))
-    run_cli("run", "--scenario", "nominal_square", *FAST, "--output", str(b))
+    run_cli("run", "--scenario", "nominal_square", *SQUARE_FAST, "--output", str(a))
+    run_cli("run", "--scenario", "nominal_square", *SQUARE_FAST, "--output", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -413,6 +416,23 @@ def test_fault_window_that_holds_no_control_step_exits_2(tmp_path, capsys):
     assert run_cli("run", "--scenario", str(cfg), "--output", str(out)) == 2
     err = capsys.readouterr().err
     assert "disturbances[0]: interval" in err and "holds no control step" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_latency_that_rounds_to_no_step_exits_2(tmp_path, capsys):
+    # at dt 0.02 a latency of 0.01 s is round(0.5) = 0 steps, so the run
+    # would drop it
+    cfg = tmp_path / "scenario.json"
+    out = tmp_path / "trace.csv"
+    run_cli("run", "--scenario", "nominal_square", "--set", "horizon=4", "--dump-config", str(cfg))
+    data = json.loads(cfg.read_text())
+    data["limbs"][1]["command_latency"] = 0.01
+    cfg.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("run", "--scenario", str(cfg), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "limbs[1].quad1.command_latency: must be 0 or delay by at least one step" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -3,9 +3,12 @@
 import dataclasses
 import math
 import pickle
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajsync import _kernels
 from trajsync.controller import PathSpec, RecoveryStrategy
@@ -23,6 +26,7 @@ from trajsync.sim import (
     Scenario,
     ScenarioValidationError,
     _CHUNK_STEPS,
+    _DelayLine,
     _active_steps,
     SpeedProgram,
     _plant_constants,
@@ -80,9 +84,15 @@ def test_box_validation_and_clip():
 
 # --- limb_step ---------------------------------------------------------------
 
+def stacked_step(plant, current, command):
+    """``limb_step`` of two stacked states, its rows wrapped as one."""
+    rows = limb_step(plant, current._v, current._q, command._v, command._q)
+    return MultiPose._of_arrays(current.names, *rows)
+
+
 def plant_step(limbs, current, command, active, dt):
     """``limb_step`` under the plant constants of ``limbs``, ``active`` and ``dt``."""
-    return limb_step(_plant_constants(limbs, active, dt), current, command)
+    return stacked_step(_plant_constants(limbs, active, dt), current, command)
 
 
 def test_limb_at_its_command_stays_put():
@@ -322,6 +332,54 @@ def test_command_latency_rounds_to_whole_steps():
     assert [r.sensed.poses[0].v[0] for r in runs[0]] == [r.sensed.poses[0].v[0] for r in runs[1]]
 
 
+@pytest.mark.parametrize("latency", [0.005, 0.01])
+def test_latency_that_rounds_to_no_step_is_rejected(latency):
+    # dt=0.02: round(0.25) and round(0.5) are 0, so the run would drop the delay
+    sc = single_limb_scenario(limbs=(limb(command_latency=latency),))
+    errors = validate_scenario(sc)
+    assert [e.split(":")[0] for e in errors] == ["limbs[0].arm.command_latency"]
+    assert "rounds to 0 steps" in errors[0]
+    with pytest.raises(ScenarioValidationError):
+        run_scenario(sc)
+    # round(0.55) is 1 step
+    assert validate_scenario(single_limb_scenario(limbs=(limb(command_latency=0.011),))) == []
+
+
+@settings(max_examples=60)
+@given(
+    lags=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    n_steps=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_delay_line_returns_the_command_issued_lags_steps_before(lags, n_steps, seed):
+    dt = 0.02
+    rng = np.random.default_rng(seed)
+    names = tuple(f"l{i}" for i in range(len(lags)))
+
+    def rotating_state():
+        v = rng.uniform(-100.0, 100.0, (len(lags), 3))
+        q = rng.normal(size=(len(lags), 4))
+        return MultiPose._of_arrays(names, v, q / np.linalg.norm(q, axis=1)[:, None])
+
+    initial = rotating_state()
+    limbs = tuple(limb(name, command_latency=lag * dt) for name, lag in zip(names, lags))
+    line = _DelayLine(limbs, initial, dt)
+    # the last max(lags) + 1 commands, the initial pose standing in for
+    # those issued before the first
+    issued = deque([initial] * (max(lags) + 1), maxlen=max(lags) + 1)
+    got, want = [], []
+    for _ in range(n_steps):
+        command = rotating_state()
+        issued.append(command)
+        got.append(line.push(command))
+        want.append([issued[-1 - lag] for lag in lags])
+    # checked once every command is in: a delayed row must not change after
+    # it was handed out
+    for (v, q), sources in zip(got, want):
+        assert v.tobytes() == np.array([m._v[i] for i, m in enumerate(sources)]).tobytes()
+        assert q.tobytes() == np.array([m._q[i] for i, m in enumerate(sources)]).tobytes()
+
+
 def test_freeze_holds_sensed_then_jumps_on_restore():
     sc = single_limb_scenario(
         disturbances=(
@@ -524,7 +582,7 @@ def test_plant_constants_follow_the_active_set():
     plants = [_plant_constants(limbs, active, 0.02) for active in intervals]
     results = []
     for plant, active in zip(plants, intervals):
-        got = limb_step(plant, current, command)
+        got = stacked_step(plant, current, command)
         fresh = plant_step(tuple([*limbs]), current, command, list(active), 0.02)
         assert got.translations().tobytes() == fresh.translations().tobytes()
         assert got.quaternions().tobytes() == fresh.quaternions().tobytes()
@@ -532,7 +590,7 @@ def test_plant_constants_follow_the_active_set():
     # the block holds limb a, the slowdown shortens both steps, the freeze
     # holds every limb exactly
     assert len(set(results)) == 4 and results[0] == results[4]
-    held = limb_step(plants[3], current, command)
+    held = stacked_step(plants[3], current, command)
     assert held.translations().tobytes() == current.translations().tobytes()
     assert held.quaternions().tobytes() == current.quaternions().tobytes()
 
@@ -616,3 +674,21 @@ def test_builtin_runs_call_the_grid_kernel_no_more_than_they_need(which, monkeyp
     monkeypatch.setattr(_kernels, "grid_distances", lambda *a: calls.append(1) or grid(*a))
     run_scenario(get_scenario(which))
     assert len(calls) <= KERNEL_CALLS[which]
+
+
+# MultiPose._of_arrays calls in one run of each builtin, scenario built: the
+# plant and the delay line step on bare rows, and the loop wraps the plant's
+# rows only where they become the sensed state.
+WRAPS = {"nominal_square": 3385, "out_of_range": 880, "power_loss": 3352, "robustness_mix": 11953}
+
+
+@pytest.mark.parametrize("which", sorted(WRAPS))
+def test_builtin_runs_wrap_no_more_stacked_states_than_they_need(which, monkeypatch):
+    scenario = get_scenario(which)
+    calls = []
+    wrap = MultiPose._of_arrays
+    monkeypatch.setattr(
+        MultiPose, "_of_arrays", staticmethod(lambda *a: calls.append(1) or wrap(*a))
+    )
+    run_scenario(scenario)
+    assert len(calls) <= WRAPS[which]

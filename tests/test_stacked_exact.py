@@ -332,9 +332,17 @@ def reference_step(limb, current: Pose, command: Pose, acting, dt) -> Pose:
     return Pose(limb.workspace.clip(current.v + dv), slerp(current.q, command.q, frac))
 
 
-def plant_case():
+def plant_case(reach=1.0, rotating=True):
+    """Limbs, faults and a stacked current and command state. The command
+    sits ``reach`` of the way from the current state to a far one, so a
+    small reach leaves every limb under its speed cap; rotation-free states
+    carry the identity in every row."""
     pairs = quaternion_pairs()
-    current, command = stacks(pairs, seed=6)
+    if not rotating:
+        pairs = [(IDENTITY, IDENTITY)] * len(pairs)
+    current, far = stacks(pairs, seed=6)
+    v = current.translations() + reach * (far.translations() - current.translations())
+    command = MultiPose._of_arrays(far.names, v, far.quaternions())
     box = Box(np.full(3, -1e3), np.full(3, 1e3))
     tight = Box(np.full(3, -100.0), np.array([100.0, 100.0, -45.0]))  # clips z
     limbs = tuple(
@@ -357,20 +365,31 @@ def plant_case():
     return limbs, current, command, disturbances
 
 
+def stacked_step(plant, current: MultiPose, command: MultiPose) -> MultiPose:
+    """``limb_step`` of two stacked states, its rows wrapped as one."""
+    rows = limb_step(plant, current._v, current._q, command._v, command._q)
+    return MultiPose._of_arrays(current.names, *rows)
+
+
 @pytest.mark.parametrize("dt", [0.02, 0.1])
 def test_stacked_plant_equals_per_limb_steps(dt):
-    limbs, current, command, disturbances = plant_case()
-    got = limb_step(_plant_constants(limbs, disturbances, dt), current, command)
-    want = [
-        reference_step(limb, c, m, [d for d in disturbances if d.targets(limb.name)], dt)
-        for limb, c, m in zip(limbs, current.poses, command.poses)
-    ]
-    assert_same_poses(got, want)
-    # and one-limb stacks agree with the full stack
-    for i, limb in enumerate(limbs):
-        one = limb_step(
-            _plant_constants((limb,), disturbances, dt),
-            MultiPose((limb.name,), (current.poses[i],)),
-            MultiPose((limb.name,), (command.poses[i],)),
-        )
-        assert_same_poses(one, [want[i]])
+    # At dt 0.1 every pursuit fraction is 1, at 0.02 one is 0.4; a reach of
+    # 1e-5 leaves every limb under its cap, a reach of 1 puts some over it.
+    # Rotation-free rows come back from the SLERP as the same array.
+    for reach in (1.0, 1e-5):
+        for rotating in (True, False):
+            limbs, current, command, disturbances = plant_case(reach, rotating)
+            got = stacked_step(_plant_constants(limbs, disturbances, dt), current, command)
+            want = [
+                reference_step(limb, c, m, [d for d in disturbances if d.targets(limb.name)], dt)
+                for limb, c, m in zip(limbs, current.poses, command.poses)
+            ]
+            assert_same_poses(got, want)
+            # and one-limb stacks agree with the full stack
+            for i, limb in enumerate(limbs):
+                one = stacked_step(
+                    _plant_constants((limb,), disturbances, dt),
+                    MultiPose((limb.name,), (current.poses[i],)),
+                    MultiPose((limb.name,), (command.poses[i],)),
+                )
+                assert_same_poses(one, [want[i]])
