@@ -14,9 +14,8 @@ plant state and the delayed commands stay bare row arrays; the loop wraps
 the plant's rows as a ``MultiPose`` only where they become the sensed state.
 A step does only the array work that a trace byte depends on: multiplying a
 row by 1.0 leaves it bit for bit as it was, so the plant skips its pursuit
-fraction when every fraction is 1.0, its speed-cap scaling when no limb is
-over its cap, and the held-row select of a quaternion array that the SLERP
-handed back unchanged.
+fraction when every fraction is 1.0 and the held-row select of a quaternion
+array that the SLERP handed back unchanged.
 
 A run owns the constants of its steps: ``run_scenario`` keeps the plant
 constants, rebuilt when a fault starts or ends, and the controller state the
@@ -428,13 +427,12 @@ def limb_step(
     """
     held, caps, fracs, frac_col, lower, upper = plant
     dv = command_v - v
-    # Each skipped multiply would be by 1.0 in every row, which changes no bit.
+    # The skipped multiply would be by 1.0 in every row, which changes no bit.
     if frac_col is not None:
         dv *= frac_col
     lengths = np.sqrt(_rowdot(dv, dv)).tolist()
     scale = [cap / length if length > cap else 1.0 for length, cap in zip(lengths, caps)]
-    if scale.count(1.0) < len(scale):
-        dv *= np.array(scale)[:, None]
+    dv *= np.array(scale)[:, None]
     new_v = (v + dv).clip(lower, upper)
     new_q = _slerp_rows(q, command_q, fracs)
     if held is not None:

@@ -99,40 +99,22 @@ class SuiteResult:
         return f"{self.name}: {status} ({self.detail}; {self.wall_s:.1f} s)"
 
 
-# The float buffers' placement: buffer i starts _BUFFER_STAGGER * i bytes
-# past a page boundary. Where heap allocation put them instead, their page
-# offsets followed everything the process had allocated before, and the
-# oracle's speed moved by 2-5% with edits to modules it never runs.
-_PAGE = 4096
-_BUFFER_STAGGER = 576
-
-
 class _Workspace:
     """Chunk buffers of _CHUNK_MAX samples, reused across chunks and scans.
 
     Eight float64 buffers of 128 KB and two bool buffers, about 1 MB per
     thread: small enough that a chunk's passes run out of a core's L2 cache
     rather than main memory. Every scan writes into views of these, so once
-    a thread has built its workspace a scan allocates no array at all. The
-    float buffers are carved from one block at fixed page offsets.
+    a thread has built its workspace a scan allocates no array at all.
     """
 
     def __init__(self):
-        size = _CHUNK_MAX * 8
-        stride = size + _BUFFER_STAGGER
-        block = np.empty(8 * stride + _PAGE, dtype=np.uint8)
-        start = -block.ctypes.data % _PAGE
-        bufs = [
-            block[lo : lo + size].view(np.float64)
-            for lo in range(start, start + 8 * stride, stride)
-        ]
-        self.idx = bufs[0]
-        self.idx[:] = np.arange(_CHUNK_MAX)
-        self.ts = bufs[1]
-        self.rev = bufs[2]  # 1 - ts, shared by every limb
-        self.dists = bufs[3]  # what the scan tests against 1
-        self.limb = bufs[4]
-        self.tmp = tuple(bufs[5:])
+        self.idx = np.arange(_CHUNK_MAX, dtype=np.float64)
+        self.ts = np.empty(_CHUNK_MAX)
+        self.rev = np.empty(_CHUNK_MAX)  # 1 - ts, shared by every limb
+        self.dists = np.empty(_CHUNK_MAX)  # what the scan tests against 1
+        self.limb = np.empty(_CHUNK_MAX)
+        self.tmp = tuple(np.empty(_CHUNK_MAX) for _ in range(3))
         self.feasible = np.empty(_CHUNK_MAX, dtype=bool)
         self.flipped = np.empty(_CHUNK_MAX, dtype=bool)
 

@@ -319,10 +319,11 @@ def test_dump_config_round_trips_byte_identically(tmp_path):
 
 def test_overrides_change_the_resolved_config(tmp_path):
     cfg = tmp_path / "scenario.json"
-    run_cli(
-        "run", "--scenario", "nominal_square", *FAST,
+    rc = run_cli(
+        "run", "--scenario", "nominal_square", *SQUARE_FAST,
         "--set", "p_e=25", "--dump-config", str(cfg),
     )
+    assert rc == 0
     data = json.loads(cfg.read_text())
     assert all(p["p_e"] == 25.0 for p in data["metric"]["per_ee"])
 
@@ -638,8 +639,11 @@ NAN_FAULT = {"kind": "block", "target": "ALL", "start": float("nan"), "duration"
     ],
 )
 def test_invalid_scenario_content_exits_2(tmp_path, capsys, builtin, keys, value, field):
+    # a 2 s horizon at the builtin's own dt: the base config runs, so the
+    # exit 2 below comes from the one mutated field
     cfg = tmp_path / "scenario.json"
-    run_cli("run", "--scenario", builtin, *FAST, "--dump-config", str(cfg))
+    rc = run_cli("run", "--scenario", builtin, "--set", "horizon=2", "--dump-config", str(cfg))
+    assert rc == 0
     data = json.loads(cfg.read_text())
     node = data
     for key in keys[:-1]:
