@@ -186,7 +186,6 @@ def _summarize(scenario: Scenario, trace: list[TraceRecord], wall: float) -> tup
         for i, name in enumerate(names):
             if record.distances[i] > max_dev[name]:
                 max_dev[name] = record.distances[i]
-    waiting_steps = sum(1 for r in trace if r.mode == "waiting")
     recoveries = sum(
         1
         for prev, cur in zip(trace, trace[1:])
@@ -194,7 +193,6 @@ def _summarize(scenario: Scenario, trace: list[TraceRecord], wall: float) -> tup
     )
     if trace and trace[0].mode == "recovering":
         recoveries += 1
-    no_solution_events = waiting_steps + recoveries
     safe = all(max(r.distances) <= 1.0 + SAFETY_TOLERANCE for r in trace)
 
     lines = [
@@ -204,7 +202,7 @@ def _summarize(scenario: Scenario, trace: list[TraceRecord], wall: float) -> tup
     ]
     for name in names:
         lines.append(f"  {name}: {max_dev[name]:.6f}")
-    lines.append(f"no-solution events: {no_solution_events}")
+    lines.append(f"no-solution events: {trace[-1].misses if trace else 0}")
     lines.append(f"recoveries: {recoveries}")
     lines.append(
         "safety invariant: "

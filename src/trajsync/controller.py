@@ -3,8 +3,10 @@
 Two front ends share the clamp core: waypoint-path tracking (piecewise
 LERP/SLERP segments, each re-parameterized to [0, 1]) and speed integration
 (a fresh micro-segment from the last command every step). When no trajectory
-sample lies within the unit ball, a recovery strategy takes over; the default
-one retraces to the last valid command, then resumes the original segment.
+sample lies within the unit ball, a recovery strategy answers the miss. Two
+take a detour, a segment from the sensed state that path tracking clamps in
+place of the path's: on to the segment end (``restart_to_f``), or back to
+the last valid command and then on (``return_to_last_valid``, the default).
 """
 
 from __future__ import annotations
@@ -121,11 +123,15 @@ class SpeedInput:
 class ControllerState:
     """Value-type controller state; step functions return updated copies.
 
+    ``detour`` is the segment clamped in place of ``segment_index``'s, if
+    any: from the sensed state at a miss to the segment end, or, while
+    recovering, to the last valid command. ``resume`` is the ``(t_floor,
+    detour)`` that a recovery interrupted, restored when it completes.
     ``t_floor`` guards against within-segment backsliding when the clamp
     config enables monotonic t; it resets at segment changes and at recovery
-    start (``resume_t_floor`` stashes the segment's floor while recovering).
-    ``segment_t`` is the last reported parameter of the *tracking* segment;
-    it holds still during recovery and waiting.
+    start. ``segment_t`` is the last reported parameter of the *tracking*
+    segment; it holds still during recovery and waiting. ``misses`` counts
+    the clamp misses acted on: tracking misses, replans and speed-mode waits.
 
     ``clamp_segment`` is the ``(cfg, StackedSegment)`` of the last clamp,
     reused while the same segment is clamped under the same metric and
@@ -137,13 +143,13 @@ class ControllerState:
     t_floor: float
     last_command: MultiPose
     last_valid_point: MultiPose
-    recovery_path: Optional[tuple[MultiPose, MultiPose]] = None
-    segment_override: Optional[tuple[MultiPose, MultiPose]] = None
-    resume_t_floor: float = 0.0
+    detour: Optional[tuple[MultiPose, MultiPose]] = None
+    resume: tuple[float, Optional[tuple[MultiPose, MultiPose]]] = (0.0, None)
     segment_t: float = 0.0
     # Segment index segment_t refers to; lags segment_index by one on the
     # step that completes a segment (the command still lies on the old one).
     command_segment: int = 0
+    misses: int = 0
     clamp_segment: Optional[tuple[ClampConfig, StackedSegment]] = field(
         default=None, compare=False, repr=False
     )
@@ -187,12 +193,6 @@ def _expect_solution(outcome, what: str) -> None:
             f"{what}: clamp of a segment starting at the sensed state returned "
             f"{type(outcome).__name__}, but its t = 0 sample is at distance 0"
         )
-
-
-def _active_segment(state: ControllerState, path: PathSpec) -> tuple[MultiPose, MultiPose]:
-    if state.segment_override is not None:
-        return state.segment_override
-    return path.segment(state.segment_index)
 
 
 def _clamp(
@@ -240,8 +240,8 @@ def _tracked(
     state: ControllerState, hit: Solution, path: PathSpec, **changes
 ) -> tuple[ControllerState, MultiPose]:
     """Emit a tracking hit. Reaching t = 1 advances to the next segment:
-    always off an override segment, otherwise unless this is the last
-    segment of a non-looping path."""
+    always off a detour, otherwise unless this is the last segment of a
+    non-looping path."""
     new = _evolve(
         state,
         mode=Mode.TRACKING,
@@ -253,15 +253,37 @@ def _tracked(
         **changes,
     )
     if hit.t == 1.0 and (
-        new.segment_override is not None or not path.is_last_segment(state.segment_index)
+        new.detour is not None or not path.is_last_segment(state.segment_index)
     ):
-        new = _evolve(
-            new,
-            segment_index=state.segment_index + 1,
-            segment_override=None,
-            t_floor=0.0,
-        )
+        new = _evolve(new, segment_index=state.segment_index + 1, detour=None, t_floor=0.0)
     return new, hit.point
+
+
+def _recovered(
+    state: ControllerState, hit: Solution, **changes
+) -> tuple[ControllerState, MultiPose]:
+    """Emit a recovery hit. Reaching t = 1, back at the last valid command
+    and within the ball, resumes the floor and detour that the recovery
+    interrupted."""
+    new = _evolve(
+        state, t_floor=hit.t, last_command=hit.point, last_valid_point=hit.point, **changes
+    )
+    if hit.t == 1.0:
+        t_floor, detour = new.resume
+        new = _evolve(new, mode=Mode.TRACKING, detour=detour, t_floor=t_floor, resume=(0.0, None))
+    return new, hit.point
+
+
+def _recover(
+    state: ControllerState, sensed: MultiPose, target: MultiPose,
+    metric: MultiMetricParams, cfg: ClampConfig, **changes,
+) -> tuple[ControllerState, MultiPose]:
+    """Enter or replan a recovery: clamp the detour from the sensed state to
+    ``target``, unfloored, and emit its hit."""
+    hit, segment = _clamp(sensed, sensed, target, metric, cfg, state.clamp_segment)
+    what = "replan" if state.mode is Mode.RECOVERING else "entry"
+    _expect_solution(hit, f"recovery {what} from the sensed state")
+    return _recovered(state, hit, detour=(sensed, target), clamp_segment=segment, **changes)
 
 
 def step_tracking(
@@ -272,27 +294,31 @@ def step_tracking(
     cfg: ClampConfig | None = None,
     strategy: RecoveryStrategy = RecoveryStrategy.RETURN_TO_LAST_VALID,
 ) -> tuple[ControllerState, MultiPose]:
-    """One waypoint-tracking step: clamp the current segment against the
-    sensed state and emit the resulting command.
+    """One waypoint-tracking step: clamp the detour, or else the current
+    path segment, against the sensed state and emit the resulting command.
 
     Reaching t = 1 advances to the next segment (wrapping when the path
-    loops). A clamp miss hands control to ``handle_no_solution``.
+    loops). A clamp miss hands control to ``handle_no_solution``; a miss
+    while recovering replans the recovery from the sensed state.
     """
     cfg = _DEFAULT_CFG if cfg is None else cfg
     if sensed.names != path.names:
         raise ValueError(f"state names {sensed.names} do not match path {path.names}")
-    if state.mode is Mode.RECOVERING:
-        return _step_recovery(state, sensed, metric, cfg)
-
-    start, final = _active_segment(state, path)
+    start, final = state.detour or path.segment(state.segment_index)
     outcome, segment = _clamp(
         sensed, start, final, metric, cfg, state.clamp_segment, state.t_floor
     )
+    recovering = state.mode is Mode.RECOVERING
     if isinstance(outcome, NoSolution):
-        state = _evolve(state, clamp_segment=segment)
+        state = _evolve(state, clamp_segment=segment, misses=state.misses + 1)
+        if recovering:
+            # The state moved again while recovering: replan from where it is now.
+            return _recover(state, sensed, final, metric, cfg)
         return handle_no_solution(
             state, sensed, strategy, metric, cfg, outcome=outcome, path=path
         )
+    if recovering:
+        return _recovered(state, outcome, clamp_segment=segment)
     return _tracked(state, outcome, path, clamp_segment=segment)
 
 
@@ -321,7 +347,7 @@ def step_speed(
     # A new segment every step: there is none to keep.
     outcome, _ = _clamp(sensed, start, final, metric, cfg, None)
     if isinstance(outcome, NoSolution):
-        return _evolve(state, mode=Mode.WAITING), state.last_command
+        return _evolve(state, mode=Mode.WAITING, misses=state.misses + 1), state.last_command
 
     command = outcome.point
     new = _evolve(
@@ -348,22 +374,18 @@ def handle_no_solution(
 ) -> tuple[ControllerState, MultiPose]:
     """Dispatch a clamp miss to the chosen recovery strategy.
 
-    RETURN_TO_LAST_VALID starts a fresh trajectory from (a snapshot of) the
-    sensed state back to the last valid command and clamps along it each step
-    until reached, then resumes the original segment. NEAREST_SAMPLE emits
-    the nearest trajectory sample as-is. RESTART_TO_F swaps the current
-    segment for (sensed snapshot) -> F and stays in tracking.
+    RETURN_TO_LAST_VALID takes a detour from (a snapshot of) the sensed state
+    back to the last valid command, clamped along each step until reached,
+    then resumes what it interrupted. NEAREST_SAMPLE emits the nearest
+    trajectory sample as-is. RESTART_TO_F swaps the rest of the current
+    segment for the detour (sensed snapshot) -> F and stays in tracking.
     """
     cfg = _DEFAULT_CFG if cfg is None else cfg
     if strategy is RecoveryStrategy.RETURN_TO_LAST_VALID:
-        entering = _evolve(
-            state,
-            mode=Mode.RECOVERING,
-            recovery_path=(sensed, state.last_valid_point),
-            resume_t_floor=state.t_floor,
-            t_floor=0.0,
+        return _recover(
+            state, sensed, state.last_valid_point, metric, cfg,
+            mode=Mode.RECOVERING, resume=(state.t_floor, state.detour),
         )
-        return _step_recovery(entering, sensed, metric, cfg)
 
     if strategy is RecoveryStrategy.NEAREST_SAMPLE:
         command = outcome.nearest_point
@@ -374,44 +396,9 @@ def handle_no_solution(
         return new, command
 
     if strategy is RecoveryStrategy.RESTART_TO_F:
-        _, final = _active_segment(state, path)
+        _, final = state.detour or path.segment(state.segment_index)
         hit, segment = _clamp(sensed, sensed, final, metric, cfg, state.clamp_segment)
         _expect_solution(hit, "restart from the sensed state")
-        return _tracked(
-            state, hit, path, segment_override=(sensed, final), clamp_segment=segment
-        )
+        return _tracked(state, hit, path, detour=(sensed, final), clamp_segment=segment)
 
     raise ValueError(f"unknown recovery strategy: {strategy}")
-
-
-def _step_recovery(
-    state: ControllerState, sensed: MultiPose, metric: MultiMetricParams, cfg: ClampConfig
-) -> tuple[ControllerState, MultiPose]:
-    rec_start, rec_final = state.recovery_path
-    hit, segment = _clamp(
-        sensed, rec_start, rec_final, metric, cfg, state.clamp_segment, state.t_floor
-    )
-    if isinstance(hit, NoSolution):
-        # The state moved again while recovering: replan from where it is now.
-        state = _evolve(state, recovery_path=(sensed, rec_final), t_floor=0.0)
-        hit, segment = _clamp(sensed, sensed, rec_final, metric, cfg, segment)
-        _expect_solution(hit, "recovery replan from the sensed state")
-
-    command = hit.point
-    new = _evolve(
-        state,
-        t_floor=hit.t,
-        last_command=command,
-        last_valid_point=command,
-        clamp_segment=segment,
-    )
-    if hit.t == 1.0:
-        # Back at the last valid command, within the ball: resume the segment.
-        new = _evolve(
-            new,
-            mode=Mode.TRACKING,
-            recovery_path=None,
-            t_floor=state.resume_t_floor,
-            resume_t_floor=0.0,
-        )
-    return new, command

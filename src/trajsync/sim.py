@@ -197,7 +197,10 @@ class Scenario:
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One simulation step: controller-facing readings and emitted command."""
+    """One simulation step: controller-facing readings and emitted command.
+
+    ``misses`` is ``ControllerState.misses`` after the step. The trace files
+    do not export it: their 20 columns stay as documented."""
 
     time: float
     sensed: MultiPose
@@ -206,6 +209,7 @@ class TraceRecord:
     t: float
     segment: int
     mode: str
+    misses: int = 0
 
 
 class ScenarioValidationError(ValueError):
@@ -510,7 +514,7 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
     tracking = isinstance(scenario.program, PathProgram)
     ctrl = ControllerState.initial(scenario.initial)
     records: list[TraceRecord] = []
-    # (time, sensed, command, t, segment, mode) of the steps not yet recorded
+    # (time, sensed, command, t, segment, mode, misses) of the steps not yet recorded
     steps: list[tuple] = []
     vel = speed = None
 
@@ -582,7 +586,8 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
         true_v, true_q = limb_step(plant, true_v, true_q, *delayed.push(command))
 
         steps.append(
-            (now, sensed, command, ctrl.segment_t, ctrl.command_segment, ctrl.mode.value)
+            (now, sensed, command, ctrl.segment_t, ctrl.command_segment, ctrl.mode.value,
+             ctrl.misses)
         )
         if len(steps) == _CHUNK_STEPS:
             records += _records(steps, scenario.metric)
@@ -597,8 +602,8 @@ def _records(steps: list[tuple], metric: MultiMetricParams) -> list[TraceRecord]
     command to its sensed state."""
     dists = _chunk_distances([s[2] for s in steps], [s[1] for s in steps], metric)
     return [
-        TraceRecord(now, sensed, command, d, t, segment, mode)
-        for (now, sensed, command, t, segment, mode), d in zip(steps, dists)
+        TraceRecord(now, sensed, command, d, *step)
+        for (now, sensed, command, *step), d in zip(steps, dists)
     ]
 
 

@@ -1,6 +1,7 @@
 """The command-line interface: trace export formats, config handling and
 exit codes."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -18,7 +19,7 @@ from trajsync.cli import CSV_HEADER, main
 from trajsync.multi_ee import MultiPose
 from trajsync.scenarios import get_scenario
 from trajsync.se3 import Pose
-from trajsync.sim import TraceRecord, run_scenario
+from trajsync.sim import RecoveryStrategy, TraceRecord, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,6 +124,33 @@ def test_builtin_csv_bytes_are_pinned(tmp_path, name):
     out = tmp_path / "trace.csv"
     cli.write_trace_csv(builtin_trace(name), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_CSV_SHA256[name]
+
+
+# sha256 of robustness_mix's (CSV, json-lines) traces under the two recovery
+# strategies that no builtin runs: the detour of restart_to_f and the
+# off-ball samples of nearest_sample, over a whole run
+STRATEGY_SHA256 = {
+    "nearest_sample": (
+        "bf50322c65ccf199aac02547a91ddf58b280cfe9b1f571b1eb799e01b9670468",
+        "bb7578917b8ed1ef7af2970a8d4efb1f42d5419e4f140742f3f6d3e8df291a5d",
+    ),
+    "restart_to_f": (
+        "64e8e4e2e446221553f7850e911e7257263b896552a9f9abd3186c9f7a18b405",
+        "b7834822bab154e3a9d9f183d330eece7d193886914df64824834ce7b3b445ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_SHA256)
+def test_strategy_trace_bytes_are_pinned(tmp_path, strategy):
+    scenario = get_scenario("robustness_mix")
+    program = dataclasses.replace(scenario.program, strategy=RecoveryStrategy(strategy))
+    trace = run_scenario(dataclasses.replace(scenario, program=program))
+    csv, jsonl = tmp_path / "trace.csv", tmp_path / "trace.jsonl"
+    cli.write_trace_csv(trace, csv)
+    cli.write_trace_jsonl(trace, jsonl)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, jsonl))
+    assert digests == STRATEGY_SHA256[strategy]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -730,6 +758,39 @@ def test_summary_reports_per_limb_peaks(capsys):
     assert "scenario: out_of_range" in out
     assert "arm:" in out
     assert "safety invariant: OK" in out
+
+
+def _summary_counts(capsys, scenario_ref, exit_code=0):
+    assert run_cli("run", "--scenario", scenario_ref) == exit_code
+    lines = capsys.readouterr().out.splitlines()
+    return (
+        int(next(l for l in lines if l.startswith("no-solution events: ")).split()[-1]),
+        int(next(l for l in lines if l.startswith("recoveries: ")).split()[-1]),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, events, recoveries",
+    [("out_of_range", 0, 0), ("nominal_square", 0, 0), ("power_loss", 1, 1), ("robustness_mix", 17, 17)],
+)
+def test_builtin_summary_counts(capsys, name, events, recoveries):
+    assert _summary_counts(capsys, name) == (events, recoveries)
+
+
+@pytest.mark.parametrize(
+    "strategy, events, exit_code", [("nearest_sample", 89, 3), ("restart_to_f", 17, 0)]
+)
+def test_summary_counts_misses_under_every_strategy(tmp_path, capsys, strategy, events, exit_code):
+    # Neither strategy enters the recovering mode, so a count read off the
+    # trace's modes reads 0; every miss the controller acted on counts. An
+    # off-ball nearest sample violates the safety invariant: exit 3.
+    cfg = tmp_path / "scenario.json"
+    assert run_cli("run", "--scenario", "robustness_mix", "--dump-config", str(cfg)) == 0
+    data = json.loads(cfg.read_text())
+    data["program"]["strategy"] = strategy
+    cfg.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _summary_counts(capsys, str(cfg), exit_code) == (events, 0)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

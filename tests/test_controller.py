@@ -274,6 +274,7 @@ def test_recovery_replans_when_displaced_again():
     state, command = step_tracking(state, again, path, METRIC1, CFG)
     assert stacked_distance(command, again, METRIC1) <= 1.0
     assert state.mode is Mode.RECOVERING
+    assert state.misses == 2  # the entry and the replan
 
 
 def test_nearest_sample_strategy_passes_the_sample_through():
@@ -297,7 +298,7 @@ def test_restart_strategy_retargets_the_segment_end():
     assert state.mode is Mode.TRACKING
     assert stacked_distance(command, displaced, METRIC1) <= 1.0
     # the replacement segment runs from the displaced state to the original end
-    assert state.segment_override is not None
+    assert state.detour is not None
     for _ in range(10):
         state, command = step_tracking(state, command, path, METRIC1, CFG)
     assert command.poses[0].v[0] == pytest.approx(100.0)
@@ -315,7 +316,7 @@ def test_near_the_end_within_the_ball_tracks_without_a_restart():
     )
     assert command.poses[0].v[0] == 100.0
     assert state.segment_t == 1.0
-    assert state.segment_override is None
+    assert state.detour is None
     assert state.segment_index == 0
 
 
@@ -366,7 +367,7 @@ def test_restart_reaching_the_end_of_the_last_segment_advances():
     assert command.poses[0].v[0] == 100.0
     assert state.segment_t == 1.0
     assert state.segment_index == 1
-    assert state.segment_override is None
+    assert state.detour is None
     assert state.t_floor == 0.0
     assert state.command_segment == 0
 
@@ -377,7 +378,7 @@ def test_floored_miss_during_recovery_replans_from_the_sensed_state(monkeypatch)
     for _ in range(3):
         state, pos = step_tracking(state, pos, path, METRIC1, CFG)
     assert state.mode is Mode.RECOVERING and state.t_floor > 0.3
-    rec_start, rec_final = state.recovery_path
+    rec_start, rec_final = state.detour
     calls = []
     clamp = StackedSegment.clamp
 
@@ -395,10 +396,56 @@ def test_floored_miss_during_recovery_replans_from_the_sensed_state(monkeypatch)
     assert isinstance(first, Solution) and first.t < state.t_floor
     assert replan_start is sensed
     assert new.mode is Mode.RECOVERING
-    assert new.recovery_path[0] is sensed and new.recovery_path[1] is rec_final
+    assert new.detour[0] is sensed and new.detour[1] is rec_final
     # the replanned clamp ran unfloored: its t stands even below the old floor
     assert new.t_floor == replan.t < state.t_floor
     assert stacked_distance(command, sensed, METRIC1) <= 1.0
+
+
+def test_recovery_from_a_restart_detour_resumes_the_detour_at_its_floor():
+    # RESTART_TO_F swaps the segment for snapshot -> F; a second shove under
+    # RETURN_TO_LAST_VALID retraces to the last detour command, and tracking
+    # then continues on that detour, floored where it was interrupted.
+    restart, retrace = RecoveryStrategy.RESTART_TO_F, RecoveryStrategy.RETURN_TO_LAST_VALID
+    path = line_path(0.0, 100.0)
+    state, _ = advance_to(path, 50.0)
+    snapshot, final = one(50.0, 30.0), one(100.0)
+    state, pos = step_tracking(state, snapshot, path, METRIC1, CFG, strategy=restart)
+    assert pos.translations().tobytes() == cold_outcome(snapshot, snapshot, final, METRIC1, CFG).point.translations().tobytes()
+    for _ in range(2):
+        before = pos
+        state, pos = step_tracking(state, pos, path, METRIC1, CFG, strategy=restart)
+    interrupted = cold_outcome(before, snapshot, final, METRIC1, CFG)
+    assert pos.translations().tobytes() == interrupted.point.translations().tobytes()
+    floor = interrupted.t
+    assert 0.3 < floor < 1.0
+
+    shoved = one(pos.poses[0].v[0], pos.poses[0].v[1] - 40.0)
+    state, command = step_tracking(state, shoved, path, METRIC1, CFG, strategy=retrace)
+    retraced = [command]
+    while state.mode is not Mode.TRACKING and len(retraced) < 30:
+        state, command = step_tracking(state, command, path, METRIC1, CFG, strategy=retrace)
+        retraced.append(command)
+    assert len(retraced) > 1
+    assert retraced[-1].translations().tobytes() == pos.translations().tobytes()
+
+    # the floor is back: a state sensed behind it on the detour does not pull
+    # t back below it
+    behind = stacked_interp(floor - 0.3, snapshot, final)
+    unfloored = cold_outcome(behind, snapshot, final, METRIC1, CFG)
+    assert unfloored.t < floor
+    _, command = step_tracking(state, behind, path, METRIC1, CFG, strategy=retrace)
+    assert command.translations().tobytes() != unfloored.point.translations().tobytes()
+    assert stacked_distance(command, behind, METRIC1) <= 1.0
+    # resumed on the detour, ahead of the floor
+    state, resumed = step_tracking(state, pos, path, METRIC1, CFG, strategy=retrace)
+    ahead = cold_outcome(pos, snapshot, final, METRIC1, CFG)
+    assert resumed.translations().tobytes() == ahead.point.translations().tobytes()
+    assert ahead.t > floor
+    # the detour leads on to F
+    for _ in range(10):
+        state, resumed = step_tracking(state, resumed, path, METRIC1, CFG, strategy=retrace)
+    assert resumed.translations().tobytes() == final.translations().tobytes()
 
 
 def test_handle_no_solution_requires_known_strategy():
@@ -450,6 +497,7 @@ def test_stuck_state_makes_speed_mode_wait_and_hold():
     state, command = step_speed(state, far, speed, 0.1, METRIC1, CFG)
     assert state.mode is Mode.WAITING
     assert command is held
+    assert state.misses == 1
     # once the state is feasible again, motion resumes
     state, command = step_speed(state, one(9.0), speed, 0.1, METRIC1, CFG)
     assert state.mode is Mode.TRACKING
@@ -576,7 +624,7 @@ def test_carried_segment_follows_path_metric_and_config():
 
 def test_evolve_copies_like_dataclasses_replace():
     state = ControllerState.initial(one(0.0))
-    changes = dict(mode=Mode.RECOVERING, t_floor=0.25, recovery_path=(one(1.0), one(0.0)))
+    changes = dict(mode=Mode.RECOVERING, t_floor=0.25, detour=(one(1.0), one(0.0)))
     new = controller._evolve(state, **changes)
     assert type(new) is ControllerState
     assert new == dataclasses.replace(state, **changes)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +72,13 @@ def test_oracle_workload_reproduces_its_reference_detail():
     detail = next(line["detail"] for line in lines if "detail" in line)
     assert detail["checks"]["rules"] == ["suite seed 7: detail identical"], proc.stdout
     assert lines[-1]["correct"], proc.stdout
+
+
+def test_readme_python_examples_run(capsys):
+    # Every fenced python block of the README runs as written, each in a
+    # namespace of its own.
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for i, source in enumerate(blocks):
+        exec(compile(source, f"README.md python block {i}", "exec"), {"__name__": "__readme__"})
+    assert capsys.readouterr().out
