@@ -59,6 +59,7 @@ from .sim import (
     Scenario,
     ScenarioValidationError,
     SpeedProgram,
+    Trace,
     TraceRecord,
     run_scenario,
     validate_scenario,
@@ -88,6 +89,7 @@ __all__ = [
     "Solution",
     "SpeedInput",
     "SpeedProgram",
+    "Trace",
     "TraceRecord",
     "clamp_stacked",
     "grid_parameters",

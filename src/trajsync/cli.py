@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,15 @@ from .scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .sim import Scenario, ScenarioValidationError, TraceRecord, run_scenario
+from .sim import (
+    _CHUNK_STEPS,
+    Scenario,
+    ScenarioValidationError,
+    Trace,
+    TraceRecord,
+    _Chunk,
+    run_scenario,
+)
 from .verify import ALL_SUITES
 
 SAFETY_TOLERANCE = 1e-9
@@ -44,15 +53,23 @@ CSV_HEADER = (
 _CSV_FIELDS = CSV_HEADER.split(",")
 
 
-# The writers gather this many records at a time and format them column by
-# column. Larger chunks save little and cost memory: three in-process
-# robustness_mix runs with CSV export raised the peak RSS by 9.0 MB with
-# one-record chunks, by 9.0 MB with 128-record chunks and by 11.1 MB with 512.
-_CHUNK_RECORDS = 128
+def _chunks(trace) -> list[_Chunk]:
+    """The column blocks of ``trace``: a ``Trace``'s own, or those of a plain
+    sequence of records, cut every ``_CHUNK_STEPS`` records and wherever the
+    limb names change."""
+    if isinstance(trace, Trace):
+        return trace._chunks
+    chunks = []
+    for _, run in itertools.groupby(trace, lambda r: r.sensed.names):
+        run = list(run)
+        chunks += [
+            _Chunk.of_records(run[i : i + _CHUNK_STEPS]) for i in range(0, len(run), _CHUNK_STEPS)
+        ]
+    return chunks
 
 
-def _float_texts(chunk: list[TraceRecord], to_text) -> tuple[list, list, list]:
-    """The text of every float field of ``chunk``: the lists of its records'
+def _float_texts(chunk: _Chunk, to_text) -> tuple[list, list, list]:
+    """The text of every float field of ``chunk``: the lists of its steps'
     time and t, and sx, ..., cqz and dist of its limb rows as 15 cells.
 
     A cell is the text of a column whose bits are the same on every row,
@@ -64,28 +81,20 @@ def _float_texts(chunk: list[TraceRecord], to_text) -> tuple[list, list, list]:
     bits, not the float, so that 0.0 and -0.0 stay apart. Nothing is kept
     from one chunk to the next.
     """
-    time_t = np.array([(r.time, r.t) for r in chunk])
-    rows = sum(len(r.sensed.names) for r in chunk)
-    block = np.empty((rows, 15))
-    np.concatenate([r.sensed.translations() for r in chunk], out=block[:, 0:3])
-    np.concatenate([r.sensed.quaternions() for r in chunk], out=block[:, 3:7])
-    np.concatenate([r.command.translations() for r in chunk], out=block[:, 7:10])
-    np.concatenate([r.command.quaternions() for r in chunk], out=block[:, 10:14])
-    block[:, 14] = np.fromiter(
-        itertools.chain.from_iterable(r.distances for r in chunk), np.float64, rows
-    )
+    blocks = (chunk.sensed_v, chunk.sensed_q, chunk.command_v, chunk.command_q)
+    block = np.concatenate([*blocks, chunk.distances[:, :, None]], axis=2).reshape(-1, 15)
     bits = block.view(np.int64)
     constant = (bits == bits[0]).all(axis=0)
     varying = bits[:, ~constant].T
-    t_bits = time_t[:, 1].view(np.int64)
     patterns, inverse = np.unique(
-        np.concatenate([varying.ravel(), bits[0, constant], t_bits]), return_inverse=True
+        np.concatenate([varying.ravel(), bits[0, constant], chunk.t.view(np.int64)]),
+        return_inverse=True,
     )
     texts = np.array(list(map(to_text, patterns.view(np.float64).tolist())), dtype=object)[inverse]
     columns = iter(texts[: varying.size].reshape(varying.shape).tolist())
     firsts = iter(texts[varying.size : -len(chunk)].tolist())
     cells = [next(firsts) if same else next(columns) for same in constant.tolist()]
-    times = list(map(to_text, time_t[:, 0].tolist()))
+    times = list(map(to_text, chunk.time.tolist()))
     return times, texts[-len(chunk) :].tolist(), cells
 
 
@@ -108,22 +117,22 @@ def _write_trace(trace, path, head: str, keys: list[str], end: str, to_text, quo
     followed by its value, and ``end``. Floats are formatted by ``to_text``,
     and the limb names, segment and mode by ``quote``."""
     segment_key, mode_key = keys[-2:]
-    names = quoted = None
+    chunks = _chunks(trace)
     with open(path, "w") as fh:
         fh.write(head)
-        for i in range(0, len(trace), _CHUNK_RECORDS):
-            chunk = trace[i : i + _CHUNK_RECORDS]
+        for chunk in chunks:
             times, ts, cells = _float_texts(chunk, to_text)
-            heads, limbs, tails = [], [], []
-            for record, time_s, t_s in zip(chunk, times, ts):
-                if record.sensed.names is not names:
-                    names = record.sensed.names
-                    quoted = list(map(quote, names))
-                heads += [time_s] * len(names)
-                limbs += quoted
-                segment_s, mode_s = quote(record.segment), quote(record.mode)
-                tails += [f"{t_s}{segment_key}{segment_s}{mode_key}{mode_s}{end}"] * len(names)
-            cells = [heads, limbs, *cells, tails]
+            limbs = range(len(chunk.names))
+            tails = [
+                f"{t_s}{segment_key}{quote(segment)}{mode_key}{quote(mode)}{end}"
+                for t_s, segment, mode in zip(ts, chunk.segment.tolist(), chunk.mode.tolist())
+            ]
+            cells = [
+                [s for s in times for _ in limbs],
+                list(map(quote, chunk.names)) * len(chunk),
+                *cells,
+                [s for s in tails for _ in limbs],
+            ]
             fh.write(_rows([piece for key, cell in zip(keys, cells) for piece in (key, cell)]))
 
 
@@ -139,11 +148,11 @@ def _json_float(value: float) -> str:
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
-def write_trace_csv(trace: list[TraceRecord], path: Path) -> None:
+def write_trace_csv(trace: Sequence[TraceRecord], path: Path) -> None:
     _write_trace(trace, path, CSV_HEADER + "\n", _CSV_KEYS, "\n", repr, str)
 
 
-def write_trace_jsonl(trace: list[TraceRecord], path: Path) -> None:
+def write_trace_jsonl(trace: Sequence[TraceRecord], path: Path) -> None:
     _write_trace(trace, path, "", _JSON_KEYS, "}\n", _json_float, json.dumps)
 
 
@@ -179,30 +188,28 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _summarize(scenario: Scenario, trace: list[TraceRecord], wall: float) -> tuple[str, bool]:
-    names = trace[0].sensed.names if trace else ()
-    max_dev = {name: 0.0 for name in names}
-    for record in trace:
-        for i, name in enumerate(names):
-            if record.distances[i] > max_dev[name]:
-                max_dev[name] = record.distances[i]
-    recoveries = sum(
-        1
-        for prev, cur in zip(trace, trace[1:])
-        if prev.mode != "recovering" and cur.mode == "recovering"
-    )
-    if trace and trace[0].mode == "recovering":
-        recoveries += 1
-    safe = all(max(r.distances) <= 1.0 + SAFETY_TOLERANCE for r in trace)
+def _summarize(scenario: Scenario, trace: Sequence[TraceRecord], wall: float) -> tuple[str, bool]:
+    chunks = _chunks(trace)
+    names = chunks[0].names if chunks else ()
+    peaks = np.zeros(len(names))
+    recoveries, recovering = 0, False
+    for chunk in chunks:
+        top = chunk.distances.max(axis=0)
+        # A NaN distance is its limb's peak, and so breaks the invariant.
+        peaks = np.where((top > peaks) | np.isnan(top), top, peaks)
+        entered = chunk.mode == "recovering"
+        recoveries += int(entered[0] and not recovering) + int((entered[1:] > entered[:-1]).sum())
+        recovering = bool(entered[-1])
+    safe = bool((peaks <= 1.0 + SAFETY_TOLERANCE).all())
 
     lines = [
         f"scenario: {scenario.name}",
         f"steps: {len(trace)}  wall: {wall:.2f} s",
         "max normalized |command - sensed| per limb:",
     ]
-    for name in names:
-        lines.append(f"  {name}: {max_dev[name]:.6f}")
-    lines.append(f"no-solution events: {trace[-1].misses if trace else 0}")
+    for name, peak in zip(names, peaks.tolist()):
+        lines.append(f"  {name}: {peak:.6f}")
+    lines.append(f"no-solution events: {chunks[-1].misses[-1] if chunks else 0}")
     lines.append(f"recoveries: {recoveries}")
     lines.append(
         "safety invariant: "

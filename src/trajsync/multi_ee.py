@@ -255,28 +255,6 @@ def _ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> np.n
     return _row_distances(x._v, y._v, x._q, y._q, *params._columns)
 
 
-def _chunk_distances(
-    xs: Sequence[MultiPose], ys: Sequence[MultiPose], params: MultiMetricParams
-) -> list[tuple[float, ...]]:
-    """``per_ee_distances(xs[i], ys[i], params)`` for every i, in one pass
-    over the stacked rows of all the pairs.
-
-    Unchecked: every pose must have as many effectors as ``params``.
-    """
-    p_e, r_e, rot = params._columns
-    m, n = len(xs), len(p_e)
-    if isinstance(rot, list):
-        rot = [j * n + i for j in range(m) for i in rot]
-    xv = np.concatenate([x._v for x in xs])
-    yv = np.concatenate([y._v for y in ys])
-    xq = yq = None
-    if rot:
-        xq = np.concatenate([x._q for x in xs])
-        yq = np.concatenate([y._q for y in ys])
-    d = _row_distances(xv, yv, xq, yq, np.tile(p_e, m), np.tile(r_e, m), rot)
-    return list(map(tuple, d.reshape(m, n).tolist()))
-
-
 def stacked_interp(t: float, start: MultiPose, final: MultiPose) -> MultiPose:
     """Component-wise SE(3) interpolation at one shared parameter t."""
     _check_names(start, final)

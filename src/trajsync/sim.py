@@ -17,6 +17,14 @@ row by 1.0 leaves it bit for bit as it was, so the plant skips its pursuit
 fraction when every fraction is 1.0 and the held-row select of a quaternion
 array that the SLERP handed back unchanged.
 
+A step is recorded by buffering its sensed state, command and controller
+readings. Every ``_CHUNK_STEPS`` steps the buffer becomes one ``_Chunk`` of
+read-only column blocks, with the distances computed in one pass over its
+stacked rows, and the buffered objects are dropped. ``run_scenario``
+returns the chunks as a ``Trace``, which builds a ``TraceRecord`` only when
+one is read: a run keeps one object per chunk, not several per step, for
+the garbage collector to walk, and the trace writers read the blocks.
+
 A run owns the constants of its steps: ``run_scenario`` keeps the plant
 constants, rebuilt when a fault starts or ends, and the controller state the
 clamp segment. No module state is shared between runs, so runs may be
@@ -28,6 +36,8 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -42,7 +52,7 @@ from .controller import (
     step_tracking,
 )
 from .metric_core import ClampConfig
-from .multi_ee import MultiMetricParams, MultiPose, _chunk_distances, _slerp_rows
+from .multi_ee import MultiMetricParams, MultiPose, _row_distances, _slerp_rows
 from .se3 import _rowdot, _unit_rows
 
 ALL_LIMBS = "ALL"
@@ -199,8 +209,10 @@ class Scenario:
 class TraceRecord:
     """One simulation step: controller-facing readings and emitted command.
 
-    ``misses`` is ``ControllerState.misses`` after the step. The trace files
-    do not export it: their 20 columns stay as documented."""
+    A ``Trace`` builds one on access from its column blocks; its ``sensed``
+    and ``command`` hold read-only views of those blocks. ``misses`` is
+    ``ControllerState.misses`` after the step. The trace files do not
+    export it: their 20 columns stay as documented."""
 
     time: float
     sensed: MultiPose
@@ -212,24 +224,147 @@ class TraceRecord:
     misses: int = 0
 
 
+class _Chunk:
+    """Consecutive steps of a trace whose limbs share ``names``, as
+    read-only column blocks: per step (m,) ``time``, ``t``, ``segment``,
+    ``mode`` and ``misses``; per step and limb the sensed and command
+    translations (m, n, 3) and quaternions (m, n, 4) and ``distances``
+    (m, n). The pose blocks are given as stacked (m * n, 3) and (m * n, 4)
+    rows."""
+
+    __slots__ = (
+        "names", "time", "sensed_v", "sensed_q", "command_v", "command_q",
+        "distances", "t", "segment", "mode", "misses",
+    )
+
+    def __init__(self, names, time, sensed_v, sensed_q, command_v, command_q,
+                 distances, t, segment, mode, misses):
+        m, n = len(time), len(names)
+        self.names = names
+        self.time = np.array(time, dtype=np.float64)
+        self.sensed_v = sensed_v.reshape(m, n, 3)
+        self.sensed_q = sensed_q.reshape(m, n, 4)
+        self.command_v = command_v.reshape(m, n, 3)
+        self.command_q = command_q.reshape(m, n, 4)
+        self.distances = np.array(distances, dtype=np.float64).reshape(m, n)
+        self.t = np.array(t, dtype=np.float64)
+        self.segment = np.array(segment)
+        self.mode = np.array(mode)
+        self.misses = np.array(misses)
+        for slot in self.__slots__[1:]:
+            getattr(self, slot).setflags(write=False)
+
+    @classmethod
+    def of_records(cls, records) -> "_Chunk":
+        """The blocks of ``records``, a sequence of TraceRecord whose limbs
+        share their names, with the distances the records hold."""
+        return cls(
+            records[0].sensed.names,
+            [r.time for r in records],
+            *_stacked([r.sensed for r in records]),
+            *_stacked([r.command for r in records]),
+            [r.distances for r in records],
+            [r.t for r in records],
+            [r.segment for r in records],
+            [r.mode for r in records],
+            [r.misses for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def record(self, i: int) -> TraceRecord:
+        return TraceRecord(
+            self.time[i].item(),
+            MultiPose._of_arrays(self.names, self.sensed_v[i], self.sensed_q[i]),
+            MultiPose._of_arrays(self.names, self.command_v[i], self.command_q[i]),
+            tuple(self.distances[i].tolist()),
+            self.t[i].item(),
+            self.segment[i].item(),
+            self.mode[i].item(),
+            self.misses[i].item(),
+        )
+
+
+def _stacked(poses: list[MultiPose]) -> tuple[np.ndarray, np.ndarray]:
+    """The translation and quaternion rows of ``poses``, stacked."""
+    return np.concatenate([p._v for p in poses]), np.concatenate([p._q for p in poses])
+
+
+def _chunk(steps: list[tuple], metric: MultiMetricParams) -> _Chunk:
+    """The blocks of the buffered ``steps``, (time, sensed, command, t,
+    segment, mode, misses) each, with the distances of each command to its
+    sensed state, computed in one pass over the stacked rows: each row's
+    distance depends on that row alone, so it has the bits of a step's own."""
+    time, sensed, command, t, segment, mode, misses = zip(*steps)
+    sv, sq = _stacked(sensed)
+    cv, cq = _stacked(command)
+    p_e, r_e, rot = metric._columns
+    m, n = len(steps), len(p_e)
+    if isinstance(rot, list):
+        rot = [j * n + i for j in range(m) for i in rot]
+    d = _row_distances(cv, sv, cq, sq, np.tile(p_e, m), np.tile(r_e, m), rot)
+    return _Chunk(sensed[0].names, time, sv, sq, cv, cq, d, t, segment, mode, misses)
+
+
+class Trace(Sequence):
+    """The records of a run, one per step, as a read-only sequence.
+
+    The trace keeps its steps as ``_Chunk`` column blocks and builds a
+    ``TraceRecord`` only when one is asked for: each read builds a new record
+    with the same field values, so ``trace[i] is trace[i]`` is false.
+    Indexing, negative indices, slices (a list of records) and iteration
+    behave as a list's.
+    """
+
+    __slots__ = ("_chunks", "_starts")
+
+    def __init__(self, chunks: list[_Chunk]):
+        self._chunks = chunks
+        # _starts[c]: the index of chunk c's first step; the last entry is the length
+        self._starts = [0]
+        for chunk in chunks:
+            self._starts.append(self._starts[-1] + len(chunk))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("trace index out of range")
+        c = bisect.bisect_right(self._starts, i) - 1
+        return self._chunks[c].record(i - self._starts[c])
+
+    def __iter__(self):
+        for chunk in self._chunks:
+            for i in range(len(chunk)):
+                yield chunk.record(i)
+
+
 class ScenarioValidationError(ValueError):
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
 
-# A run keeps every trace record, about 1 KB per step for one limb, and
-# spends 30-80 us on each step (``run_scenario`` on the builtins: about 32 us
-# with six rotation-free limbs, 70 us with the one-limb speed program, on a
-# 2-core Xeon, Python 3.11, numpy 2.4). A mistyped dt can ask for 10^12
-# steps, a run that never ends. The bound makes that a validation error
-# instead and keeps the trace of the longest run near 1 GB. It can rise once
-# the run streams.
+# A run keeps its whole trace, about 240 bytes per step for one limb and 800
+# for six (tracemalloc of the trace ``run_scenario`` returns for out_of_range
+# and robustness_mix), and spends 30-80 us on each step (``run_scenario`` on
+# the builtins: about 32 us with six rotation-free limbs, 70 us with the
+# one-limb speed program, on a 2-core Xeon, Python 3.11, numpy 2.4). A
+# mistyped dt can ask for 10^12 steps, a run that never ends. The bound makes
+# that a validation error instead and keeps the trace of the longest six-limb
+# run under 1 GB. It can rise once the run streams.
 _MAX_STEPS = 1_000_000
 
-# The loop computes the trace distances a chunk of steps at a time: one pass
-# over the stacked rows of a chunk costs about what the pass of one step did
-# on its own. The buffered steps hold only what their records will hold.
+# The loop stacks the trace a chunk of steps at a time: one pass over the
+# stacked rows of a chunk costs about what the pass of one step did on its
+# own. The trace keeps the chunks, and the trace writers format one at a time.
 _CHUNK_STEPS = 128
 
 # Positions are in mm. Within +-1e150 the squared difference of any two
@@ -481,8 +616,10 @@ def _plant_constants(limbs: tuple[LimbModel, ...], active, dt: float) -> tuple:
     )
 
 
-def run_scenario(scenario: Scenario) -> list[TraceRecord]:
-    """Run the fixed-step loop and return one TraceRecord per step.
+def run_scenario(scenario: Scenario) -> Trace:
+    """Run the fixed-step loop and return its ``Trace``, one TraceRecord per
+    step. The trace holds each chunk of ``_CHUNK_STEPS`` steps as column
+    blocks and builds a record when one is read.
 
     Bit-for-bit deterministic: the schedule is fixed, plants and controller
     are pure float arithmetic, and no randomness is drawn at runtime.
@@ -513,8 +650,8 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
 
     tracking = isinstance(scenario.program, PathProgram)
     ctrl = ControllerState.initial(scenario.initial)
-    records: list[TraceRecord] = []
-    # (time, sensed, command, t, segment, mode, misses) of the steps not yet recorded
+    chunks: list[_Chunk] = []
+    # (time, sensed, command, t, segment, mode, misses) of the steps not yet in a chunk
     steps: list[tuple] = []
     vel = speed = None
 
@@ -590,21 +727,11 @@ def run_scenario(scenario: Scenario) -> list[TraceRecord]:
              ctrl.misses)
         )
         if len(steps) == _CHUNK_STEPS:
-            records += _records(steps, scenario.metric)
+            chunks.append(_chunk(steps, scenario.metric))
             steps = []
     if steps:
-        records += _records(steps, scenario.metric)
-    return records
-
-
-def _records(steps: list[tuple], metric: MultiMetricParams) -> list[TraceRecord]:
-    """A TraceRecord for each buffered step, with the distances of its
-    command to its sensed state."""
-    dists = _chunk_distances([s[2] for s in steps], [s[1] for s in steps], metric)
-    return [
-        TraceRecord(now, sensed, command, d, *step)
-        for (now, sensed, command, *step), d in zip(steps, dists)
-    ]
+        chunks.append(_chunk(steps, scenario.metric))
+    return Trace(chunks)
 
 
 def _active_steps(d: Disturbance, dt: float, n_steps: int) -> tuple[int, int]:

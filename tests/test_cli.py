@@ -19,9 +19,12 @@ from trajsync.cli import CSV_HEADER, main
 from trajsync.multi_ee import MultiPose
 from trajsync.scenarios import get_scenario
 from trajsync.se3 import Pose
-from trajsync.sim import RecoveryStrategy, TraceRecord, run_scenario
+from trajsync.sim import _CHUNK_STEPS, RecoveryStrategy, TraceRecord, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The steps of a trace chunk, which the writers follow
+_CHUNK = _CHUNK_STEPS
 
 # small but real run: single limb climbing for 2 simulated seconds
 FAST = ["--set", "horizon=2", "--set", "dt=0.1"]
@@ -124,6 +127,50 @@ def test_builtin_csv_bytes_are_pinned(tmp_path, name):
     out = tmp_path / "trace.csv"
     cli.write_trace_csv(builtin_trace(name), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_CSV_SHA256[name]
+
+
+def _fields(record):
+    """A record's fields as bytes and plain values, which compare equal
+    between two records built from the same step."""
+    arrays = (
+        record.sensed.translations(), record.sensed.quaternions(),
+        record.command.translations(), record.command.quaternions(),
+        np.array(record.distances),
+    )
+    return (
+        record.time, record.sensed.names, record.command.names, *(a.tobytes() for a in arrays),
+        record.t, record.segment, record.mode, record.misses,
+    )
+
+
+@pytest.mark.parametrize("name", BUILTIN_CSV_SHA256)
+def test_trace_reads_as_the_list_of_its_records(tmp_path, name):
+    trace = builtin_trace(name)
+    records = list(trace)
+    # both routes into the writers, the trace's chunks and a plain list, agree
+    for write in (cli.write_trace_csv, cli.write_trace_jsonl):
+        write(trace, tmp_path / "trace")
+        write(records, tmp_path / "records")
+        assert (tmp_path / "trace").read_bytes() == (tmp_path / "records").read_bytes()
+    n = len(trace)
+    assert n == len(records) == len(list(reversed(trace)))
+    assert [_fields(r) for r in records] == [_fields(trace[i]) for i in range(n)]
+    assert _fields(trace[-1]) == _fields(records[-1]) == _fields(trace[n - 1])
+    assert _fields(trace[-n]) == _fields(records[0])
+    for cut in (slice(5, 300), slice(-3, None), slice(None, None, -7), slice(n, n + 2)):
+        assert [_fields(r) for r in trace[cut]] == [_fields(r) for r in records[cut]]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+    # records are built on access
+    assert trace[0] is not trace[0]
+    # the blocks, and the records' views of them, are read-only
+    for chunk in trace._chunks:
+        for slot in chunk.__slots__[1:]:
+            block = getattr(chunk, slot)
+            assert not block.flags.writeable, slot
+    with pytest.raises(ValueError):
+        trace[0].sensed.translations()[0, 0] = 1.0
 
 
 # sha256 of robustness_mix's (CSV, json-lines) traces under the two recovery
@@ -230,7 +277,7 @@ def chunked_trace(n_records, n_limbs):
     one -0.0; sy and the first limb's command quaternion are constant in the
     first chunk and vary in the next; the distances carry NaN and +-inf."""
     rng = np.random.default_rng(1000 * n_records + n_limbs)
-    chunk = cli._CHUNK_RECORDS
+    chunk = _CHUNK
     names = tuple(f"l{i}" for i in range(n_limbs))
     specials = [float("nan"), float("inf"), -float("inf"), -0.0]
     trace = []
@@ -255,7 +302,6 @@ def chunked_trace(n_records, n_limbs):
     return trace
 
 
-_CHUNK = cli._CHUNK_RECORDS
 # (records, limbs): around the chunk boundaries for 1 and 6 limbs, and a
 # chunk of 40 limbs, 5120 rows with thousands of distinct values per column
 CHUNKED = {
@@ -304,10 +350,11 @@ def first_differing_line(got: str, want: str) -> str:
 
 def test_each_chunk_formats_each_distinct_pattern_once():
     trace = signed_zero_trace() + many_values_trace()
-    for i in range(0, len(trace), _CHUNK):
-        chunk = trace[i : i + _CHUNK]
+    i = 0
+    for block in cli._chunks(trace):
+        chunk = trace[i : i + len(block)]
         formatted = []
-        cli._float_texts(chunk, lambda x: formatted.append(x) or repr(x))
+        cli._float_texts(block, lambda x: formatted.append(x) or repr(x))
         cells = [
             a
             for r in chunk
@@ -324,6 +371,8 @@ def test_each_chunk_formats_each_distinct_pattern_once():
         if i == 0:
             specials = np.array([0.0, -0.0, float("nan"), -float("nan")]).view(np.int64).tolist()
             assert set(specials) <= distinct
+        i += len(block)
+    assert i == len(trace)
 
 
 # --- config handling ---------------------------------------------------------
@@ -749,6 +798,28 @@ def test_safety_violation_exits_3(tmp_path, monkeypatch, capsys):
     assert rc == 3
     assert "VIOLATED" in capsys.readouterr().out
     assert len(read_lines(out)) == 2  # trace still written for post-mortem
+
+
+def test_nan_distance_in_any_limb_exits_3(tmp_path, monkeypatch, capsys):
+    # a NaN distance is a violation wherever it sits, and is its limb's peak
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    pose = Pose(np.zeros(3), q)
+    sensed = MultiPose(("arm", "leg"), (pose, pose))
+    fake = [
+        TraceRecord(
+            time=0.0, sensed=sensed, command=sensed,
+            distances=(0.5, float("nan")), t=0.5, segment=0, mode="tracking",
+        )
+    ]
+    monkeypatch.setattr(cli, "run_scenario", lambda scenario: fake)
+    out = tmp_path / "trace.csv"
+    rc = run_cli("run", "--scenario", "out_of_range", "--output", str(out))
+    assert rc == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "  arm: 0.500000" in lines
+    assert "  leg: nan" in lines
+    assert any(line.startswith("safety invariant: VIOLATED") for line in lines)
+    assert len(read_lines(out)) == 3
 
 
 def test_summary_reports_per_limb_peaks(capsys):

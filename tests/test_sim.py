@@ -1,6 +1,7 @@
 """Plant stepping, fault semantics, sensing and the fixed-step scenario loop."""
 
 import dataclasses
+import gc
 import math
 import pickle
 from collections import deque
@@ -692,3 +693,16 @@ def test_builtin_runs_wrap_no_more_stacked_states_than_they_need(which, monkeypa
     )
     run_scenario(scenario)
     assert len(calls) <= WRAPS[which]
+
+
+def test_a_run_keeps_no_object_per_step():
+    # The trace holds its steps as column blocks: a few objects per chunk of
+    # steps, none per step, for the garbage collector to walk.
+    scenario = get_scenario("robustness_mix")
+    gc.collect()
+    before = len(gc.get_objects())
+    trace = run_scenario(scenario)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    chunks = -(-len(trace) // _CHUNK_STEPS)
+    assert added <= 10 * chunks, (added, chunks)

@@ -35,6 +35,9 @@ def test_traced_benchmark_names_every_step_layer():
     assert lines[-1]["correct"]
     layers = detail["per_layer_info"]["self_pct"]
     for name in (
+        "cli.main",
+        "sim.loop",
+        "controller.step",
         "metric_core.sample_count",
         "kernels.coeff",
         "kernels.grid",
