@@ -34,6 +34,7 @@ from .scenarios import (
 )
 from .sim import (
     _CHUNK_STEPS,
+    _MODES,
     Scenario,
     ScenarioValidationError,
     Trace,
@@ -118,14 +119,15 @@ def _write_trace(trace, path, head: str, keys: list[str], end: str, to_text, quo
     and the limb names, segment and mode by ``quote``."""
     segment_key, mode_key = keys[-2:]
     chunks = _chunks(trace)
+    modes = [quote(mode) for mode in _MODES]
     with open(path, "w") as fh:
         fh.write(head)
         for chunk in chunks:
             times, ts, cells = _float_texts(chunk, to_text)
             limbs = range(len(chunk.names))
             tails = [
-                f"{t_s}{segment_key}{quote(segment)}{mode_key}{quote(mode)}{end}"
-                for t_s, segment, mode in zip(ts, chunk.segment.tolist(), chunk.mode.tolist())
+                f"{t_s}{segment_key}{quote(segment)}{mode_key}{modes[code]}{end}"
+                for t_s, segment, code in zip(ts, chunk.segment.tolist(), chunk.mode.tolist())
             ]
             cells = [
                 [s for s in times for _ in limbs],
@@ -197,7 +199,7 @@ def _summarize(scenario: Scenario, trace: Sequence[TraceRecord], wall: float) ->
         top = chunk.distances.max(axis=0)
         # A NaN distance is its limb's peak, and so breaks the invariant.
         peaks = np.where((top > peaks) | np.isnan(top), top, peaks)
-        entered = chunk.mode == "recovering"
+        entered = chunk.mode == _MODES.index("recovering")
         recoveries += int(entered[0] and not recovering) + int((entered[1:] > entered[:-1]).sum())
         recovering = bool(entered[-1])
     safe = bool((peaks <= 1.0 + SAFETY_TOLERANCE).all())

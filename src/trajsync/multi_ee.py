@@ -324,9 +324,14 @@ class StackedSegment:
     clamped on ``n_samples`` grid points, with its kernel constants: built
     once per segment and kept by the caller (the controller keeps it in its
     state) for every clamp of that segment.
+
+    ``_last`` is None or ``(v, q, outcome)``: the bytes of the translations
+    and quaternions of the latest state clamped, and the outcome returned for
+    it. The slot is replaced as one tuple, so a reader never pairs one
+    clamp's key with another's outcome.
     """
 
-    __slots__ = ("start", "final", "params", "n_samples", "constants", "_margin")
+    __slots__ = ("start", "final", "params", "n_samples", "constants", "_margin", "_last")
 
     def __init__(
         self, start: MultiPose, final: MultiPose, params: MultiMetricParams, n_samples: int
@@ -347,6 +352,7 @@ class StackedSegment:
         # norm order, whose clamp always scores the grid.
         located = not rot and math.isinf(params.norm_order)
         self._margin = _convexity_margin([ta for *_, ta in self.constants[0]]) if located else None
+        self._last = None
 
     def clamp(self, state: MultiPose, t_min: float = 0.0) -> ClampOutcome:
         """``clamp_stacked`` of this segment against ``state``: the outcome of
@@ -361,13 +367,29 @@ class StackedSegment:
         the outcome: the samples at or above it are scored first, and the
         rest only when none of those is within the ball. A caller that
         discards hits below some t passes that t.
+
+        The outcome is a function of the segment and the state's bits alone,
+        so a state whose translation and quaternion bytes equal the last
+        clamp's gets that clamp's outcome back, the same object; one that
+        differs in any bit, the sign of a zero included, is clamped afresh.
+        A fresh outcome at the last outcome's t reuses its point, which on
+        a fixed segment depends on t alone; only a new t is interpolated.
         """
         _check_names(state, self.start)
+        v, q = state._v.tobytes(), state._q.tobytes()
+        last = self._last
+        if last is not None and last[0] == v and last[1] == q:
+            return last[2]
         coeffs = _kernels.segment_coefficients(self.constants, state._v, state._q)
-        if self._margin is not None:
-            hit = self._located_hit(coeffs[0])
-            if hit is not None:
-                return hit
+        found = self._located_hit(coeffs[0]) if self._margin is not None else None
+        kind, t, dist = (Solution, *found) if found is not None else self._scanned(coeffs, t_min)
+        outcome = kind(self._point_at(t), t, dist)
+        self._last = (v, q, outcome)
+        return outcome
+
+    def _scanned(self, coeffs, t_min: float) -> tuple[type, float, float]:
+        """The grid's outcome type, t and distance: samples at or above
+        ``t_min`` scored first, the rest only if none of those is a hit."""
         k = self.params.norm_order
         n = self.n_samples
         ts = grid_parameters(n)
@@ -380,12 +402,22 @@ class StackedSegment:
         hit = bool(feasible.any())
         # The first feasible sample, or the first minimum: the largest t.
         i = int(np.argmax(feasible) if hit else np.argmin(dists))
-        t = float(ts[i])
-        outcome = Solution if hit else NoSolution
-        return outcome(stacked_interp(t, self.start, self.final), t, float(dists[i]))
+        return Solution if hit else NoSolution, float(ts[i]), float(dists[i])
 
-    def _located_hit(self, limbs) -> Solution | None:
-        """The infinity-norm clamp's hit without the grid kernel, or None.
+    def _point_at(self, t: float) -> MultiPose:
+        """The segment's point at ``t``: the last outcome's if it lies at
+        that t, else interpolated."""
+        last = self._last
+        if last is not None:
+            o = last[2]
+            at, point = (o.t, o.point) if isinstance(o, Solution) else (o.nearest_t, o.nearest_point)
+            if at == t:
+                return point
+        return stacked_interp(t, self.start, self.final)
+
+    def _located_hit(self, limbs) -> tuple[float, float] | None:
+        """The infinity-norm clamp's hit without the grid kernel, as its
+        ``(t, dist)``, or None.
 
         Under the infinity norm a rotation-free stack is within the ball
         where ta_i t**2 + tb_i t + tc_i <= 1 for every limb i: an interval
@@ -428,7 +460,7 @@ class StackedSegment:
         dist, above = _kernels.scalar_inf_distances(limbs, t, 1.0 - (i - 1) / last)
         if not dist <= 1.0 or i and not above > 1.0 + self._margin:
             return None
-        return Solution(stacked_interp(t, self.start, self.final), t, dist)
+        return t, dist
 
 
 def clamp_stacked(

@@ -45,6 +45,7 @@ import numpy as np
 
 from .controller import (
     ControllerState,
+    Mode,
     PathSpec,
     RecoveryStrategy,
     SpeedInput,
@@ -210,7 +211,8 @@ class TraceRecord:
     """One simulation step: controller-facing readings and emitted command.
 
     A ``Trace`` builds one on access from its column blocks; its ``sensed``
-    and ``command`` hold read-only views of those blocks. ``misses`` is
+    and ``command`` hold read-only views of those blocks. ``mode`` is a
+    ``Mode`` value; the writers refuse any other string. ``misses`` is
     ``ControllerState.misses`` after the step. The trace files do not
     export it: their 20 columns stay as documented."""
 
@@ -224,13 +226,18 @@ class TraceRecord:
     misses: int = 0
 
 
+# A chunk keeps each step's mode as its index here, in one byte.
+_MODES = tuple(mode.value for mode in Mode)
+_MODE_CODES = {mode: code for code, mode in enumerate(_MODES)}
+
+
 class _Chunk:
     """Consecutive steps of a trace whose limbs share ``names``, as
     read-only column blocks: per step (m,) ``time``, ``t``, ``segment``,
-    ``mode`` and ``misses``; per step and limb the sensed and command
-    translations (m, n, 3) and quaternions (m, n, 4) and ``distances``
-    (m, n). The pose blocks are given as stacked (m * n, 3) and (m * n, 4)
-    rows."""
+    ``mode`` (uint8 indices into ``_MODES``) and ``misses``; per step and
+    limb the sensed and command translations (m, n, 3) and quaternions
+    (m, n, 4) and ``distances`` (m, n). The pose blocks are given as stacked
+    (m * n, 3) and (m * n, 4) rows, and the modes as their strings."""
 
     __slots__ = (
         "names", "time", "sensed_v", "sensed_q", "command_v", "command_q",
@@ -249,7 +256,10 @@ class _Chunk:
         self.distances = np.array(distances, dtype=np.float64).reshape(m, n)
         self.t = np.array(t, dtype=np.float64)
         self.segment = np.array(segment)
-        self.mode = np.array(mode)
+        try:
+            self.mode = np.array([_MODE_CODES[m] for m in mode], dtype=np.uint8)
+        except KeyError as exc:
+            raise ValueError(f"trace mode {exc.args[0]!r} is not one of {_MODES}") from None
         self.misses = np.array(misses)
         for slot in self.__slots__[1:]:
             getattr(self, slot).setflags(write=False)
@@ -281,7 +291,7 @@ class _Chunk:
             tuple(self.distances[i].tolist()),
             self.t[i].item(),
             self.segment[i].item(),
-            self.mode[i].item(),
+            _MODES[self.mode[i]],
             self.misses[i].item(),
         )
 
@@ -352,14 +362,14 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-# A run keeps its whole trace, about 240 bytes per step for one limb and 800
-# for six (tracemalloc of the trace ``run_scenario`` returns for out_of_range
-# and robustness_mix), and spends 30-80 us on each step (``run_scenario`` on
-# the builtins: about 32 us with six rotation-free limbs, 70 us with the
-# one-limb speed program, on a 2-core Xeon, Python 3.11, numpy 2.4). A
-# mistyped dt can ask for 10^12 steps, a run that never ends. The bound makes
-# that a validation error instead and keeps the trace of the longest six-limb
-# run under 1 GB. It can rise once the run streams.
+# A run keeps its whole trace, about 170 bytes per step for one limb and 770
+# for six (tracemalloc: what deleting the trace ``run_scenario`` returns for
+# out_of_range and robustness_mix frees), and spends 25-80 us on each step
+# (``run_scenario`` on the builtins: about 28 us with six rotation-free limbs,
+# 70 us with the one-limb speed program, on a 2-core Xeon, Python 3.11, numpy
+# 2.4). A mistyped dt can ask for 10^12 steps, a run that never ends. The
+# bound makes that a validation error instead and keeps the trace of the
+# longest six-limb run under 1 GB. It can rise once the run streams.
 _MAX_STEPS = 1_000_000
 
 # The loop stacks the trace a chunk of steps at a time: one pass over the

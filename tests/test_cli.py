@@ -800,6 +800,14 @@ def test_safety_violation_exits_3(tmp_path, monkeypatch, capsys):
     assert len(read_lines(out)) == 2  # trace still written for post-mortem
 
 
+def test_a_record_with_an_unknown_mode_is_refused(tmp_path):
+    # The blocks keep each mode as a one-byte code of the three modes.
+    record = dataclasses.replace(_record(0, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], (0.1,)), mode="paused")
+    for write in (cli.write_trace_csv, cli.write_trace_jsonl):
+        with pytest.raises(ValueError, match="'paused' is not one of"):
+            write([record], tmp_path / "trace.out")
+
+
 def test_nan_distance_in_any_limb_exits_3(tmp_path, monkeypatch, capsys):
     # a NaN distance is a violation wherever it sits, and is its limb's peak
     q = np.array([1.0, 0.0, 0.0, 0.0])

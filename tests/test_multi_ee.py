@@ -3,13 +3,15 @@ the k-norm stacking of per-effector distances."""
 
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trajsync import _kernels
+from trajsync import _kernels, multi_ee
 from trajsync.metric_core import (
     ClampConfig,
     NoSolution,
@@ -29,7 +31,14 @@ from trajsync.multi_ee import (
     stacked_interp,
 )
 from trajsync.scenarios import get_scenario
-from trajsync.se3 import Pose, Se3MetricParams, quat_from_axis_angle, quat_normalize, se3_interp
+from trajsync.se3 import (
+    Pose,
+    Se3MetricParams,
+    quat_from_axis_angle,
+    quat_mul,
+    quat_normalize,
+    se3_interp,
+)
 from trajsync.sim import run_scenario
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -802,3 +811,183 @@ def test_robustness_mix_scores_the_grid_only_on_misses(monkeypatch):
     run_scenario(get_scenario("robustness_mix"))
     assert len(misses) > 6000
     assert 0 < len(calls) <= 2 * sum(misses)
+
+
+# --- the last clamp's outcome, kept by the segment -----------------------------
+
+def fresh_clamp(segment, state, t_min):
+    """``segment.clamp`` on a new segment of the same endpoints, params and
+    sample count: nothing kept from an earlier clamp."""
+    fresh = StackedSegment(segment.start, segment.final, segment.params, segment.n_samples)
+    return fresh.clamp(state, t_min)
+
+
+def counted_calls(monkeypatch, *lookups):
+    """One entry per call, from now on, of each ``(module, name)`` function."""
+    calls = []
+    for module, name in lookups:
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=function: calls.append(1) or f(*a))
+    return calls
+
+
+def test_kept_segments_clamp_robustness_mix_as_fresh_ones(monkeypatch):
+    # The controller keeps each segment across the steps that clamp it; every
+    # outcome of the run equals that of a fresh segment on the same state and
+    # floor, bit for bit. Most steps stall at the last t, and many sense the
+    # last state again, so both reuses are exercised.
+    clamps = []
+    clamp = StackedSegment.clamp
+
+    def observed(self, state, t_min=0.0):
+        out = clamp(self, state, t_min)
+        clamps.append((self, state, t_min, out))
+        return out
+
+    monkeypatch.setattr(StackedSegment, "clamp", observed)
+    run_scenario(get_scenario("robustness_mix"))
+    monkeypatch.undo()
+    repeated = held = 0
+    for (segment, state, t_min, out), before in zip(clamps, [None, *clamps]):
+        assert outcome_bits(out) == outcome_bits(fresh_clamp(segment, state, t_min))
+        if before is not None and before[0] is segment:
+            repeated += before[3] is out
+            held += outcome_bits(before[3])[1] == outcome_bits(out)[1]
+    assert len(clamps) > 6000 and repeated > 1000 and held > 3000
+
+
+def turning_stack():
+    """Two limbs under the 2-norm with finite r_e: limb a turns about z on a
+    sign-flipped arc (its final quaternion has a negative dot with the
+    start's), limb b about x."""
+    x = np.array([1.0, 0.0, 0.0])
+    start = pair(pose(0.0), pose(0.0, 30.0, q=quat_from_axis_angle(x, 0.2)))
+    final = pair(
+        pose(60.0, q=-quat_from_axis_angle(Z, 1.2)), pose(50.0, 30.0, q=quat_from_axis_angle(x, 0.9))
+    )
+    assert np.dot(start.quaternions()[0], final.quaternions()[0]) < 0.0
+    params = MultiMetricParams.uniform(2, 10.0, r_e=0.5, norm_order=2.0)
+    return StackedSegment(start, final, params, 400)
+
+
+def turning_states(segment, rng, steps):
+    """(state, t_min) pairs a controller could clamp along ``segment``: the
+    state sensed again unchanged, nudged in its translations, turned in one
+    limb's quaternion alone, carried on along the path, or knocked far off
+    it, under a floor that walks up and down."""
+    t_state, t_min = 0.1, 0.0
+    on_path = stacked_interp(t_state, segment.start, segment.final)
+    v, q = on_path.translations().copy(), on_path.quaternions().copy()
+    for _ in range(steps):
+        move = rng.choice(["again", "nudge", "turn", "advance", "far"])
+        if move == "nudge":
+            v = v + rng.uniform(-0.5, 0.5, v.shape)
+        elif move == "turn":
+            q = q.copy()
+            i = rng.integers(2)
+            q[i] = quat_mul(q[i], quat_from_axis_angle(rng.normal(size=3), 0.05))
+        elif move == "advance":
+            t_state = min(1.0, t_state + rng.uniform(0.0, 0.05))
+            on_path = stacked_interp(t_state, segment.start, segment.final)
+            v = on_path.translations() + rng.uniform(-2.0, 2.0, v.shape)
+            q = on_path.quaternions().copy()
+        elif move == "far":
+            v = v + 200.0
+        t_min = float(np.clip(t_min + rng.uniform(-0.1, 0.1), 0.0, 1.0))
+        yield MultiPose._of_arrays(segment.start.names, v.copy(), q.copy()), t_min
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kept_segment_clamps_a_turning_stack_as_fresh_ones(monkeypatch, seed):
+    # A state that turns one limb and keeps every translation is clamped
+    # afresh: its rotation moves the distances, so an outcome kept for its
+    # translations alone would carry the wrong bits.
+    segment = turning_stack()
+    interps = counted_calls(monkeypatch, (multi_ee, "stacked_interp"))
+    before, repeated, kept_point = None, 0, 0
+    for state, t_min in turning_states(segment, np.random.default_rng(seed), 150):
+        n = len(interps)
+        out = segment.clamp(state, t_min)
+        if before is not None:
+            repeated += out is before
+            kept_point += out is not before and len(interps) == n
+        assert outcome_bits(out) == outcome_bits(fresh_clamp(segment, state, t_min))
+        before = out
+    assert repeated > 5 and kept_point > 5
+
+
+def test_the_last_state_under_another_floor_gets_the_kept_outcome(monkeypatch):
+    # The floor orders the grid's work, never the outcome.
+    segment = turning_stack()
+    state, t_min = next(turning_states(segment, np.random.default_rng(0), 1))
+    out = segment.clamp(state, t_min)
+    calls = scored_samples(monkeypatch)
+    again = MultiPose._of_arrays(state.names, state.translations().copy(), state.quaternions().copy())
+    assert segment.clamp(again, 1.0 - t_min) is out
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows, index, change",
+    [
+        ("v", (0, 1), "zero_sign"), ("v", (1, 2), "zero_sign"),
+        ("q", (0, 1), "zero_sign"), ("q", (1, 3), "zero_sign"),
+        ("v", (0, 0), "ulp"), ("q", (1, 0), "ulp"),
+    ],
+)
+def test_a_state_one_bit_away_is_clamped_afresh(monkeypatch, rows, index, change):
+    # The last state's bytes are the key: -0.0 for 0.0, or the next float,
+    # in one translation or quaternion entry makes the clamp run again.
+    segment = turning_stack()
+    v = np.array([[20.0, 0.0, 0.0], [15.0, 30.0, 0.0]])
+    q = np.array([IDENTITY, quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.2)])
+    out = segment.clamp(MultiPose._of_arrays(segment.start.names, v.copy(), q.copy()))
+    rows = {"v": v, "q": q}[rows]
+    rows[index] = -rows[index] if change == "zero_sign" else np.nextafter(rows[index], math.inf)
+    state = MultiPose._of_arrays(segment.start.names, v, q)
+    coefficients = counted_calls(monkeypatch, (_kernels, "segment_coefficients"))
+    again = segment.clamp(state)
+    assert len(coefficients) == 1
+    assert again is not out
+    assert outcome_bits(again) == outcome_bits(fresh_clamp(segment, state, 0.0))
+
+
+def test_a_miss_at_the_last_miss_t_reuses_its_nearest_point(monkeypatch):
+    # Far off the path beside t = 0.3, then moved along y: still a miss whose
+    # nearest sample is the same, and its point is not interpolated again.
+    params = MultiMetricParams.uniform(2, 10.0)
+    segment = StackedSegment(along_x(0.0, 2), along_x(100.0, 2), params, 700)
+    first = segment.clamp(MultiPose(("l0", "l1"), (pose(30.0, 50.0), pose(30.0, 53.0))))
+    interps = counted_calls(monkeypatch, (multi_ee, "stacked_interp"))
+    state = MultiPose(("l0", "l1"), (pose(30.0, 60.0), pose(30.0, 63.0)))
+    second = segment.clamp(state)
+    assert isinstance(first, NoSolution) and isinstance(second, NoSolution)
+    assert second.nearest_t == first.nearest_t and second.nearest_dist != first.nearest_dist
+    assert second.nearest_point is first.nearest_point
+    assert interps == []
+    assert outcome_bits(second) == outcome_bits(fresh_clamp(segment, state, 0.0))
+
+
+def test_threads_sharing_a_segment_get_the_outcomes_of_fresh_ones():
+    # Threads clamping one segment, each its own states, interleave their
+    # reads and writes of the slot; every outcome is still a fresh clamp's.
+    segment = turning_stack()
+    runs = [list(turning_states(segment, np.random.default_rng(seed), 60)) for seed in range(4)]
+    expected = [[outcome_bits(fresh_clamp(segment, *c)) for c in run] for run in runs]
+    got = [[] for _ in runs]
+
+    def worker(run, out):
+        out.extend(outcome_bits(segment.clamp(*c)) for c in run)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=pair) for pair in zip(runs, got)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected

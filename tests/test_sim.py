@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajsync import _kernels
+from trajsync import _kernels, controller, multi_ee
 from trajsync.controller import PathSpec, RecoveryStrategy
 from trajsync.metric_core import ClampConfig
 from trajsync.multi_ee import MultiMetricParams, MultiPose, per_ee_distances, stacked_interp
@@ -668,19 +668,53 @@ def test_nearest_sample_trace_names_the_interpolant_of_every_command():
 KERNEL_CALLS = {"nominal_square": 0, "power_loss": 2, "robustness_mix": 32, "out_of_range": 440}
 
 
+def counted_calls(monkeypatch, *lookups):
+    """One entry per call, from now on, of each ``(module, name)`` function."""
+    calls = []
+    for module, name in lookups:
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=function: calls.append(1) or f(*a))
+    return calls
+
+
 @pytest.mark.parametrize("which", sorted(KERNEL_CALLS))
 def test_builtin_runs_call_the_grid_kernel_no_more_than_they_need(which, monkeypatch):
-    calls = []
-    grid = _kernels.grid_distances
-    monkeypatch.setattr(_kernels, "grid_distances", lambda *a: calls.append(1) or grid(*a))
+    calls = counted_calls(monkeypatch, (_kernels, "grid_distances"))
     run_scenario(get_scenario(which))
     assert len(calls) <= KERNEL_CALLS[which]
 
 
+# Interpolations and coefficient sets in one run of each builtin, counted
+# where the step path looks them up: a segment keeps its last clamp's
+# outcome, so a step that senses the last state again costs neither, and
+# one whose t holds still costs no interpolation. Speed mode builds a new
+# segment every step and so pays both on each of its 440. The interpolations
+# are the clamp's, and on robustness_mix one floored hit's in the controller.
+INTERP_CALLS = {"nominal_square": 582, "out_of_range": 440, "power_loss": 558, "robustness_mix": 1803}
+COEFFICIENT_CALLS = {
+    "nominal_square": 1426, "out_of_range": 440, "power_loss": 1361, "robustness_mix": 4336,
+}
+
+
+@pytest.mark.parametrize("which", sorted(INTERP_CALLS))
+def test_builtin_runs_interpolate_no_more_than_they_need(which, monkeypatch):
+    calls = counted_calls(monkeypatch, (multi_ee, "stacked_interp"), (controller, "stacked_interp"))
+    run_scenario(get_scenario(which))
+    assert len(calls) <= INTERP_CALLS[which]
+
+
+@pytest.mark.parametrize("which", sorted(COEFFICIENT_CALLS))
+def test_builtin_runs_derive_no_more_coefficients_than_they_need(which, monkeypatch):
+    calls = counted_calls(monkeypatch, (_kernels, "segment_coefficients"))
+    run_scenario(get_scenario(which))
+    assert len(calls) <= COEFFICIENT_CALLS[which]
+
+
 # MultiPose._of_arrays calls in one run of each builtin, scenario built: the
-# plant and the delay line step on bare rows, and the loop wraps the plant's
-# rows only where they become the sensed state.
-WRAPS = {"nominal_square": 3385, "out_of_range": 880, "power_loss": 3352, "robustness_mix": 11953}
+# plant and the delay line step on bare rows, the loop wraps the plant's rows
+# only where they become the sensed state, and a clamp whose t holds still
+# wraps no new command.
+WRAPS = {"nominal_square": 2267, "out_of_range": 880, "power_loss": 2209, "robustness_mix": 7738}
 
 
 @pytest.mark.parametrize("which", sorted(WRAPS))
@@ -706,3 +740,13 @@ def test_a_run_keeps_no_object_per_step():
     added = len(gc.get_objects()) - before
     chunks = -(-len(trace) // _CHUNK_STEPS)
     assert added <= 10 * chunks, (added, chunks)
+
+
+@pytest.mark.parametrize("which", ["out_of_range", "robustness_mix"])
+def test_a_trace_keeps_each_step_mode_in_one_byte(which):
+    # The records read the modes back as their strings.
+    trace = run_scenario(get_scenario(which))
+    assert all(chunk.mode.nbytes == len(chunk) for chunk in trace._chunks)
+    modes = [record.mode for record in trace]
+    assert all(type(mode) is str for mode in modes)
+    assert {"tracking"} <= set(modes) <= {"tracking", "recovering", "waiting"}
