@@ -60,6 +60,8 @@ class PathSpec:
         if len(waypoints) < 2:
             raise ValueError("a path needs at least 2 waypoints")
         names = waypoints[0].names
+        # An attribute, not a property: every tracking step reads it.
+        object.__setattr__(self, "names", names)
         for i, w in enumerate(waypoints):
             if w.names != names:
                 raise ValueError(
@@ -74,10 +76,6 @@ class PathSpec:
         if not pairs:
             raise ValueError("path has no extent: all waypoints coincide")
         object.__setattr__(self, "_segments", tuple(pairs))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.waypoints[0].names
 
     def segment_count(self) -> int:
         return len(self._segments)
@@ -173,11 +171,14 @@ def _evolve(state: ControllerState, **changes) -> ControllerState:
     ``__init__``: every field is a plain value with no ``__post_init__``, so
     the copy's ``__dict__`` is the old one updated."""
     if not _STATE_FIELDS.issuperset(changes):
-        unknown = sorted(changes.keys() - _STATE_FIELDS)
-        raise TypeError(f"ControllerState has no field(s) {unknown}")
+        raise _unknown_fields(changes)
     new = object.__new__(ControllerState)
     new.__dict__.update(state.__dict__, **changes)
     return new
+
+
+def _unknown_fields(changes: dict) -> TypeError:
+    return TypeError(f"ControllerState has no field(s) {sorted(changes.keys() - _STATE_FIELDS)}")
 
 
 # Library users driving the controller directly get monotonic t by default;
@@ -242,8 +243,12 @@ def _tracked(
     """Emit a tracking hit. Reaching t = 1 advances to the next segment:
     always off a detour, otherwise unless this is the last segment of a
     non-looping path."""
-    new = _evolve(
-        state,
+    # _evolve's copy, in one update: most steps end here.
+    if not _STATE_FIELDS.issuperset(changes):
+        raise _unknown_fields(changes)
+    new = object.__new__(ControllerState)
+    new.__dict__.update(
+        state.__dict__,
         mode=Mode.TRACKING,
         t_floor=hit.t,
         last_command=hit.point,

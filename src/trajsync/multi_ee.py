@@ -42,7 +42,7 @@ class MultiPose:
 
     __slots__ = ("names", "_v", "_q")
 
-    def __init__(self, names: Sequence[str], poses: Sequence[Pose]):
+    def __new__(cls, names: Sequence[str], poses: Sequence[Pose]) -> "MultiPose":
         names = tuple(names)
         poses = tuple(poses)
         if len(names) == 0:
@@ -51,24 +51,22 @@ class MultiPose:
             raise ValueError(f"{len(names)} names but {len(poses)} poses")
         if len(set(names)) != len(names):
             raise ValueError(f"end-effector names must be unique: {names}")
-        v = np.stack([p.v for p in poses])
-        q = np.stack([p.q for p in poses])
-        self._init(names, v, q)
+        v, q = np.stack([p.v for p in poses]), np.stack([p.q for p in poses])
+        return cls._of_arrays(names, v, q)
 
     @classmethod
     def _of_arrays(cls, names: tuple[str, ...], v: np.ndarray, q: np.ndarray) -> "MultiPose":
         """Wrap (n, 3) translations and (n, 4) unit quaternions as they are,
         unchecked; the arrays become read-only and belong to the result."""
+        # The slots are set here, with no helper frame: the step path wraps a
+        # state or two every step.
         mp = object.__new__(cls)
-        mp._init(names, v, q)
-        return mp
-
-    def _init(self, names, v, q) -> None:
         v.setflags(write=False)
         q.setflags(write=False)
-        _set_names(self, names)
-        _set_v(self, v)
-        _set_q(self, q)
+        _set_names(mp, names)
+        _set_v(mp, v)
+        _set_q(mp, q)
+        return mp
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MultiPose is immutable: cannot set {name!r}")
@@ -375,7 +373,8 @@ class StackedSegment:
         A fresh outcome at the last outcome's t reuses its point, which on
         a fixed segment depends on t alone; only a new t is interpolated.
         """
-        _check_names(state, self.start)
+        if state.names != self.start.names:
+            _check_names(state, self.start)
         v, q = state._v.tobytes(), state._q.tobytes()
         last = self._last
         if last is not None and last[0] == v and last[1] == q:

@@ -15,7 +15,12 @@ the plant's rows as a ``MultiPose`` only where they become the sensed state.
 A step does only the array work that a trace byte depends on: multiplying a
 row by 1.0 leaves it bit for bit as it was, so the plant skips its pursuit
 fraction when every fraction is 1.0 and the held-row select of a quaternion
-array that the SLERP handed back unchanged.
+array that the SLERP handed back unchanged, and the delay line skips its
+quaternion ring while every command in it has the same quaternion bytes.
+A step also makes few interpreter calls: the loop reads the run's path,
+metric, clamp config and strategy once, decides the sensor refresh as one
+int bitmask, records the controller's ``Mode`` member as it is, and the
+plant clips with the ufunc that ``ndarray.clip`` wraps.
 
 A step is recorded by buffering its sensed state, command and controller
 readings. Every ``_CHUNK_STEPS`` steps the buffer becomes one ``_Chunk`` of
@@ -226,9 +231,11 @@ class TraceRecord:
     misses: int = 0
 
 
-# A chunk keeps each step's mode as its index here, in one byte.
+# A chunk keeps each step's mode as its index here, in one byte. The codes
+# are keyed by the members, which hash and compare as their values, so the
+# loop looks up the member it holds and a record's string finds the same code.
 _MODES = tuple(mode.value for mode in Mode)
-_MODE_CODES = {mode: code for code, mode in enumerate(_MODES)}
+_MODE_CODES = {mode: code for code, mode in enumerate(Mode)}
 
 
 class _Chunk:
@@ -237,7 +244,8 @@ class _Chunk:
     ``mode`` (uint8 indices into ``_MODES``) and ``misses``; per step and
     limb the sensed and command translations (m, n, 3) and quaternions
     (m, n, 4) and ``distances`` (m, n). The pose blocks are given as stacked
-    (m * n, 3) and (m * n, 4) rows, and the modes as their strings."""
+    (m * n, 3) and (m * n, 4) rows, and the modes as ``Mode`` members or
+    their strings."""
 
     __slots__ = (
         "names", "time", "sensed_v", "sensed_q", "command_v", "command_q",
@@ -364,12 +372,13 @@ class ScenarioValidationError(ValueError):
 
 # A run keeps its whole trace, about 170 bytes per step for one limb and 770
 # for six (tracemalloc: what deleting the trace ``run_scenario`` returns for
-# out_of_range and robustness_mix frees), and spends 25-80 us on each step
-# (``run_scenario`` on the builtins: about 28 us with six rotation-free limbs,
-# 70 us with the one-limb speed program, on a 2-core Xeon, Python 3.11, numpy
-# 2.4). A mistyped dt can ask for 10^12 steps, a run that never ends. The
-# bound makes that a validation error instead and keeps the trace of the
-# longest six-limb run under 1 GB. It can rise once the run streams.
+# out_of_range and robustness_mix frees), and spends 20-80 us on each step
+# (``run_scenario`` on the builtins, best of 7: about 24 us with six
+# rotation-free limbs, 71 us with the one-limb speed program, on a 2-core
+# Xeon, Python 3.11, numpy 2.4). A mistyped dt can ask for 10^12 steps, a
+# run that never ends. The bound makes that a validation error instead and
+# keeps the trace of the longest six-limb run under 1 GB. It can rise once
+# the run streams.
 _MAX_STEPS = 1_000_000
 
 # The loop stacks the trace a chunk of steps at a time: one pass over the
@@ -554,6 +563,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return errors
 
 
+# The ufunc that ndarray.clip calls through a Python wrapper. The plant test
+# pins its bits against np.clip where a row lands on a zero bound.
+_clip = np._core.umath.clip
+
 _HOLD_KINDS = (DisturbanceKind.BLOCK, DisturbanceKind.FREEZE, DisturbanceKind.POWER_CYCLE)
 _FREEZE_KINDS = (DisturbanceKind.FREEZE, DisturbanceKind.POWER_CYCLE)
 _OFFSET_KINDS = (DisturbanceKind.DISPLACE, DisturbanceKind.POWER_CYCLE)
@@ -582,7 +595,8 @@ def limb_step(
     lengths = np.sqrt(_rowdot(dv, dv)).tolist()
     scale = [cap / length if length > cap else 1.0 for length, cap in zip(lengths, caps)]
     dv *= np.array(scale)[:, None]
-    new_v = (v + dv).clip(lower, upper)
+    new_v = v + dv
+    _clip(new_v, lower, upper, out=new_v)
     new_q = _slerp_rows(q, command_q, fracs)
     if held is not None:
         new_v = np.where(held, v, new_v)
@@ -644,13 +658,16 @@ def run_scenario(scenario: Scenario) -> Trace:
     names = tuple(limb.name for limb in limbs)
     periods = [limb.sensor_period for limb in limbs]
     delayed = _DelayLine(limbs, scenario.initial, dt)
+    metric, cfg = scenario.metric, scenario.clamp
 
     # The plant state as bare rows; ``sensed`` wraps rows of it.
     true_v, true_q = scenario.initial._v, scenario.initial._q
     sensed = scenario.initial
     next_sample = [0.0] * len(limbs)
-    # One read-only (n, 1) row mask per pattern of partial sensor refresh
-    masks: dict[tuple[bool, ...], np.ndarray] = {}
+    # A step's sensor refresh is a bitmask, bit j for limb j; ``every`` is
+    # every limb's. One read-only (n, 1) row mask per partial refresh.
+    every = (1 << len(limbs)) - 1
+    masks: dict[int, np.ndarray] = {}
 
     faults = [(d, *_active_steps(d, dt, n_steps)) for d in scenario.disturbances]
     changes = {k for _, on, off in faults for k in (on, off)}
@@ -659,6 +676,8 @@ def run_scenario(scenario: Scenario) -> Trace:
     frozen = [False] * len(limbs)
 
     tracking = isinstance(scenario.program, PathProgram)
+    if tracking:
+        path, strategy = scenario.program.path, scenario.program.strategy
     ctrl = ControllerState.initial(scenario.initial)
     chunks: list[_Chunk] = []
     # (time, sensed, command, t, segment, mode, misses) of the steps not yet in a chunk
@@ -692,21 +711,20 @@ def run_scenario(scenario: Scenario) -> Trace:
                 for limb in limbs
             ]
 
-        refresh = []
+        refresh = 0
         for j, period in enumerate(periods):
-            fresh = not frozen[j] and now >= next_sample[j] - _TIME_EPS
-            if fresh:
+            if not frozen[j] and now >= next_sample[j] - _TIME_EPS:
                 next_sample[j] = now + period
-            refresh.append(fresh)
-        if all(refresh):
+                refresh |= 1 << j
+        if refresh == every:
             sensed = MultiPose._of_arrays(names, true_v, true_q)
         # Every plant step makes a new translation array, so a sensed state
         # that holds the plant's own is the plant's state.
-        elif any(refresh) and sensed._v is not true_v:
-            key = tuple(refresh)
-            rows = masks.get(key)
+        elif refresh and sensed._v is not true_v:
+            rows = masks.get(refresh)
             if rows is None:
-                rows = masks[key] = np.array(key)[:, None]
+                bits = [refresh >> j & 1 for j in range(len(limbs))]
+                rows = masks[refresh] = np.array(bits, dtype=bool)[:, None]
                 rows.setflags(write=False)
             v = np.where(rows, true_v, sensed._v)
             # Rotation-free plants hand the same quaternion array on.
@@ -714,33 +732,23 @@ def run_scenario(scenario: Scenario) -> Trace:
             sensed = MultiPose._of_arrays(names, v, q)
 
         if tracking:
-            ctrl, command = step_tracking(
-                ctrl,
-                sensed,
-                scenario.program.path,
-                scenario.metric,
-                scenario.clamp,
-                scenario.program.strategy,
-            )
+            ctrl, command = step_tracking(ctrl, sensed, path, metric, cfg, strategy)
         else:
             v = scenario.program.velocity_at(now)
             if v is not vel:
                 vel, speed = v, SpeedInput(v)
-            ctrl, command = step_speed(
-                ctrl, sensed, speed, dt, scenario.metric, scenario.clamp
-            )
+            ctrl, command = step_speed(ctrl, sensed, speed, dt, metric, cfg)
 
         true_v, true_q = limb_step(plant, true_v, true_q, *delayed.push(command))
 
         steps.append(
-            (now, sensed, command, ctrl.segment_t, ctrl.command_segment, ctrl.mode.value,
-             ctrl.misses)
+            (now, sensed, command, ctrl.segment_t, ctrl.command_segment, ctrl.mode, ctrl.misses)
         )
         if len(steps) == _CHUNK_STEPS:
-            chunks.append(_chunk(steps, scenario.metric))
+            chunks.append(_chunk(steps, metric))
             steps = []
     if steps:
-        chunks.append(_chunk(steps, scenario.metric))
+        chunks.append(_chunk(steps, metric))
     return Trace(chunks)
 
 
@@ -767,6 +775,13 @@ class _DelayLine:
     Keeps the last max(lags) + 1 commands in stacked (slot * n + row, 3)
     and (slot * n + row, 4) rings, prefilled with the initial pose, so each
     step gathers the delayed rows with one index per array.
+
+    While every command in the ring has the same quaternion bytes, as on a
+    rotation-free run, the quaternion ring is neither written nor gathered:
+    each delayed row i is row i of that one pattern, so the gather would
+    copy the latest command's quaternion array bit for bit, and ``push``
+    hands on that array itself. The skipped slots all hold the pattern, so
+    the first command with other bytes refills the ring with it first.
     """
 
     def __init__(self, limbs: tuple[LimbModel, ...], initial: MultiPose, dt: float):
@@ -781,6 +796,11 @@ class _DelayLine:
         # _gather[slot]: the ring rows to read when the latest command sits
         # in that slot
         self._gather = [((s - lags) % size) * n + np.arange(n) for s in range(size)]
+        # A quaternion array with the latest command's bytes, those bytes, and
+        # how many of the latest commands have them (the prefill counts as size)
+        self._pattern = initial._q
+        self._pattern_bytes = initial._q.tobytes()
+        self._same = size
 
     def push(self, command: MultiPose) -> tuple[np.ndarray, np.ndarray]:
         """Record the command issued this step; return the delayed one's
@@ -790,7 +810,18 @@ class _DelayLine:
         slot = self._slot = (self._slot + 1) % self._size
         rows = slice(slot * self._n, (slot + 1) * self._n)
         self._v[rows] = command._v
-        self._q[rows] = command._q
         gather = self._gather[slot]
         # take copies the rows as indexing with ``gather`` would, at less cost
-        return self._v.take(gather, axis=0), self._q.take(gather, axis=0)
+        v = self._v.take(gather, axis=0)
+        q = command._q
+        q_bytes = q.tobytes()
+        if q_bytes != self._pattern_bytes:
+            if self._same >= self._size:
+                # Every slot holds the pattern, written or not.
+                self._q.reshape(self._size, self._n, 4)[:] = self._pattern
+            self._pattern, self._pattern_bytes, self._same = q, q_bytes, 0
+        self._same += 1
+        if self._same >= self._size:
+            return v, q
+        self._q[rows] = q
+        return v, self._q.take(gather, axis=0)
