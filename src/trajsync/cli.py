@@ -33,13 +33,12 @@ from .scenarios import (
     scenario_to_dict,
 )
 from .sim import (
-    _CHUNK_STEPS,
     _MODES,
     Scenario,
     ScenarioValidationError,
-    Trace,
     TraceRecord,
     _Chunk,
+    _chunks,
     run_scenario,
 )
 from .verify import ALL_SUITES
@@ -52,21 +51,6 @@ CSV_HEADER = (
 )
 
 _CSV_FIELDS = CSV_HEADER.split(",")
-
-
-def _chunks(trace) -> list[_Chunk]:
-    """The column blocks of ``trace``: a ``Trace``'s own, or those of a plain
-    sequence of records, cut every ``_CHUNK_STEPS`` records and wherever the
-    limb names change."""
-    if isinstance(trace, Trace):
-        return trace._chunks
-    chunks = []
-    for _, run in itertools.groupby(trace, lambda r: r.sensed.names):
-        run = list(run)
-        chunks += [
-            _Chunk.of_records(run[i : i + _CHUNK_STEPS]) for i in range(0, len(run), _CHUNK_STEPS)
-        ]
-    return chunks
 
 
 def _float_texts(chunk: _Chunk, to_text) -> tuple[list, list, list]:
@@ -194,14 +178,14 @@ def _summarize(scenario: Scenario, trace: Sequence[TraceRecord], wall: float) ->
     chunks = _chunks(trace)
     names = chunks[0].names if chunks else ()
     peaks = np.zeros(len(names))
-    recoveries, recovering = 0, False
     for chunk in chunks:
-        top = chunk.distances.max(axis=0)
-        # A NaN distance is its limb's peak, and so breaks the invariant.
-        peaks = np.where((top > peaks) | np.isnan(top), top, peaks)
-        entered = chunk.mode == _MODES.index("recovering")
-        recoveries += int(entered[0] and not recovering) + int((entered[1:] > entered[:-1]).sum())
-        recovering = bool(entered[-1])
+        # np.maximum carries a NaN through: a NaN distance is its limb's
+        # peak, and so breaks the invariant.
+        peaks = np.maximum(peaks, chunk.distances.max(axis=0))
+    # A recovery is entered at each step in the recovering mode that
+    # follows one outside it, or that starts the run.
+    recovering = np.concatenate([[False], *(c.mode == _MODES.index("recovering") for c in chunks)])
+    recoveries = int((recovering[1:] > recovering[:-1]).sum())
     safe = bool((peaks <= 1.0 + SAFETY_TOLERANCE).all())
 
     lines = [

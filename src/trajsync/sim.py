@@ -28,7 +28,10 @@ read-only column blocks, with the distances computed in one pass over its
 stacked rows, and the buffered objects are dropped. ``run_scenario``
 returns the chunks as a ``Trace``, which builds a ``TraceRecord`` only when
 one is read: a run keeps one object per chunk, not several per step, for
-the garbage collector to walk, and the trace writers read the blocks.
+the garbage collector to walk. Every chunk of a run but the last is full,
+so the trace finds a step's chunk by division. This module owns the chunk
+layout: ``_chunks`` hands the writers and the summary a ``Trace``'s blocks,
+or cuts a plain sequence of records into blocks with the same builder.
 
 A run owns the constants of its steps: ``run_scenario`` keeps the plant
 constants, rebuilt when a fault starts or ends, and the controller state the
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -238,55 +242,57 @@ _MODES = tuple(mode.value for mode in Mode)
 _MODE_CODES = {mode: code for code, mode in enumerate(Mode)}
 
 
+# The loop stacks the trace a chunk of steps at a time: one pass over the
+# stacked rows of a chunk costs about what the pass of one step did on its
+# own. The trace keeps the chunks, and the trace writers format one at a time.
+_CHUNK_STEPS = 128
+
+
 class _Chunk:
     """Consecutive steps of a trace whose limbs share ``names``, as
     read-only column blocks: per step (m,) ``time``, ``t``, ``segment``,
     ``mode`` (uint8 indices into ``_MODES``) and ``misses``; per step and
     limb the sensed and command translations (m, n, 3) and quaternions
-    (m, n, 4) and ``distances`` (m, n). The pose blocks are given as stacked
-    (m * n, 3) and (m * n, 4) rows, and the modes as ``Mode`` members or
-    their strings."""
+    (m, n, 4) and ``distances`` (m, n).
+
+    Built from ``steps``, one (time, sensed, command, t, segment, mode,
+    misses) tuple per step, with a mode given as a ``Mode`` member or its
+    string. A run passes its ``metric``, and the distance of each command
+    to its sensed state is computed in one pass over the stacked rows: each
+    row's distance depends on that row alone, so it has the bits of a step's
+    own. A record sequence passes its records' own ``distances`` instead."""
 
     __slots__ = (
         "names", "time", "sensed_v", "sensed_q", "command_v", "command_q",
         "distances", "t", "segment", "mode", "misses",
     )
 
-    def __init__(self, names, time, sensed_v, sensed_q, command_v, command_q,
-                 distances, t, segment, mode, misses):
-        m, n = len(time), len(names)
-        self.names = names
+    def __init__(self, steps, metric: Optional[MultiMetricParams] = None, distances=None):
+        time, sensed, command, t, segment, mode, misses = zip(*steps)
+        m, n = len(steps), len(sensed[0].names)
+        sv, sq = np.concatenate([p._v for p in sensed]), np.concatenate([p._q for p in sensed])
+        cv, cq = np.concatenate([p._v for p in command]), np.concatenate([p._q for p in command])
+        if metric is not None:
+            p_e, r_e, rot = metric._columns
+            if isinstance(rot, list):
+                rot = [j * n + i for j in range(m) for i in rot]
+            distances = _row_distances(cv, sv, cq, sq, np.tile(p_e, m), np.tile(r_e, m), rot)
+        self.names = sensed[0].names
         self.time = np.array(time, dtype=np.float64)
-        self.sensed_v = sensed_v.reshape(m, n, 3)
-        self.sensed_q = sensed_q.reshape(m, n, 4)
-        self.command_v = command_v.reshape(m, n, 3)
-        self.command_q = command_q.reshape(m, n, 4)
+        self.sensed_v = sv.reshape(m, n, 3)
+        self.sensed_q = sq.reshape(m, n, 4)
+        self.command_v = cv.reshape(m, n, 3)
+        self.command_q = cq.reshape(m, n, 4)
         self.distances = np.array(distances, dtype=np.float64).reshape(m, n)
         self.t = np.array(t, dtype=np.float64)
         self.segment = np.array(segment)
         try:
-            self.mode = np.array([_MODE_CODES[m] for m in mode], dtype=np.uint8)
+            self.mode = np.array([_MODE_CODES[each] for each in mode], dtype=np.uint8)
         except KeyError as exc:
             raise ValueError(f"trace mode {exc.args[0]!r} is not one of {_MODES}") from None
         self.misses = np.array(misses)
         for slot in self.__slots__[1:]:
             getattr(self, slot).setflags(write=False)
-
-    @classmethod
-    def of_records(cls, records) -> "_Chunk":
-        """The blocks of ``records``, a sequence of TraceRecord whose limbs
-        share their names, with the distances the records hold."""
-        return cls(
-            records[0].sensed.names,
-            [r.time for r in records],
-            *_stacked([r.sensed for r in records]),
-            *_stacked([r.command for r in records]),
-            [r.distances for r in records],
-            [r.t for r in records],
-            [r.segment for r in records],
-            [r.mode for r in records],
-            [r.misses for r in records],
-        )
 
     def __len__(self) -> int:
         return len(self.time)
@@ -304,27 +310,6 @@ class _Chunk:
         )
 
 
-def _stacked(poses: list[MultiPose]) -> tuple[np.ndarray, np.ndarray]:
-    """The translation and quaternion rows of ``poses``, stacked."""
-    return np.concatenate([p._v for p in poses]), np.concatenate([p._q for p in poses])
-
-
-def _chunk(steps: list[tuple], metric: MultiMetricParams) -> _Chunk:
-    """The blocks of the buffered ``steps``, (time, sensed, command, t,
-    segment, mode, misses) each, with the distances of each command to its
-    sensed state, computed in one pass over the stacked rows: each row's
-    distance depends on that row alone, so it has the bits of a step's own."""
-    time, sensed, command, t, segment, mode, misses = zip(*steps)
-    sv, sq = _stacked(sensed)
-    cv, cq = _stacked(command)
-    p_e, r_e, rot = metric._columns
-    m, n = len(steps), len(p_e)
-    if isinstance(rot, list):
-        rot = [j * n + i for j in range(m) for i in rot]
-    d = _row_distances(cv, sv, cq, sq, np.tile(p_e, m), np.tile(r_e, m), rot)
-    return _Chunk(sensed[0].names, time, sv, sq, cv, cq, d, t, segment, mode, misses)
-
-
 class Trace(Sequence):
     """The records of a run, one per step, as a read-only sequence.
 
@@ -332,20 +317,18 @@ class Trace(Sequence):
     ``TraceRecord`` only when one is asked for: each read builds a new record
     with the same field values, so ``trace[i] is trace[i]`` is false.
     Indexing, negative indices, slices (a list of records) and iteration
-    behave as a list's.
+    behave as a list's. Every chunk but the last holds ``_CHUNK_STEPS``
+    steps, so step i is step i % _CHUNK_STEPS of chunk i // _CHUNK_STEPS.
     """
 
-    __slots__ = ("_chunks", "_starts")
+    __slots__ = ("_chunks",)
 
     def __init__(self, chunks: list[_Chunk]):
         self._chunks = chunks
-        # _starts[c]: the index of chunk c's first step; the last entry is the length
-        self._starts = [0]
-        for chunk in chunks:
-            self._starts.append(self._starts[-1] + len(chunk))
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        # a run takes at least one step, so it has a last chunk
+        return (len(self._chunks) - 1) * _CHUNK_STEPS + len(self._chunks[-1])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -355,13 +338,29 @@ class Trace(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("trace index out of range")
-        c = bisect.bisect_right(self._starts, i) - 1
-        return self._chunks[c].record(i - self._starts[c])
+        c, j = divmod(i, _CHUNK_STEPS)
+        return self._chunks[c].record(j)
 
     def __iter__(self):
         for chunk in self._chunks:
             for i in range(len(chunk)):
                 yield chunk.record(i)
+
+
+def _chunks(trace: Sequence[TraceRecord]) -> list[_Chunk]:
+    """The column blocks of ``trace``: a ``Trace``'s own, or those of a plain
+    sequence of records, cut every ``_CHUNK_STEPS`` records and wherever the
+    limb names change."""
+    if isinstance(trace, Trace):
+        return trace._chunks
+    chunks = []
+    for _, run in itertools.groupby(trace, lambda r: r.sensed.names):
+        run = list(run)
+        for i in range(0, len(run), _CHUNK_STEPS):
+            cut = run[i : i + _CHUNK_STEPS]
+            steps = [(r.time, r.sensed, r.command, r.t, r.segment, r.mode, r.misses) for r in cut]
+            chunks.append(_Chunk(steps, distances=[r.distances for r in cut]))
+    return chunks
 
 
 class ScenarioValidationError(ValueError):
@@ -372,19 +371,11 @@ class ScenarioValidationError(ValueError):
 
 # A run keeps its whole trace, about 170 bytes per step for one limb and 770
 # for six (tracemalloc: what deleting the trace ``run_scenario`` returns for
-# out_of_range and robustness_mix frees), and spends 20-80 us on each step
-# (``run_scenario`` on the builtins, best of 7: about 24 us with six
-# rotation-free limbs, 71 us with the one-limb speed program, on a 2-core
-# Xeon, Python 3.11, numpy 2.4). A mistyped dt can ask for 10^12 steps, a
-# run that never ends. The bound makes that a validation error instead and
-# keeps the trace of the longest six-limb run under 1 GB. It can rise once
-# the run streams.
+# out_of_range and robustness_mix frees). A mistyped dt can ask for 10^12
+# steps, a run that never ends. The bound makes that a validation error
+# instead and keeps the trace of the longest six-limb run under 1 GB. It can
+# rise once the run streams.
 _MAX_STEPS = 1_000_000
-
-# The loop stacks the trace a chunk of steps at a time: one pass over the
-# stacked rows of a chunk costs about what the pass of one step did on its
-# own. The trace keeps the chunks, and the trace writers format one at a time.
-_CHUNK_STEPS = 128
 
 # Positions are in mm. Within +-1e150 the squared difference of any two
 # coordinates, at most (2e150)^2 = 4e300, stays finite, and so do the spans
@@ -745,10 +736,10 @@ def run_scenario(scenario: Scenario) -> Trace:
             (now, sensed, command, ctrl.segment_t, ctrl.command_segment, ctrl.mode, ctrl.misses)
         )
         if len(steps) == _CHUNK_STEPS:
-            chunks.append(_chunk(steps, metric))
+            chunks.append(_Chunk(steps, metric))
             steps = []
     if steps:
-        chunks.append(_chunk(steps, metric))
+        chunks.append(_Chunk(steps, metric))
     return Trace(chunks)
 
 

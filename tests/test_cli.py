@@ -143,10 +143,21 @@ def _fields(record):
     )
 
 
-@pytest.mark.parametrize("name", BUILTIN_CSV_SHA256)
+@functools.lru_cache(maxsize=None)
+def full_chunks_trace():
+    """out_of_range cut to 256 steps: a run that ends with a full chunk."""
+    trace = run_scenario(dataclasses.replace(get_scenario("out_of_range"), horizon=25.6))
+    assert len(trace) == 2 * _CHUNK
+    return trace
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_CSV_SHA256, "full_chunks"])
 def test_trace_reads_as_the_list_of_its_records(tmp_path, name):
-    trace = builtin_trace(name)
+    trace = full_chunks_trace() if name == "full_chunks" else builtin_trace(name)
     records = list(trace)
+    # the trace finds a step's chunk by division: every chunk but the last is full
+    sizes = [len(chunk) for chunk in trace._chunks]
+    assert sizes[:-1] == [_CHUNK] * (len(sizes) - 1) and 0 < sizes[-1] <= _CHUNK
     # both routes into the writers, the trace's chunks and a plain list, agree
     for write in (cli.write_trace_csv, cli.write_trace_jsonl):
         write(trace, tmp_path / "trace")
@@ -346,6 +357,35 @@ def first_differing_line(got: str, want: str) -> str:
         if g != w:
             return f"line {i} differs: {g!r} != {w!r}"
     return f"{len(got_lines)} lines != {len(want_lines)} lines"
+
+
+def test_limb_names_that_change_cut_the_chunks(tmp_path):
+    # 130 records of two limbs, then 140 of three: each run of names is cut
+    # into chunks of its own, counted from the run's first record
+    rng = np.random.default_rng(5)
+    runs = [
+        [
+            _record(k, rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), rng.random(n))
+            for k in range(m)
+        ]
+        for m, n in ((130, 2), (140, 3))
+    ]
+    trace = runs[0] + runs[1]
+    assert [len(chunk) for chunk in cli._chunks(trace)] == [_CHUNK, 2, _CHUNK, 12]
+    for write, reference, head in (
+        (cli.write_trace_csv, reference_csv, CSV_HEADER + "\n"),
+        (cli.write_trace_jsonl, reference_jsonl, ""),
+    ):
+        write(trace, tmp_path / "whole")
+        got = (tmp_path / "whole").read_text()
+        apart = []
+        for run in runs:
+            write(run, tmp_path / "run")
+            apart.append((tmp_path / "run").read_text().removeprefix(head))
+        assert got == head + "".join(apart)
+        expected = reference(trace)
+        if got != expected:
+            pytest.fail(first_differing_line(got, expected))
 
 
 def test_each_chunk_formats_each_distinct_pattern_once():
@@ -828,6 +868,38 @@ def test_nan_distance_in_any_limb_exits_3(tmp_path, monkeypatch, capsys):
     assert "  leg: nan" in lines
     assert any(line.startswith("safety invariant: VIOLATED") for line in lines)
     assert len(read_lines(out)) == 3
+
+
+def summary_of(records, tmp_path, monkeypatch, capsys, exit_code=0):
+    """The summary lines of a run whose trace is ``records``."""
+    monkeypatch.setattr(cli, "run_scenario", lambda scenario: records)
+    out = tmp_path / "trace.csv"
+    assert run_cli("run", "--scenario", "out_of_range", "--output", str(out)) == exit_code
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("first, last", [(120, 140), (_CHUNK, 140)])
+def test_a_recovery_across_chunks_counts_once(tmp_path, monkeypatch, capsys, first, last):
+    # 300 steps, three chunks; one recovering stretch over steps first..last
+    records = [
+        dataclasses.replace(
+            _record(k, [[0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]], (0.5,)),
+            mode="recovering" if first <= k <= last else "tracking",
+        )
+        for k in range(300)
+    ]
+    assert "recoveries: 1" in summary_of(records, tmp_path, monkeypatch, capsys)
+
+
+def test_a_nan_distance_in_a_later_chunk_exits_3(tmp_path, monkeypatch, capsys):
+    # finite peaks in the first chunk, the first NaN in the second
+    distances = [(0.25 + 0.001 * k, 0.5) for k in range(200)]
+    distances[150] = (0.1, float("nan"))
+    records = [_record(k, [[0.0] * 3] * 2, [[0.1] * 3] * 2, d) for k, d in enumerate(distances)]
+    lines = summary_of(records, tmp_path, monkeypatch, capsys, exit_code=3)
+    assert "  l0: 0.449000" in lines
+    assert "  l1: nan" in lines
+    assert any(line.startswith("safety invariant: VIOLATED") for line in lines)
 
 
 def test_summary_reports_per_limb_peaks(capsys):
