@@ -1,4 +1,4 @@
-"""Grid-scan kernel for stacked SE(3) segments.
+"""The clamp's readings of the stacked distance on a segment's sample grid.
 
 The clamp's inner loop evaluates the stacked distance at every sample of a
 segment. For a LERP/SLERP segment both terms collapse to closed forms in t:
@@ -9,6 +9,10 @@ segment. For a LERP/SLERP segment both terms collapse to closed forms in t:
 
 so the whole grid reduces to a few transcendental ops per sample. Limbs
 with finite r_e form one group per arc kind, their terms (rows, 1) columns.
+
+Its rules read the clamp's outcome off the grid: ``scan`` scores it, floor
+first, and ``located_hit`` finds a rotation-free infinity-norm hit in closed
+form, certified within ``convexity_margin``; ``multi_ee`` picks one.
 
 The translation coefficients are Python floats, one (a, b, c) per limb, so
 a clamp that locates its hit in closed form reads them as they are, its two
@@ -28,6 +32,7 @@ import math
 
 import numpy as np
 
+from .metric_core import grid_parameters
 from .se3 import FLAT_ARC_ANGLE, _flips_arc, _rowdot
 
 
@@ -172,6 +177,67 @@ def _grid_block(ts, columns, k):
     return acc
 
 
+def scan(coeffs, n_samples: int, k, t_min: float = 0.0) -> tuple[float, float]:
+    """The clamp's ``(t, dist)`` on ``n_samples`` samples under norm order k:
+    the largest t with dist <= 1, else the nearest sample of largest t. The
+    samples at or above ``t_min`` go first: the floor orders work, not outcome."""
+    ts = grid_parameters(n_samples)
+    j = (np.count_nonzero(ts >= t_min) if t_min > 0.0 else 0) or n_samples  # none above: all at once
+    dists = grid_distances(ts[:j], coeffs, k)
+    feasible = dists <= 1.0
+    if j < n_samples and not feasible.any():
+        dists = np.concatenate((dists, grid_distances(ts[j:], coeffs, k)))
+        feasible = dists <= 1.0
+    i = int(np.argmax(feasible) if feasible.any() else np.argmin(dists))
+    return float(ts[i]), float(dists[i])
+
+
+def located_hit(coeffs, n_samples: int, margin: float) -> tuple[float, float] | None:
+    """``scan``'s hit without the grid kernel, or None, on a rotation-free stack.
+
+    Under the infinity norm a rotation-free stack is within the ball
+    where ta_i t**2 + tb_i t + tc_i <= 1 for every limb i: an interval
+    of t, whose top is the least of the limbs' upper roots (and 1). The
+    roots only propose i, the index of the highest sample at or below
+    that top; ``scalar_inf_distances`` then reads ts[i] and ts[i - 1] in
+    one pass, bit for bit as the grid kernel would (the second unused
+    when i = 0). ts[i] is the hit when it reads inside the ball and either
+    i = 0 or ts[i - 1] reads above 1 + margin (see ``convexity_margin``;
+    while it is finite every limb travels under 1.5e6 balls, so a sample
+    next to a feasible one reads finite).
+    Anything else returns None: an empty interval (a miss), a proposal
+    off by a rounding, a non-finite coefficient, or an infinite margin.
+    """
+    limbs, _ = coeffs
+    # ta is finite wherever the margin is; a NaN or inf anywhere in tb or
+    # tc makes this sum one too, and the reading's comparisons pass a NaN over.
+    if not math.isfinite(sum([b + c for _, b, c in limbs])):
+        return None
+    top = 1.0
+    for a, b, c in limbs:
+        root = top  # then top = min(top, root), without the call
+        if a > 0.0:
+            disc = b * b - 4.0 * a * (c - 1.0)
+            if disc < 0.0:
+                return None  # never inside its ball
+            s = math.sqrt(disc)
+            # the upper root, in the form without cancellation
+            root = (s - b) / (2.0 * a) if b <= 0.0 else 2.0 * (1.0 - c) / (b + s)
+        elif b > 0.0:
+            root = (1.0 - c) / b
+        if root < top:
+            top = root
+    if not top >= 0.0:
+        return None
+    last = n_samples - 1
+    i = math.ceil((1.0 - top) * last)
+    t = 1.0 - i / last  # ts[i] bit for bit: the same two IEEE operations
+    dist, above = scalar_inf_distances(limbs, t, 1.0 - (i - 1) / last)
+    if not dist <= 1.0 or i and not above > 1.0 + margin:
+        return None
+    return t, dist
+
+
 def scalar_inf_distances(limbs, t: float, u: float) -> tuple[float, float]:
     """``_grid_block``'s infinity-norm distances at the samples t and u of
     rotation-free limbs, each ``(ta, tb, tc)`` of ``segment_coefficients``,
@@ -189,3 +255,44 @@ def scalar_inf_distances(limbs, t: float, u: float) -> tuple[float, float]:
         if x > du:
             du = x
     return math.sqrt(dt), math.sqrt(du)
+
+
+def convexity_margin(constants) -> float:
+    """How far above 1 a sample must read for the first feasible sample
+    below it to be the clamp's hit, on a rotation-free stack with the
+    ``segment_constants`` ``constants``, whose limbs travel
+    ta = |dv_i|**2 / p_e_i**2 along the segment.
+
+    Without rotation, limb i is at D_i(t) = |dv_i t + sv_i| / p_e_i from the
+    state (sv_i = vs_i - vy_i), taking the floats the coefficients are built
+    from as exact: the norm of an affine function of t, so convex, and so is
+    their k-norm D (k >= 1). Let F be the kernel's reading of D and e a bound
+    on |F - D| where D <= 2. Take the located pair t_0 = ts[i - 1] and
+    t_p = ts[i] of ``located_hit``, with no sample between them. If
+    F(t_0) > 1 and F(t_p) <= 1, a sample t' > t_0 with F(t') <= 1 would give
+    D(t_p), D(t') <= 1 + e, so D(t_0) <= 1 + e by convexity and
+    F(t_0) <= 1 + 2e. So F(t_0) above 1 + 2e, inf included, rules t' out, in
+    the floats as in exact arithmetic, and t_p is the grid's first feasible
+    sample: the hit.
+
+    The bound e, with eps = 2**-52, a_i = sqrt(ta_i) and c_i = |sv_i| / p_e_i:
+    the coefficients (3-term dot products, quotients by the rounded p_e**2)
+    and the quadratic's evaluation at t in [0, 1] (four operations) leave the
+    squared limb distance within 6.5 eps (a_i + c_i)**2 of D_i**2, since
+    |tb_i| <= 2 a_i c_i. Its root is then within sqrt(6.5 eps) (a_i + c_i) of
+    D_i, and rounds by eps; a root, not the square, because a limb near
+    D_i = 0 adds its whole error to a sum of roots when k < 2. The k-norm
+    moves by at most the 1-norm of the limbs' errors, and the fold's powers,
+    sum and root add (n + 4) eps near 1 (nothing for k = inf, where
+    F = max_i r_i bit for bit; a power that underflows loses under 2**-1074
+    of a sum near 1). The state enters only through c_i <= D_i(t_p) + a_i
+    <= 2 + a_i, the triangle inequality at the feasible t_p. So
+    e < n (sqrt(8 eps) (2 max_i a_i + 2) + 8 eps), and the margin is twice
+    that. F(t_p) <= 1 bounds D(t_p) by 2 only while e is small: past
+    e = 1/8 (limbs that travel some 10**5 balls) the margin is inf. A NaN
+    coefficient makes every kernel reading NaN, which fails the comparison.
+    """
+    eps = 2.0**-52
+    ta = [ta for *_, ta in constants[0]]
+    e = len(ta) * (math.sqrt(8.0 * eps) * (2.0 * math.sqrt(max(ta)) + 2.0) + 8.0 * eps)
+    return 2.0 * e if e <= 0.125 else math.inf

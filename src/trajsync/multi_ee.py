@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .metric_core import ClampOutcome, NoSolution, Solution, grid_parameters
+from .metric_core import ClampOutcome, NoSolution, Solution
 from .se3 import (
     FLAT_ARC_ANGLE,
     Pose,
@@ -211,9 +211,10 @@ def _slerp_rows(qs: np.ndarray, qf: np.ndarray, t) -> np.ndarray:
 
 
 def _relative_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """``se3.relative_rotation_angle`` of every row pair."""
+    """``se3.relative_rotation_angle`` of every pair of (..., 4) rows: a (...) array."""
     ws, vecs = [], []
-    for (w1, x1, y1, z1), (w2, x2, y2, z2) in zip(qa.tolist(), qb.tolist()):
+    rows = zip(qa.reshape(-1, 4).tolist(), qb.reshape(-1, 4).tolist())
+    for (w1, x1, y1, z1), (w2, x2, y2, z2) in rows:
         x1, y1, z1 = -x1, -y1, -z1  # conj(q_a)
         ws.append(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
         vecs.append((
@@ -223,16 +224,17 @@ def _relative_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         ))
     vec = np.array(vecs)
     norms = np.sqrt(_rowdot(vec, vec)).tolist()
-    return np.array([2.0 * math.atan2(n, abs(w)) for n, w in zip(norms, ws)])
+    return np.array([2.0 * math.atan2(n, abs(w)) for n, w in zip(norms, ws)]).reshape(qa.shape[:-1])
 
 
 def _row_distances(xv, yv, xq, yq, p_e, r_e, rot) -> np.ndarray:
-    """``se3_distance`` of every row pair of (N, 3) translations and (N, 4)
-    quaternions under the (N,) ``p_e`` and ``r_e``, as an (N,) array.
+    """``se3_distance`` of every limb's pose pair of (..., n, 3) translations
+    and (..., n, 4) quaternions under the (n,) ``p_e`` and ``r_e``, as an
+    (..., n) array: any leading axes, such as a chunk's steps, broadcast.
 
-    ``rot`` holds the rows whose rotation counts: a list, empty if none (the
-    quaternions are then not read), or a full slice if all. Each row's
-    result depends on that row alone, so any stack of pose pairs gives each
+    ``rot`` holds the limbs whose rotation counts: a list, empty if none (the
+    quaternions are then not read), or a full slice if all. Each pair's
+    result depends on that pair alone, so any stack of pose pairs gives each
     pair the bits it gets on its own.
     """
     dv = (yv - xv) / p_e[:, None]
@@ -241,8 +243,8 @@ def _row_distances(xv, yv, xq, yq, p_e, r_e, rot) -> np.ndarray:
     # nothing, so rows with equal pairs come out the same whether the angles
     # are computed or skipped.
     if rot and xq.tobytes() != yq.tobytes():
-        ang = _relative_angles(xq[rot], yq[rot]) / r_e[rot]
-        d2[rot] += ang * ang
+        ang = _relative_angles(xq[..., rot, :], yq[..., rot, :]) / r_e[rot]
+        d2[..., rot] += ang * ang
     return np.sqrt(d2)
 
 
@@ -278,45 +280,6 @@ def per_ee_distances(x: MultiPose, y: MultiPose, params: MultiMetricParams) -> t
     return tuple(_ee_distances(x, y, params).tolist())
 
 
-def _convexity_margin(ta) -> float:
-    """How far above 1 a sample must read for the first feasible sample
-    below it to be the clamp's hit, on a rotation-free stack whose limbs
-    travel ``ta`` = |dv_i|**2 / p_e_i**2 along the segment.
-
-    Without rotation, limb i is at D_i(t) = |dv_i t + sv_i| / p_e_i from the
-    state (sv_i = vs_i - vy_i), taking the floats the coefficients are built
-    from as exact: the norm of an affine function of t, so convex, and so is
-    their k-norm D (k >= 1). Let F be the kernel's reading of D and e a bound
-    on |F - D| where D <= 2. Take the located pair t_0 = ts[i - 1] and
-    t_p = ts[i] of ``_located_hit``, with no sample between them. If
-    F(t_0) > 1 and F(t_p) <= 1, a sample t' > t_0 with F(t') <= 1 would give
-    D(t_p), D(t') <= 1 + e, so D(t_0) <= 1 + e by convexity and
-    F(t_0) <= 1 + 2e. So F(t_0) above 1 + 2e, inf included, rules t' out, in
-    the floats as in exact arithmetic, and t_p is the grid's first feasible
-    sample: the hit.
-
-    The bound e, with eps = 2**-52, a_i = sqrt(ta_i) and c_i = |sv_i| / p_e_i:
-    the coefficients (3-term dot products, quotients by the rounded p_e**2)
-    and the quadratic's evaluation at t in [0, 1] (four operations) leave the
-    squared limb distance within 6.5 eps (a_i + c_i)**2 of D_i**2, since
-    |tb_i| <= 2 a_i c_i. Its root is then within sqrt(6.5 eps) (a_i + c_i) of
-    D_i, and rounds by eps; a root, not the square, because a limb near
-    D_i = 0 adds its whole error to a sum of roots when k < 2. The k-norm
-    moves by at most the 1-norm of the limbs' errors, and the fold's powers,
-    sum and root add (n + 4) eps near 1 (nothing for k = inf, where
-    F = max_i r_i bit for bit; a power that underflows loses under 2**-1074
-    of a sum near 1). The state enters only through c_i <= D_i(t_p) + a_i
-    <= 2 + a_i, the triangle inequality at the feasible t_p. So
-    e < n (sqrt(8 eps) (2 max_i a_i + 2) + 8 eps), and the margin is twice
-    that. F(t_p) <= 1 bounds D(t_p) by 2 only while e is small: past
-    e = 1/8 (limbs that travel some 10**5 balls) the margin is inf. A NaN
-    coefficient makes every kernel reading NaN, which fails the comparison.
-    """
-    eps = 2.0**-52
-    e = len(ta) * (math.sqrt(8.0 * eps) * (2.0 * math.sqrt(max(ta)) + 2.0) + 8.0 * eps)
-    return 2.0 * e if e <= 0.125 else math.inf
-
-
 class StackedSegment:
     """The stacked LERP/SLERP segment ``start -> final`` under ``params``,
     clamped on ``n_samples`` grid points, with its kernel constants: built
@@ -349,7 +312,7 @@ class StackedSegment:
         # None with rotation, where D is not convex in t, and under a finite
         # norm order, whose clamp always scores the grid.
         located = not rot and math.isinf(params.norm_order)
-        self._margin = _convexity_margin([ta for *_, ta in self.constants[0]]) if located else None
+        self._margin = _kernels.convexity_margin(self.constants) if located else None
         self._last = None
 
     def clamp(self, state: MultiPose, t_min: float = 0.0) -> ClampOutcome:
@@ -358,13 +321,9 @@ class StackedSegment:
         ``params.distance``, its distances from the grid kernel (equal to
         the metric to ~1e-12).
 
-        Without rotation under the infinity norm, the hit is first located
-        in closed form and certified by two samples read as the kernel
-        reads them (``_located_hit``); a certified hit calls no kernel.
-        Otherwise the grid is scored, and ``t_min`` orders that work, never
-        the outcome: the samples at or above it are scored first, and the
-        rest only when none of those is within the ball. A caller that
-        discards hits below some t passes that t.
+        ``_kernels.located_hit`` is tried first without rotation under the
+        infinity norm, else ``_kernels.scan``, which scores the samples at or
+        above ``t_min`` first: a caller that discards hits below t passes t.
 
         The outcome is a function of the segment and the state's bits alone,
         so a state whose translation and quaternion bytes equal the last
@@ -380,28 +339,11 @@ class StackedSegment:
         if last is not None and last[0] == v and last[1] == q:
             return last[2]
         coeffs = _kernels.segment_coefficients(self.constants, state._v, state._q)
-        found = self._located_hit(coeffs[0]) if self._margin is not None else None
-        kind, t, dist = (Solution, *found) if found is not None else self._scanned(coeffs, t_min)
-        outcome = kind(self._point_at(t), t, dist)
+        found = self._margin and _kernels.located_hit(coeffs, self.n_samples, self._margin)
+        t, dist = found or _kernels.scan(coeffs, self.n_samples, self.params.norm_order, t_min)
+        outcome = (Solution if dist <= 1.0 else NoSolution)(self._point_at(t), t, dist)
         self._last = (v, q, outcome)
         return outcome
-
-    def _scanned(self, coeffs, t_min: float) -> tuple[type, float, float]:
-        """The grid's outcome type, t and distance: samples at or above
-        ``t_min`` scored first, the rest only if none of those is a hit."""
-        k = self.params.norm_order
-        n = self.n_samples
-        ts = grid_parameters(n)
-        j = (np.count_nonzero(ts >= t_min) if t_min > 0.0 else 0) or n  # none above: all at once
-        dists = _kernels.grid_distances(ts[:j], coeffs, k)
-        feasible = dists <= 1.0
-        if j < n and not feasible.any():
-            dists = np.concatenate((dists, _kernels.grid_distances(ts[j:], coeffs, k)))
-            feasible = dists <= 1.0
-        hit = bool(feasible.any())
-        # The first feasible sample, or the first minimum: the largest t.
-        i = int(np.argmax(feasible) if hit else np.argmin(dists))
-        return Solution if hit else NoSolution, float(ts[i]), float(dists[i])
 
     def _point_at(self, t: float) -> MultiPose:
         """The segment's point at ``t``: the last outcome's if it lies at
@@ -414,53 +356,6 @@ class StackedSegment:
                 return point
         return stacked_interp(t, self.start, self.final)
 
-    def _located_hit(self, limbs) -> tuple[float, float] | None:
-        """The infinity-norm clamp's hit without the grid kernel, as its
-        ``(t, dist)``, or None.
-
-        Under the infinity norm a rotation-free stack is within the ball
-        where ta_i t**2 + tb_i t + tc_i <= 1 for every limb i: an interval
-        of t, whose top is the least of the limbs' upper roots (and 1). The
-        roots only propose i, the index of the highest sample at or below
-        that top; ``_kernels.scalar_inf_distances`` then reads ts[i] and
-        ts[i - 1] in one pass, bit for bit as the grid kernel would (the
-        second unused when i = 0). ts[i] is the hit
-        when it reads inside the ball and either i = 0 or ts[i - 1] reads
-        above 1 + margin (see ``_convexity_margin``; while the margin is
-        finite every limb travels under 1.5e6 balls, so a sample next to a
-        feasible one reads finite).
-        Anything else returns None: an empty interval (a miss), a proposal
-        off by a rounding, a non-finite coefficient, or an infinite margin.
-        ``limbs`` are ``segment_coefficients``' per-limb (ta, tb, tc).
-        """
-        # ta is finite wherever the margin is; a NaN or inf anywhere in tb or
-        # tc makes this sum one too, and the reading's comparisons pass a NaN over.
-        if not math.isfinite(sum([b + c for _, b, c in limbs])):
-            return None
-        top = 1.0
-        for a, b, c in limbs:
-            root = top  # then top = min(top, root), without the call
-            if a > 0.0:
-                disc = b * b - 4.0 * a * (c - 1.0)
-                if disc < 0.0:
-                    return None  # never inside its ball
-                s = math.sqrt(disc)
-                # the upper root, in the form without cancellation
-                root = (s - b) / (2.0 * a) if b <= 0.0 else 2.0 * (1.0 - c) / (b + s)
-            elif b > 0.0:
-                root = (1.0 - c) / b
-            if root < top:
-                top = root
-        if not top >= 0.0:
-            return None
-        last = self.n_samples - 1
-        i = math.ceil((1.0 - top) * last)
-        t = 1.0 - i / last  # ts[i] bit for bit: the same two IEEE operations
-        dist, above = _kernels.scalar_inf_distances(limbs, t, 1.0 - (i - 1) / last)
-        if not dist <= 1.0 or i and not above > 1.0 + self._margin:
-            return None
-        return t, dist
-
 
 def clamp_stacked(
     state: MultiPose,
@@ -469,13 +364,10 @@ def clamp_stacked(
     params: MultiMetricParams,
     n_samples: int,
 ) -> ClampOutcome:
-    """Hypersphere clamp specialized to stacked LERP/SLERP segments.
-
-    Without rotation under the infinity norm the hit is located in closed
-    form and certified by two samples, with no grid scored. Otherwise the
-    whole grid is scored in one kernel call.
-    The segment's constants are built for this call alone; a caller that
-    clamps one segment again and again, or scores a floor first, keeps its
-    ``StackedSegment`` (see ``StackedSegment.clamp``).
+    """Hypersphere clamp specialized to stacked LERP/SLERP segments: the
+    outcome of ``StackedSegment.clamp``, whose grid readings are
+    ``_kernels``' (``located_hit``, ``scan``). The segment's constants are
+    built for this call alone; a caller that clamps one segment again and
+    again, or scores a floor first, keeps its ``StackedSegment``.
     """
     return StackedSegment(start, final, params, n_samples).clamp(state)

@@ -270,19 +270,14 @@ class _Chunk:
     def __init__(self, steps, metric: Optional[MultiMetricParams] = None, distances=None):
         time, sensed, command, t, segment, mode, misses = zip(*steps)
         m, n = len(steps), len(sensed[0].names)
-        sv, sq = np.concatenate([p._v for p in sensed]), np.concatenate([p._q for p in sensed])
-        cv, cq = np.concatenate([p._v for p in command]), np.concatenate([p._q for p in command])
+        self.sensed_v = sv = np.concatenate([p._v for p in sensed]).reshape(m, n, 3)
+        self.sensed_q = sq = np.concatenate([p._q for p in sensed]).reshape(m, n, 4)
+        self.command_v = cv = np.concatenate([p._v for p in command]).reshape(m, n, 3)
+        self.command_q = cq = np.concatenate([p._q for p in command]).reshape(m, n, 4)
         if metric is not None:
-            p_e, r_e, rot = metric._columns
-            if isinstance(rot, list):
-                rot = [j * n + i for j in range(m) for i in rot]
-            distances = _row_distances(cv, sv, cq, sq, np.tile(p_e, m), np.tile(r_e, m), rot)
+            distances = _row_distances(cv, sv, cq, sq, *metric._columns)
         self.names = sensed[0].names
         self.time = np.array(time, dtype=np.float64)
-        self.sensed_v = sv.reshape(m, n, 3)
-        self.sensed_q = sq.reshape(m, n, 4)
-        self.command_v = cv.reshape(m, n, 3)
-        self.command_q = cq.reshape(m, n, 4)
         self.distances = np.array(distances, dtype=np.float64).reshape(m, n)
         self.t = np.array(t, dtype=np.float64)
         self.segment = np.array(segment)
@@ -782,8 +777,8 @@ class _DelayLine:
         self._n = n
         self._size = size
         self._slot = -1
-        self._v = np.tile(initial._v, (size, 1))
-        self._q = np.tile(initial._q, (size, 1))
+        self._v = np.concatenate([initial._v] * size)
+        self._q = np.concatenate([initial._q] * size)
         # _gather[slot]: the ring rows to read when the latest command sits
         # in that slot
         self._gather = [((s - lags) % size) * n + np.arange(n) for s in range(size)]

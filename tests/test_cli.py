@@ -973,6 +973,26 @@ def test_list_scenarios_names_all_builtins(capsys):
         assert name in out
 
 
+def test_verify_runs_the_chosen_suites_and_exits_1_on_a_failure(monkeypatch, capsys):
+    from trajsync.verify import SuiteResult
+
+    ran = []
+
+    def suite(name, passed):
+        return lambda: ran.append(name) or SuiteResult(name, passed, "2 checks", 1.0)
+
+    monkeypatch.setattr(cli, "ALL_SUITES", {"good": suite("good", True), "bad": suite("bad", False)})
+    assert run_cli("verify") == 1
+    assert capsys.readouterr().out == (
+        "good: PASS (2 checks; 1.0 s)\nbad: FAIL (2 checks; 1.0 s)\n"
+    )
+    assert ran == ["good", "bad"]
+    ran.clear()
+    assert run_cli("verify", "--suite", "good") == 0
+    assert capsys.readouterr().out == "good: PASS (2 checks; 1.0 s)\n"
+    assert ran == ["good"]
+
+
 def test_verify_parser_knows_the_suites():
     from trajsync.cli import build_parser
 

@@ -18,7 +18,7 @@ from trajsync.controller import (
     step_speed,
     step_tracking,
 )
-from trajsync.metric_core import ClampConfig, NoSolution, Solution, sample_count
+from trajsync.metric_core import ClampConfig, NoSolution, Solution, grid_parameters, sample_count
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
@@ -226,6 +226,28 @@ def test_floor_resets_at_segment_advance():
     state, sensed = advance_to(path, 35.0)
     assert state.segment_index == 1
     assert state.t_floor < 1.0  # reset, then re-raised on the new segment
+
+
+def test_hit_below_the_floor_moves_up_to_a_floor_inside_the_ball():
+    # 34 samples on 0 -> 100 mm. For a state at 50 mm the clamp hits at
+    # ts[14] = 1 - 14/33 = 0.5758, below the floor 0.59, which lies between
+    # that sample and ts[13] = 0.6061 and within the ball: the floor's point
+    # is emitted as a tracking hit.
+    cfg = ClampConfig(step_distance=0.3, enforce_monotonic_t=True)
+    path = line_path(0.0, 100.0)
+    start, final = path.segment(0)
+    assert sample_count(start, final, METRIC1.distance, cfg) == 34
+    sensed = one(50.0)
+    raw = clamp_stacked(sensed, start, final, METRIC1, 34)
+    assert isinstance(raw, Solution) and raw.t == grid_parameters(34)[14]
+    state = dataclasses.replace(ControllerState.initial(one(0.0)), t_floor=0.59)
+    state, command = step_tracking(state, sensed, path, METRIC1, cfg)
+    assert state.mode is Mode.TRACKING and state.misses == 0
+    assert state.t_floor == state.segment_t == 0.59
+    floor_point = stacked_interp(0.59, start, final)
+    assert command.translations().tobytes() == floor_point.translations().tobytes()
+    assert command.quaternions().tobytes() == floor_point.quaternions().tobytes()
+    assert stacked_distance(command, sensed, METRIC1) <= 1.0
 
 
 # --- recovery strategies -----------------------------------------------------

@@ -778,6 +778,29 @@ def test_static_limb_bounds_the_located_hit(monkeypatch, off, certified):
     assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
 
 
+@pytest.mark.parametrize("off, certified", [(5.0, True), (15.0, False)])
+def test_limb_whose_travel_squares_to_zero_bounds_the_top_by_its_linear_root(
+    monkeypatch, off, certified
+):
+    # Limb l1 travels 1e-170 mm: its ta underflows to 0.0 while its tb does
+    # not, so its root is linear, (1 - tc) / tb. Half a ball behind its start
+    # that root lies far above 1 and the hit is l0's; 1.5 balls behind it the
+    # root, and so the top, is negative, and the grid misses.
+    params = MultiMetricParams.uniform(2, 10.0)
+    start = MultiPose(("l0", "l1"), (pose(0.0), pose(0.0, 50.0)))
+    final = MultiPose(("l0", "l1"), (pose(100.0), pose(1e-170, 50.0)))
+    segment = StackedSegment(start, final, params, 700)
+    state = MultiPose(("l0", "l1"), (pose(30.0), pose(-off, 50.0)))
+    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    (_, (ta, tb, tc)), _ = coeffs
+    assert ta == 0.0 and tb > 0.0 and (tc < 1.0) == certified
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert isinstance(out, Solution if certified else NoSolution)
+    assert calls == ([] if certified else [700])
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_state_falls_back_to_the_grid(monkeypatch, bad):
     # A NaN or inf coordinate, through the unvalidated library path: the
