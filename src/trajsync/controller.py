@@ -181,9 +181,8 @@ def _unknown_fields(changes: dict) -> TypeError:
     return TypeError(f"ControllerState has no field(s) {sorted(changes.keys() - _STATE_FIELDS)}")
 
 
-# Library users driving the controller directly get monotonic t by default;
-# the raw clamp keeps it off so bare library calls stay stateless.
-_DEFAULT_CFG = ClampConfig(enforce_monotonic_t=True)
+# One instance, so that a caller who leaves out ``cfg`` keeps its segment.
+_DEFAULT_CFG = ClampConfig()
 
 
 def _expect_solution(outcome, what: str) -> None:
@@ -296,7 +295,7 @@ def step_tracking(
     sensed: MultiPose,
     path: PathSpec,
     metric: MultiMetricParams,
-    cfg: ClampConfig | None = None,
+    cfg: ClampConfig = _DEFAULT_CFG,
     strategy: RecoveryStrategy = RecoveryStrategy.RETURN_TO_LAST_VALID,
 ) -> tuple[ControllerState, MultiPose]:
     """One waypoint-tracking step: clamp the detour, or else the current
@@ -306,7 +305,6 @@ def step_tracking(
     loops). A clamp miss hands control to ``handle_no_solution``; a miss
     while recovering replans the recovery from the sensed state.
     """
-    cfg = _DEFAULT_CFG if cfg is None else cfg
     if sensed.names != path.names:
         raise ValueError(f"state names {sensed.names} do not match path {path.names}")
     start, final = state.detour or path.segment(state.segment_index)
@@ -333,7 +331,7 @@ def step_speed(
     speed: SpeedInput,
     dt: float,
     metric: MultiMetricParams,
-    cfg: ClampConfig | None = None,
+    cfg: ClampConfig = _DEFAULT_CFG,
 ) -> tuple[ControllerState, MultiPose]:
     """One speed-integration step.
 
@@ -342,7 +340,6 @@ def step_speed(
     controller holds the last command and waits: no recovery strategy here,
     the next step simply retries from the same command.
     """
-    cfg = _DEFAULT_CFG if cfg is None else cfg
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if sensed.names != state.last_command.names:
@@ -372,7 +369,7 @@ def handle_no_solution(
     sensed: MultiPose,
     strategy: RecoveryStrategy,
     metric: MultiMetricParams,
-    cfg: ClampConfig | None = None,
+    cfg: ClampConfig = _DEFAULT_CFG,
     *,
     outcome: NoSolution,
     path: PathSpec,
@@ -385,7 +382,6 @@ def handle_no_solution(
     trajectory sample as-is. RESTART_TO_F swaps the rest of the current
     segment for the detour (sensed snapshot) -> F and stays in tracking.
     """
-    cfg = _DEFAULT_CFG if cfg is None else cfg
     if strategy is RecoveryStrategy.RETURN_TO_LAST_VALID:
         return _recover(
             state, sensed, state.last_valid_point, metric, cfg,

@@ -28,16 +28,14 @@ class ClampConfig:
 
     ``step_distance`` is the spacing between consecutive samples measured by
     the metric (0.01 gives about 100 samples per unit-ball radius).
-    ``enforce_monotonic_t`` is consumed by the controller layer, not by the
-    raw clamp. It is off here, so also in ``Scenario``'s default and in a
-    JSON config that leaves out ``clamp`` or the key; ``step_tracking`` and
-    ``step_speed`` called with ``cfg=None`` turn it on.
+    ``enforce_monotonic_t`` is read by the controller alone: its floor keeps
+    a segment's ``t`` from sliding back.
     """
 
     step_distance: float = 0.01
     min_samples: int = 2
     max_samples: int = 1_000_000
-    enforce_monotonic_t: bool = False
+    enforce_monotonic_t: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.step_distance) and self.step_distance > 0):

@@ -103,7 +103,6 @@ def out_of_range() -> Scenario:
         initial=initial,
         program=program,
         metric=metric,
-        clamp=ClampConfig(enforce_monotonic_t=True),
         dt=0.1,
         horizon=44.0,
     )
@@ -120,7 +119,6 @@ def nominal_square() -> Scenario:
         initial=initial,
         program=PathProgram(path),
         metric=metric,
-        clamp=ClampConfig(enforce_monotonic_t=True),
         dt=0.02,
         horizon=34.0,
     )

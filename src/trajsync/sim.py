@@ -704,9 +704,7 @@ def run_scenario(scenario: Scenario) -> Trace:
                 refresh |= 1 << j
         if refresh == every:
             sensed = MultiPose._of_arrays(names, true_v, true_q)
-        # Every plant step makes a new translation array, so a sensed state
-        # that holds the plant's own is the plant's state.
-        elif refresh and sensed._v is not true_v:
+        elif refresh:
             rows = masks.get(refresh)
             if rows is None:
                 bits = [refresh >> j & 1 for j in range(len(limbs))]

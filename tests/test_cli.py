@@ -17,7 +17,7 @@ import pytest
 import trajsync.cli as cli
 from trajsync.cli import CSV_HEADER, main
 from trajsync.multi_ee import MultiPose
-from trajsync.scenarios import get_scenario
+from trajsync.scenarios import get_scenario, scenario_to_dict
 from trajsync.se3 import Pose
 from trajsync.sim import _CHUNK_STEPS, RecoveryStrategy, TraceRecord, run_scenario
 
@@ -432,6 +432,19 @@ def test_dump_config_round_trips_byte_identically(tmp_path):
     rc = run_cli("run", "--scenario", str(cfg), "--output", str(second))
     assert rc == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_config_without_clamp_runs_the_builtin_trace(tmp_path, capsys):
+    # ClampConfig()'s monotonic floor is the one robustness_mix sets
+    data = scenario_to_dict(get_scenario("robustness_mix"))
+    del data["clamp"]
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "trace.csv"
+    assert run_cli("run", "--scenario", str(cfg), "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_CSV_SHA256["robustness_mix"]
+    lines = capsys.readouterr().out.splitlines()
+    assert "no-solution events: 17" in lines and "recoveries: 17" in lines
 
 
 def test_overrides_change_the_resolved_config(tmp_path):

@@ -171,6 +171,8 @@ def test_dimension_mismatch_rejected():
     state = ControllerState.initial(mp((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         step_tracking(state, mp((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), path, METRIC1, CFG)
+    with pytest.raises(ValueError, match="do not match the controller's"):
+        step_speed(state, one(0.0), SpeedInput(np.zeros(3)), 0.1, METRIC1, CFG)
 
 
 # --- monotonic t guard -------------------------------------------------------
@@ -184,14 +186,19 @@ def advance_to(path, x_target):
     return state, sensed
 
 
-def test_small_backslide_holds_t_when_guard_on():
+def test_small_backslide_keeps_t_with_or_without_the_guard():
+    # The sensed state sits on the last command, so after a 5 mm backslide
+    # the clamp's hit still lies at or above the floor: the guard leaves it
+    # as it is, and only a hit below the floor would differ.
     path = line_path(0.0, 100.0)
-    state, sensed = advance_to(path, 50.0)
-    t_before = state.segment_t
-    back = one(sensed.poses[0].v[0] - 5.0)  # within the ball of the floor point
-    state, command = step_tracking(state, back, path, METRIC1, CFG)
+    start, sensed = advance_to(path, 50.0)
+    t_before = start.segment_t
+    back = one(sensed.poses[0].v[0] - 5.0)
+    state, command = step_tracking(start, back, path, METRIC1, CFG)
     assert state.segment_t >= t_before
     assert stacked_distance(command, back, METRIC1) <= 1.0
+    free, _ = step_tracking(start, back, path, METRIC1, CFG_FREE)
+    assert free.segment_t == state.segment_t
 
 
 def test_backslide_beyond_the_lead_lowers_t_when_guard_off():

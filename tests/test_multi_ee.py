@@ -117,6 +117,9 @@ def test_stacked_interp_endpoints_bitwise():
     final = pair(pose(10.0), pose(6.0))
     assert stacked_interp(0.0, start, final) is start
     assert stacked_interp(1.0, start, final) is final
+    for t in (-1e-12, 1.0 + 1e-12):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            stacked_interp(t, start, final)
 
 
 def test_single_effector_reduces_to_pose_interpolation():

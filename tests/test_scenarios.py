@@ -109,14 +109,14 @@ def test_infinite_allowances_survive_json():
     assert math.isinf(redone.metric.norm_order)
 
 
-def test_a_config_without_clamp_leaves_the_monotonic_floor_off():
-    # ClampConfig's default, unlike step_tracking's cfg=None default
+def test_a_config_without_clamp_keeps_the_monotonic_floor_on():
+    # ClampConfig's default, the one the controller runs when given no cfg
     data = scenario_to_dict(get_scenario("robustness_mix"))
     assert data["clamp"]["enforce_monotonic_t"] is True
     del data["clamp"]
-    assert scenario_from_dict(data).clamp.enforce_monotonic_t is False
+    assert scenario_from_dict(data).clamp.enforce_monotonic_t is True
     data["clamp"] = {"step_distance": 0.01}
-    assert scenario_from_dict(data).clamp.enforce_monotonic_t is False
+    assert scenario_from_dict(data).clamp.enforce_monotonic_t is True
 
 
 def test_apply_overrides_scalar_fields():

@@ -251,6 +251,9 @@ def test_se3_interp_endpoints_bitwise():
     final = Pose(np.array([10.0, -4.0, 2.0]), rot(Z, 150.0))
     assert se3_interp(0.0, start, final) is start
     assert se3_interp(1.0, start, final) is final
+    for t in (-1e-12, 1.0 + 1e-12):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            se3_interp(t, start, final)
 
 
 def test_se3_interp_translation_is_lerp():

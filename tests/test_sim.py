@@ -78,6 +78,8 @@ def single_limb_scenario(**overrides):
 def test_box_validation_and_clip():
     with pytest.raises(ValueError):
         Box(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="3-vectors"):
+        Box(np.zeros(2), np.ones(3))
     box = Box(np.zeros(3), np.ones(3))
     assert np.array_equal(box.clip(np.array([2.0, -1.0, 0.5])), [1.0, 0.0, 0.5])
     assert box.contains(np.array([0.5, 0.5, 0.5]))
@@ -232,6 +234,37 @@ def test_validate_collects_field_paths():
     errors = validate_scenario(sc)
     assert any(e.startswith("dt:") for e in errors)
     assert any(e.startswith("horizon:") for e in errors)
+
+
+def _leg_path():
+    return PathProgram(PathSpec((stack(pose(0.0), "leg"), stack(pose(100.0), "leg"))))
+
+
+@pytest.mark.parametrize(
+    "overrides, prefix",
+    [
+        (dict(clamp=ClampConfig(max_samples=10**6 + 1)), "clamp.max_samples: must be <="),
+        (dict(limbs=()), "limbs: must not be empty"),
+        (dict(limbs=(limb(), limb())), "limbs: duplicate names"),
+        (dict(initial=stack(pose(0.0), "leg")), "initial: pose names"),
+        (dict(metric=MultiMetricParams.uniform(2, p_e=10.0)), "metric.per_ee: 2 entries for 1 limbs"),
+        (dict(program=_leg_path()), "program.path: waypoint names"),
+        (dict(program=SpeedProgram(())), "program.schedule: must not be empty"),
+        (dict(program=object()), "program: unknown program type object"),
+        (
+            dict(disturbances=(Disturbance(DisturbanceKind.BLOCK, "arm", 0.5, 0.0),)),
+            "disturbances[0].duration: must be > 0",
+        ),
+    ],
+    ids=[
+        "max_samples", "no_limbs", "duplicate_names", "initial_names",
+        "per_ee_count", "waypoint_names", "empty_schedule", "unknown_program",
+        "zero_duration",
+    ],
+)
+def test_validate_names_the_field_of_each_rule(overrides, prefix):
+    errors = validate_scenario(single_limb_scenario(**overrides))
+    assert any(e.startswith(prefix) for e in errors), errors
 
 
 def test_validate_rejects_unknown_disturbance_target():
