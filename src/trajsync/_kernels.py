@@ -14,16 +14,16 @@ Its rules read the clamp's outcome off the grid: ``scan`` scores it, floor
 first, and ``located_hit`` finds a rotation-free infinity-norm hit in closed
 form, certified within ``convexity_margin``; ``multi_ee`` picks one.
 
-The translation coefficients are Python floats, one (a, b, c) per limb, so
-a clamp that locates its hit in closed form reads them as they are, its two
-certifying samples in one pass over the limbs (``scalar_inf_distances``,
-``_grid_block``'s operations); the grid makes columns of them. Every 3-term
-dot product among them is ``_dot3``, written inline in the per-step
-``segment_coefficients``: ((x0 y0 + x2 y2) + x1 y1) + 0.0, the order in which
-numpy's ``einsum("ij,ij->i")`` sums a row of 3 (numpy 2.4 on x86-64), which the
-coefficients were first computed with, so they keep its bits
-(``tests/test_kernels.py`` pins the two equal). The + 0.0 is einsum's own, as
-it sums into a zeroed output: it turns a sum of -0.0 into +0.0.
+The translation coefficients are Python floats, one (a, b, c) per limb,
+computed in one pass over the limbs with the top of their interval in the
+ball (``segment_coefficients``). A clamp that locates its hit reads them as
+they are at the samples beside that top; the grid makes columns of them.
+Every 3-term dot product among them is ``_dot3``, written inline in the
+per-step ``segment_coefficients``: ((x0 y0 + x2 y2) + x1 y1) + 0.0, the
+order in which numpy's ``einsum("ij,ij->i")`` sums a row of 3 (numpy 2.4 on
+x86-64), which the coefficients were first computed with, so they keep its
+bits (``tests/test_kernels.py`` pins the two equal). The + 0.0 is einsum's
+own, as it sums into a zeroed output: it turns a sum of -0.0 into +0.0.
 """
 
 from __future__ import annotations
@@ -94,22 +94,44 @@ def _group(qs, qf, members, n):
 
 def segment_coefficients(segment, vy, qy):
     """Per-limb closed-form coefficients of one stacked segment against the
-    sensed state ``(vy, qy)``, (n, 3) / (n, 4) arrays.
+    sensed state ``(vy, qy)``, (n, 3) / (n, 4) arrays, and the top of its
+    translation interval, in one pass over the limbs.
 
-    ``segment`` is the segment's ``segment_constants``. Returns (limbs,
-    rotation): ``limbs`` holds one (ta, tb, tc) of Python floats per limb,
-    the translation part of its squared distance being ta t^2 + tb t + tc,
-    and ``rotation`` one (rows, alpha, beta, omega, inv_re) per group, each
-    a (rows, 1) column, omega None on a flat arc: the slerp dot against q_y
-    is alpha cos(t omega) + beta sin(t omega), or alpha + beta t. The
-    quaternion sign alignment matches ``se3.slerp`` exactly.
+    ``segment`` is the segment's ``segment_constants``. Returns ((limbs,
+    rotation), top), the pair being the grid kernel's ``coeffs``: ``limbs``
+    holds one (ta, tb, tc) of Python floats per limb, the translation part
+    of its squared distance being ta t^2 + tb t + tc, and ``rotation`` one
+    (rows, alpha, beta, omega, inv_re) per group, each a (rows, 1) column,
+    omega None on a flat arc: the slerp dot against q_y is
+    alpha cos(t omega) + beta sin(t omega), or alpha + beta t. The
+    quaternion sign alignment matches ``se3.slerp`` exactly. ``top`` is the
+    least of 1 and the limbs' upper roots of ta t^2 + tb t + tc = 1, above
+    which some limb's translation leaves the ball; -inf if a limb is never
+    inside (a negative discriminant), NaN if a tb or tc is not finite.
     """
     translation, groups = segment
     limbs = []
+    top, total = 1.0, 0.0
     for (s0, s1, s2, d0, d1, d2, pe2, ta), (y0, y1, y2) in zip(translation, vy.tolist()):
         s0, s1, s2 = s0 - y0, s1 - y1, s2 - y2
         tb = 2.0 * (((d0 * s0 + d2 * s2) + d1 * s1) + 0.0) / pe2
-        limbs.append((ta, tb, (((s0 * s0 + s2 * s2) + s1 * s1) + 0.0) / pe2))
+        tc = (((s0 * s0 + s2 * s2) + s1 * s1) + 0.0) / pe2
+        limbs.append((ta, tb, tc))
+        total += tb + tc
+        if ta > 0.0:
+            disc = tb * tb - 4.0 * ta * (tc - 1.0)
+            if disc < 0.0:
+                top = -math.inf  # never inside its ball
+                continue
+            s = math.sqrt(disc)
+            # the upper root, in the form without cancellation
+            root = (s - tb) / (2.0 * ta) if tb <= 0.0 else 2.0 * (1.0 - tc) / (tb + s)
+        elif tb > 0.0:
+            root = (1.0 - tc) / tb
+        else:
+            continue
+        if root < top:
+            top = root
     rotation = []
     for rows, qs_g, qf_g, signs, arc, inv_re in groups:
         qy_g = qy[rows]
@@ -120,7 +142,8 @@ def segment_coefficients(segment, vy, qy):
         else:
             dots, sines, omega = arc
             rotation.append((rows, c1, (c2 - dots * c1) / sines, omega, inv_re))
-    return limbs, rotation
+    # a NaN or inf in any tb or tc makes their sum one too
+    return (limbs, rotation), top if math.isfinite(total) else math.nan
 
 
 def grid_distances(ts, coeffs, k):
@@ -148,8 +171,8 @@ _BLOCK = 1 << 14
 
 
 def _grid_block(ts, columns, k):
-    # scalar_inf_distances repeats this block's operations for rotation-free
-    # limbs under k = inf, in this order, and must change with it.
+    # located_hit repeats this block's operations for rotation-free limbs
+    # under k = inf, in this order, and must change with it.
     ta, tb, tc, rotation = columns
     d2 = np.multiply(ta, ts)
     d2 *= ts
@@ -192,69 +215,46 @@ def scan(coeffs, n_samples: int, k, t_min: float = 0.0) -> tuple[float, float]:
     return float(ts[i]), float(dists[i])
 
 
-def located_hit(coeffs, n_samples: int, margin: float) -> tuple[float, float] | None:
-    """``scan``'s hit without the grid kernel, or None, on a rotation-free stack.
+def located_hit(limbs, top: float, n_samples: int, margin: float) -> tuple[float, float] | None:
+    """``scan``'s hit without the grid kernel, or None, on a rotation-free
+    stack: ``limbs`` and ``top`` are its ``segment_coefficients``.
 
-    Under the infinity norm a rotation-free stack is within the ball
-    where ta_i t**2 + tb_i t + tc_i <= 1 for every limb i: an interval
-    of t, whose top is the least of the limbs' upper roots (and 1). The
-    roots only propose i, the index of the highest sample at or below
-    that top; ``scalar_inf_distances`` then reads ts[i] and ts[i - 1] in
-    one pass, bit for bit as the grid kernel would (the second unused
-    when i = 0). ts[i] is the hit when it reads inside the ball and either
-    i = 0 or ts[i - 1] reads above 1 + margin (see ``convexity_margin``;
-    while it is finite every limb travels under 1.5e6 balls, so a sample
-    next to a feasible one reads finite).
-    Anything else returns None: an empty interval (a miss), a proposal
-    off by a rounding, a non-finite coefficient, or an infinite margin.
+    Under the infinity norm a rotation-free stack is within the ball where
+    ta_i t**2 + tb_i t + tc_i <= 1 for every limb i: an interval of t whose
+    top only proposes i, the index of the highest sample at or below it.
+    ts[i] is read over every limb as ``_grid_block`` reads it, bit for bit:
+    ((ta t) t + tb t) + tc, their max with 0.0 (moved only by a larger
+    square, so -0.0 reads +0.0 as in numpy), its root. It is the hit if it
+    reads inside the ball and i = 0 or ts[i - 1] reads above 1 + margin
+    (see ``convexity_margin``; while it is finite every limb travels under
+    1.5e6 balls, so a sample next to a feasible one reads finite): as sqrt
+    is monotone, the limbs are read until one's root does. Anything else
+    returns None: an empty interval (a miss), a proposal off by a rounding,
+    a non-finite coefficient, or an infinite margin.
     """
-    limbs, _ = coeffs
-    # ta is finite wherever the margin is; a NaN or inf anywhere in tb or
-    # tc makes this sum one too, and the reading's comparisons pass a NaN over.
-    if not math.isfinite(sum([b + c for _, b, c in limbs])):
-        return None
-    top = 1.0
-    for a, b, c in limbs:
-        root = top  # then top = min(top, root), without the call
-        if a > 0.0:
-            disc = b * b - 4.0 * a * (c - 1.0)
-            if disc < 0.0:
-                return None  # never inside its ball
-            s = math.sqrt(disc)
-            # the upper root, in the form without cancellation
-            root = (s - b) / (2.0 * a) if b <= 0.0 else 2.0 * (1.0 - c) / (b + s)
-        elif b > 0.0:
-            root = (1.0 - c) / b
-        if root < top:
-            top = root
     if not top >= 0.0:
         return None
     last = n_samples - 1
     i = math.ceil((1.0 - top) * last)
     t = 1.0 - i / last  # ts[i] bit for bit: the same two IEEE operations
-    dist, above = scalar_inf_distances(limbs, t, 1.0 - (i - 1) / last)
-    if not dist <= 1.0 or i and not above > 1.0 + margin:
-        return None
-    return t, dist
-
-
-def scalar_inf_distances(limbs, t: float, u: float) -> tuple[float, float]:
-    """``_grid_block``'s infinity-norm distances at the samples t and u of
-    rotation-free limbs, each ``(ta, tb, tc)`` of ``segment_coefficients``,
-    in one pass: ((ta t) t + tb t) + tc per limb, their max with 0.0 (moved
-    only by a larger square, so -0.0 reads +0.0 as in numpy), its root.
-    Each operation rounds as numpy's does, so both equal ``grid_distances``
-    bit for bit where no coefficient is NaN (the comparison passes a NaN
-    over). The two must change together."""
-    dt = du = 0.0
+    d = 0.0
     for a, b, c in limbs:
         x = a * t * t + b * t + c
-        if x > dt:
-            dt = x
-        x = a * u * u + b * u + c
-        if x > du:
-            du = x
-    return math.sqrt(dt), math.sqrt(du)
+        if x > d:
+            d = x
+    dist = math.sqrt(d)
+    if not dist <= 1.0:
+        return None
+    if i:
+        u, bound = 1.0 - (i - 1) / last, 1.0 + margin
+        for a, b, c in limbs:
+            x = a * u * u + b * u + c
+            # max(x, 0.0), as the grid kernel takes it: x is not NaN here
+            if math.sqrt(x if x > 0.0 else 0.0) > bound:
+                break
+        else:
+            return None
+    return t, dist
 
 
 def convexity_margin(constants) -> float:

@@ -338,10 +338,14 @@ class StackedSegment:
         last = self._last
         if last is not None and last[0] == v and last[1] == q:
             return last[2]
-        coeffs = _kernels.segment_coefficients(self.constants, state._v, state._q)
-        found = self._margin and _kernels.located_hit(coeffs, self.n_samples, self._margin)
+        coeffs, top = _kernels.segment_coefficients(self.constants, state._v, state._q)
+        found = self._margin and _kernels.located_hit(coeffs[0], top, self.n_samples, self._margin)
         t, dist = found or _kernels.scan(coeffs, self.n_samples, self.params.norm_order, t_min)
-        outcome = (Solution if dist <= 1.0 else NoSolution)(self._point_at(t), t, dist)
+        if found:  # most clamps: a Solution without its dataclass __init__ frame
+            outcome = object.__new__(Solution)
+            outcome.__dict__.update(point=self._point_at(t), t=t, dist=dist)
+        else:
+            outcome = (Solution if dist <= 1.0 else NoSolution)(self._point_at(t), t, dist)
         self._last = (v, q, outcome)
         return outcome
 

@@ -584,10 +584,10 @@ def limb_step(
     new_v = v + dv
     _clip(new_v, lower, upper, out=new_v)
     new_q = _slerp_rows(q, command_q, fracs)
-    if held is not None:
-        new_v = np.where(held, v, new_v)
+    if held is not None:  # new_v, and new_q unless it is q, are fresh arrays
+        np.copyto(new_v, v, where=held)
         if new_q is not q:
-            new_q = np.where(held, q, new_q)
+            np.copyto(new_q, q, where=held)
     return new_v, new_q
 
 
@@ -710,9 +710,13 @@ def run_scenario(scenario: Scenario) -> Trace:
                 bits = [refresh >> j & 1 for j in range(len(limbs))]
                 rows = masks[refresh] = np.array(bits, dtype=bool)[:, None]
                 rows.setflags(write=False)
-            v = np.where(rows, true_v, sensed._v)
+            v = sensed._v.copy()
+            np.copyto(v, true_v, where=rows)
+            q = sensed._q
             # Rotation-free plants hand the same quaternion array on.
-            q = sensed._q if sensed._q is true_q else np.where(rows, true_q, sensed._q)
+            if q is not true_q:
+                q = q.copy()
+                np.copyto(q, true_q, where=rows)
             sensed = MultiPose._of_arrays(names, v, q)
 
         if tracking:

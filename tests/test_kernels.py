@@ -7,10 +7,11 @@ import pytest
 
 from trajsync._kernels import (
     grid_distances,
-    scalar_inf_distances,
+    located_hit,
     segment_coefficients,
     segment_constants,
 )
+from trajsync.metric_core import grid_parameters
 from trajsync.multi_ee import (
     MultiMetricParams,
     MultiPose,
@@ -33,7 +34,7 @@ def random_multipose(rng, n):
 def grid_eval(state, start, final, params, ts):
     """The segment's batched distances from ``state`` at every sample of ``ts``."""
     constants = StackedSegment(start, final, params, len(ts)).constants
-    coeffs = segment_coefficients(constants, state._v, state._q)
+    coeffs, _ = segment_coefficients(constants, state._v, state._q)
     return grid_distances(ts, coeffs, params.norm_order)
 
 
@@ -113,7 +114,7 @@ def test_rotation_free_one_limb_distances_at_t_1_and_0():
                 np.ones(1), np.full(1, math.inf), [],
             ),
             np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]),
-        ),
+        )[0],
         math.inf,
     )
     assert out.shape == (2,)
@@ -140,22 +141,44 @@ def test_scalar_infinity_norm_reading_matches_the_grid_bit_for_bit(n):
         vy = vs + ts[rng.integers(len(ts))] * (vf - vs) + rng.uniform(-off, off, (n, 3))
         p_e = scale * 10.0 ** rng.uniform(-3.0, 0.0, n)
         constants = segment_constants(vs, vf, identity, identity, p_e, np.full(n, math.inf), [])
-        limbs, rotation = segment_coefficients(constants, vy, identity)
+        (limbs, rotation), _ = segment_coefficients(constants, vy, identity)
         assert rotation == []
-        assert_reads_the_grid(limbs, ts)
+        assert_reads_the_grid(limbs, len(ts))
         below_zero += any(a * t * t + b * t + c < 0.0 for a, b, c in limbs for t in ts.tolist())
     assert below_zero > 0
 
 
-def assert_reads_the_grid(limbs, ts):
-    """The two-sample reading at every (ts[i], ts[i - 1]) equals the grid's
-    distances there bit for bit."""
+def assert_reads_the_grid(limbs, n_samples):
+    """``located_hit``'s readings equal the grid's distances bit for bit on
+    a grid of ``n_samples``: at ts[i], each sample proposed in turn, and at
+    ts[i - 1], against bounds at the grid's reading there and one step below.
+
+    The limbs are scaled by a power of 4 that brings every reading into the
+    ball, where the hit reports it. That scales every square, and so every
+    root, exactly, as the first assertion confirms."""
+    ts = grid_parameters(n_samples)
     grid = grid_distances(ts, (limbs, []), math.inf)
-    samples = ts.tolist()
-    above = samples[-1:] + samples  # ts[i - 1], and a spare sample at i = 0
-    pairs = np.array([scalar_inf_distances(limbs, t, u) for t, u in zip(samples, above)])
-    assert pairs[:, 0].tobytes() == grid.tobytes()
-    assert pairs[1:, 1].tobytes() == grid[:-1].tobytes()
+    m = max(0, math.frexp(grid.max())[1])
+    scale = 4.0**-m
+    limbs = [(a * scale, b * scale, c * scale) for a, b, c in limbs]
+    grid *= 2.0**-m
+    assert grid_distances(ts, (limbs, []), math.inf).tobytes() == grid.tobytes()
+    samples, last = ts.tolist(), n_samples - 1
+    for i, (t, dist) in enumerate(zip(samples, grid.tolist())):
+        top = t
+        while math.ceil((1.0 - top) * last) > i:  # the top that proposes ts[i]
+            top = math.nextafter(top, 2.0)
+        # Under an infinite margin any reading certifies: ts[i] alone decides.
+        assert bits(located_hit(limbs, top, n_samples, -math.inf)) == bits((t, dist))
+        if i:
+            above = grid[i - 1]
+            for margin in (above - 1.0, math.nextafter(above, 0.0) - 1.0):
+                want = (t, dist) if above > 1.0 + margin else None
+                assert bits(located_hit(limbs, top, n_samples, margin)) == bits(want)
+
+
+def bits(pair):
+    return None if pair is None else np.array(pair).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -171,7 +194,7 @@ def assert_reads_the_grid(limbs, ts):
     ids=["minus-zero", "signed-zeros", "negative-and-minus-zero", "tied-negative", "tied-zero", "tied"],
 )
 def test_scalar_infinity_norm_reading_keeps_the_grids_zeros_and_ties(limbs):
-    assert_reads_the_grid(limbs, np.linspace(1.0, 0.0, 11))
+    assert_reads_the_grid(limbs, 11)
 
 
 def einsum_coefficients(vs, vf, vy, p_e):
@@ -217,7 +240,7 @@ def test_scalar_coefficients_equal_the_einsum_formulas_bit_for_bit():
     p_e = 10.0 ** rng.uniform(-3.0, 3.0, n)
     identity = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
     constants = segment_constants(vs, vf, identity, identity, p_e, np.full(n, math.inf), [])
-    limbs, rotation = segment_coefficients(constants, vy, identity)
+    (limbs, rotation), _ = segment_coefficients(constants, vy, identity)
     assert rotation == []
     for got, want in zip(np.array(limbs).T, einsum_coefficients(vs, vf, vy, p_e)):
         assert same_bits(got, want).all()
@@ -228,7 +251,7 @@ def test_scalar_coefficients_equal_the_einsum_formulas_bit_for_bit():
         params = random_params(rng, k, math.inf)
         start, final, state = (random_multipose(rng, k) for _ in range(3))
         segment = StackedSegment(start, final, params, 2)
-        limbs, rotation = segment_coefficients(segment.constants, state._v, state._q)
+        (limbs, rotation), _ = segment_coefficients(segment.constants, state._v, state._q)
         p_e = params._columns[0]
         want = einsum_coefficients(start._v, final._v, state._v, p_e)
         assert same_bits(np.array(limbs).T, want).all()

@@ -445,7 +445,7 @@ def whole_grid_clamp(segment, state):
     """The clamp with every sample scored in one kernel call: the outcome the
     floor-first scan gives under every floor."""
     ts = grid_parameters(segment.n_samples)
-    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    coeffs, _ = _kernels.segment_coefficients(segment.constants, state._v, state._q)
     dists = _kernels.grid_distances(ts, coeffs, segment.params.norm_order)
     feasible = dists <= 1.0
     hit = bool(feasible.any())
@@ -577,7 +577,7 @@ def test_window_top_within_the_margin_falls_back(monkeypatch):
     assert segment._margin is None  # a finite norm order locates no hit
     ts = grid_parameters(700)
     state = along_x(float(ts[636]) * 699.0 - 1.0 - 1e-5)
-    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    coeffs, _ = _kernels.segment_coefficients(segment.constants, state._v, state._q)
     top = _kernels.grid_distances(ts[636:], coeffs, 2.0)[0]
     assert 1.0 < top < 1.0 + 1e-4
     calls = scored_samples(monkeypatch)
@@ -627,7 +627,7 @@ def test_rotating_stack_with_two_feasible_intervals_returns_the_higher(monkeypat
     params = MultiMetricParams.uniform(1, 10.0, r_e=math.radians(110.0))
     segment = StackedSegment(turned(100.0), turned(260.0), params, 101)
     state = MultiPose(("a",), (pose(0.0),))
-    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    coeffs, _ = _kernels.segment_coefficients(segment.constants, state._v, state._q)
     lowest = _kernels.grid_distances(grid_parameters(101)[-64:], coeffs, math.inf)
     assert lowest[0] > 1.4 and (lowest <= 1.0).any()
     calls = scored_samples(monkeypatch)
@@ -678,14 +678,18 @@ def test_certified_steady_hit_calls_no_kernel(monkeypatch):
 
 @pytest.mark.parametrize("t_min", [0.0, 0.5])
 def test_hit_at_t_one_calls_no_kernel(monkeypatch, t_min):
-    # Every sample is inside the ball: t = 1 is the hit, with no sample
-    # above it to read.
+    # Every sample is inside the ball: the root lies above 1, so the top is
+    # 1 and t = 1 the hit, with no sample above it to read.
     segment = StackedSegment(along_x(0.0), along_x(100.0), MultiMetricParams.uniform(1, 1000.0), 700)
+    state = along_x(50.0)
+    _, top = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    assert top == 1.0
     calls = scored_samples(monkeypatch)
-    out = segment.clamp(along_x(50.0), t_min)
+    out = segment.clamp(state, t_min)
     assert isinstance(out, Solution)
     assert out.t == 1.0
     assert calls == []
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
 
 
 def test_located_hit_at_a_distance_of_exactly_one_calls_no_kernel(monkeypatch):
@@ -708,7 +712,7 @@ def test_located_reading_below_zero_is_clamped_as_the_kernel_clamps(monkeypatch)
         one([-94.5, 50.7, 7.6]), one([-34.1, 57.7, -39.4]), MultiMetricParams.uniform(1, 1.0), 101
     )
     state = one([-34.1000000000001, 57.6999999999993, -39.4000000000002])
-    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    coeffs, _ = _kernels.segment_coefficients(segment.constants, state._v, state._q)
     ((ta, tb, tc),), _ = coeffs
     assert ta + tb + tc < 0.0
     calls = scored_samples(monkeypatch)
@@ -741,7 +745,7 @@ def test_located_sample_within_the_margin_falls_back(monkeypatch):
     segment = StackedSegment(along_x(0.0), along_x(699.0), MultiMetricParams.uniform(1, 1.0), 700)
     ts = grid_parameters(700)
     state = along_x(float(ts[636]) * 699.0 - 1.0 - 1e-5)
-    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    coeffs, _ = _kernels.segment_coefficients(segment.constants, state._v, state._q)
     above, located = _kernels.grid_distances(ts[636:638], coeffs, math.inf)
     assert 1.0 < above <= 1.0 + segment._margin and located <= 1.0
     calls = scored_samples(monkeypatch)
@@ -781,22 +785,23 @@ def test_static_limb_bounds_the_located_hit(monkeypatch, off, certified):
     assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
 
 
-@pytest.mark.parametrize("off, certified", [(5.0, True), (15.0, False)])
+@pytest.mark.parametrize("off, certified", [(5.0, True), (15.0, False), (-5.0, True)])
 def test_limb_whose_travel_squares_to_zero_bounds_the_top_by_its_linear_root(
     monkeypatch, off, certified
 ):
     # Limb l1 travels 1e-170 mm: its ta underflows to 0.0 while its tb does
     # not, so its root is linear, (1 - tc) / tb. Half a ball behind its start
     # that root lies far above 1 and the hit is l0's; 1.5 balls behind it the
-    # root, and so the top, is negative, and the grid misses.
+    # root, and so the top, is negative, and the grid misses. Half a ball
+    # ahead of it (tb < 0) its square only falls on [0, 1]: it has no root.
     params = MultiMetricParams.uniform(2, 10.0)
     start = MultiPose(("l0", "l1"), (pose(0.0), pose(0.0, 50.0)))
     final = MultiPose(("l0", "l1"), (pose(100.0), pose(1e-170, 50.0)))
     segment = StackedSegment(start, final, params, 700)
     state = MultiPose(("l0", "l1"), (pose(30.0), pose(-off, 50.0)))
-    coeffs = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    coeffs, _ = _kernels.segment_coefficients(segment.constants, state._v, state._q)
     (_, (ta, tb, tc)), _ = coeffs
-    assert ta == 0.0 and tb > 0.0 and (tc < 1.0) == certified
+    assert ta == 0.0 and (tb > 0.0) == (off > 0.0) and (tc < 1.0) == certified
     calls = scored_samples(monkeypatch)
     out = segment.clamp(state)
     assert isinstance(out, Solution if certified else NoSolution)
@@ -818,6 +823,86 @@ def test_non_finite_state_falls_back_to_the_grid(monkeypatch, bad):
     assert calls == [700]
     assert type(out) is type(whole) is NoSolution
     assert outcome_bits(out)[1:3] == outcome_bits(whole)[1:3]  # t and dist
+
+
+# --- the coefficient pass's translation top ------------------------------------
+
+def three_limbs(sensed):
+    """Three limbs on 100 mm segments along x (p_e = 10 mm, 700 samples),
+    limb j sensed at ``sensed[j]`` = (x, z), z mm off its path: (segment,
+    state, the top of its translation interval)."""
+    params = MultiMetricParams.uniform(3, 10.0)
+    segment = StackedSegment(along_x(0.0, 3), along_x(100.0, 3), params, 700)
+    v = np.array([[x, 3.0 * j, z] for j, (x, z) in enumerate(sensed)])  # unvalidated: z may be NaN
+    state = MultiPose._of_arrays(segment.start.names, v, np.tile(IDENTITY, (3, 1)))
+    _, top = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    return segment, state, top
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_a_limb_never_inside_its_ball_empties_the_top(monkeypatch, where):
+    # 15 mm off its path, the limb is 1.5 balls away at every t (a negative
+    # discriminant), first, in the middle or last: no sample is a hit. The
+    # others, sensed at x = 70, pull the nearest sample up from t = 0.3, so
+    # its distance is the metric's only if every limb got its coefficients.
+    sensed = [(70.0, 0.0), (70.0, 2.0), (70.0, 4.0)]
+    sensed[where] = (30.0, 15.0)
+    segment, state, top = three_limbs(sensed)
+    assert top == -math.inf
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == [700]
+    assert isinstance(out, NoSolution) and 0.45 < out.nearest_t < 0.6
+    assert out.nearest_dist == pytest.approx(segment.params.distance(out.nearest_point, state))
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_limb_after_one_never_inside_makes_the_top_nan(monkeypatch, bad):
+    # tb or tc of the second limb is not finite, after a limb whose
+    # discriminant is negative: the top reads NaN, and the grid decides.
+    segment, state, top = three_limbs([(30.0, 15.0), (30.0, bad), (30.0, 0.0)])
+    assert math.isnan(top)
+    whole = whole_grid_clamp(segment, state)
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == [700]
+    assert type(out) is type(whole) is NoSolution
+    assert outcome_bits(out)[1:3] == outcome_bits(whole)[1:3]  # t and dist
+
+
+def test_a_square_below_zero_above_the_hit_reads_zero(monkeypatch):
+    # Limb a is sensed on its path at ts[49] = 0.51, where its quadratic
+    # rounds below 0; limb b binds the top at 0.505, so ts[50] is located
+    # and ts[49] is read, limb a first: its square is taken as 0.0, not
+    # handed to a root, and limb b's 1.05 certifies the hit.
+    one = lambda v: Pose(np.array(v), IDENTITY)
+    names = ("a", "b")
+    start = MultiPose(names, (one([27.4, -46.0, -91.8]), one([0.0, 50.0, 0.0])))
+    final = MultiPose(names, (one([24.5, -44.1, -89.3]), one([100.0, 50.0, 0.0])))
+    segment = StackedSegment(start, final, MultiMetricParams.uniform(2, 10.0), 101)
+    state = MultiPose(names, (one([25.921, -45.031, -90.525]), one([40.5, 50.0, 0.0])))
+    (((ta, tb, tc), _), _), _ = _kernels.segment_coefficients(segment.constants, state._v, state._q)
+    u = float(grid_parameters(101)[49])
+    assert ta * u * u + tb * u + tc < 0.0
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == []
+    assert isinstance(out, Solution) and out.t == 0.5
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
+
+
+def test_only_the_last_limb_above_the_hit_certifies_it(monkeypatch):
+    # At ts[49] = 0.51 limbs 0 and 1 read 0 (sensed on their paths there)
+    # and limb 2 1.05: the reading of ts[i - 1] must reach the last limb.
+    params = MultiMetricParams.uniform(3, 10.0)
+    segment = StackedSegment(along_x(0.0, 3), along_x(100.0, 3), params, 101)
+    state = MultiPose(segment.start.names, (pose(51.0), pose(51.0, 3.0), pose(40.5, 6.0)))
+    calls = scored_samples(monkeypatch)
+    out = segment.clamp(state)
+    assert calls == []
+    assert isinstance(out, Solution) and out.t == 0.5
+    assert outcome_bits(out) == outcome_bits(whole_grid_clamp(segment, state))
 
 
 def test_robustness_mix_scores_the_grid_only_on_misses(monkeypatch):

@@ -808,12 +808,12 @@ def test_builtin_runs_wrap_no_more_stacked_states_than_they_need(which, monkeypa
 
 
 # Python-level calls (sys.setprofile "call" events) in one run of each
-# builtin, scenario built, the first in its process: about 18.7 per step on
-# the three six-limb builtins and 51.4 on out_of_range. Counted with Python
+# builtin, scenario built, the first in its process: 16.1-16.4 per step on
+# the three six-limb builtins and 51.2 on out_of_range. Counted with Python
 # 3.11.7 and numpy 2.4.6; the counts depend on both, since numpy functions
 # with a Python wrapper add frames and Python 3.12 inlines comprehensions.
 CALLS = {
-    "nominal_square": 31903, "out_of_range": 22618, "power_loss": 31854, "robustness_mix": 112306,
+    "nominal_square": 27375, "out_of_range": 22546, "power_loss": 27523, "robustness_mix": 98517,
 }
 
 

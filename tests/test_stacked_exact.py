@@ -300,7 +300,7 @@ def check_grid_kernel(params, norm_order, samples, pairs=None):
         start.translations(), final.translations(),
         start.quaternions(), final.quaternions(), p_e, r_e, rot,
     )
-    coeffs = _kernels.segment_coefficients(
+    coeffs, _ = _kernels.segment_coefficients(
         segment, state.translations(), state.quaternions()
     )
     limbs, rotation = coeffs
